@@ -18,6 +18,7 @@ analytic factors carry quadrature error, controlled by order doubling.
 
 import struct
 from dataclasses import dataclass
+from functools import lru_cache
 from math import ceil, log, sqrt
 
 import numpy as np
@@ -109,12 +110,18 @@ def _near_log_order(h, delta, pdeg, cfg: HilbertQuadConfig):
     return cfg.scale(min(n, cfg.max_order))
 
 
+@lru_cache(maxsize=64)
 def _tensor_grid(nx, ny):
+    """Tensor Gauss grid on the unit square. Cached on the two orders: a
+    uniform mesh asks for a handful of (nx, ny) tens of thousands of times.
+    The arrays are shared, hence read-only."""
     x, wx = gauss_legendre_01(nx)
     y, wy = gauss_legendre_01(ny)
     X, Y = np.meshgrid(x, y, indexing="ij")
-    W = np.outer(wx, wy)
-    return X.ravel(), Y.ravel(), W.ravel()
+    grid = (X.ravel(), Y.ravel(), np.outer(wx, wy).ravel())
+    for a in grid:
+        a.setflags(write=False)
+    return grid
 
 
 def _corner_duffy_pieces(c1, c2, pdeg, cfg: HilbertQuadConfig):

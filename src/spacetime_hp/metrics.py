@@ -2,7 +2,8 @@
 
 The computable error surrogate is [v] = sqrt(||v||_L2(Q) * ||d_t v||_L2(Q)),
 which dominates the fractional-in-time, L2-in-space error norm. Both L2(Q)
-norms are evaluated element-wise in space and time; the first temporal
+norms are evaluated on one space-time quadrature: the exact data once per
+spatial point set, the temporal nodes in bounded chunks; the first temporal
 element gets special treatment when the exact solution carries a startup
 singularity (power substitution) or is a stiff series (geometric composite
 subdivision).
@@ -13,31 +14,20 @@ from dataclasses import dataclass
 import numpy as np
 
 from .spatial_fem import SpatialQuadrature
-from .temporal_hp import element_gauss_power
-from .quadrature import gauss_legendre
+from .temporal_hp import basis_matrix, temporal_rule
 
 
-def _first_element_geometric_edges(k1, pieces=8, ratio=4.0):
-    edges = k1 * ratio ** np.arange(-(pieces - 1), 1, dtype=float)
-    return np.concatenate([[0.0], edges])
+def _first_rule(prob):
+    """First-element rule suited to the exact solution's behavior near t = 0."""
+    if prob.temporal_singularity:
+        return "power"
+    if prob.series_truncation is not None:
+        return "geometric"
+    return None
 
 
-def _temporal_nodes(mesh, j, n, prob):
-    """Quadrature nodes/weights on temporal element j adapted to the exact
-    solution's behavior near t = 0."""
-    if j == 0 and prob is not None and prob.temporal_singularity:
-        return element_gauss_power(mesh, j, max(32, n))
-    if j == 0 and prob is not None and prob.series_truncation is not None:
-        edges = _first_element_geometric_edges(mesh.element_lengths[0])
-        rule = gauss_legendre(n)
-        mid = 0.5 * (edges[:-1] + edges[1:])
-        half = 0.5 * np.diff(edges)
-        t = (mid[:, None] + half[:, None] * rule.nodes[None, :]).ravel()
-        w = (half[:, None] * rule.weights[None, :]).ravel()
-        return t, w
-    a, b = mesh.breakpoints[j], mesh.breakpoints[j + 1]
-    rule = gauss_legendre(n)
-    return 0.5 * (a + b) + 0.5 * (b - a) * rule.nodes, 0.5 * (b - a) * rule.weights
+def _orders(mesh, quad_mult, temporal_extra):
+    return np.maximum(2, ((mesh.degrees + temporal_extra) * quad_mult).astype(int))
 
 
 def l2q_error_element_parts(sol, prob, quad_mult=1.0, temporal_extra=12, spatial_degree=6):
@@ -46,21 +36,19 @@ def l2q_error_element_parts(sol, prob, quad_mult=1.0, temporal_extra=12, spatial
     basis = sol.basis
     mesh = basis.mesh
     quad = SpatialQuadrature(sol.spatial.mesh, degree=spatial_degree)
-    val_sq = np.zeros(mesh.m)
-    der_sq = np.zeros(mesh.m)
-    for j in range(mesh.m):
-        n = max(2, int((int(mesh.degrees[j]) + temporal_extra) * quad_mult))
-        t_nodes, t_w = _temporal_nodes(mesh, j, n, prob)
-        val_j = der_j = 0.0
-        for t, wt in zip(t_nodes, t_w):
-            fe = quad.fe_values(sol.nodal_at_time(t))
-            dfe = quad.fe_values(sol.nodal_time_derivative(t))
-            ev = fe - prob.u_exact(t, quad.points)
-            ed = dfe - prob.du_dt_exact(t, quad.points)
-            val_j += wt * quad.l2_norm_sq(ev)
-            der_j += wt * quad.l2_norm_sq(ed)
-        val_sq[j], der_sq[j] = val_j, der_j
-    return val_sq, der_sq
+    t, w, elements = temporal_rule(mesh, _orders(mesh, quad_mult, temporal_extra), _first_rule(prob))
+    U = np.zeros((basis.num_dofs, sol.spatial.mesh.num_vertices))
+    U[:, sol.spatial.interior] = sol.coefficients
+    phi = basis_matrix(basis, t, elements)
+    dphi = basis_matrix(basis, t, elements, derivative=1)
+    ev = prob.at(quad.points)
+    val = np.empty(len(t))
+    der = np.empty(len(t))
+    for c in quad.time_chunks(len(t)):
+        tc = t[c, None]
+        val[c] = quad.l2_norm_sq(quad.fe_values(phi[c] @ U) - ev.u(tc))
+        der[c] = quad.l2_norm_sq(quad.fe_values(dphi[c] @ U) - ev.du_dt(tc))
+    return np.bincount(elements, w * val, mesh.m), np.bincount(elements, w * der, mesh.m)
 
 
 def l2q_error_parts(sol, prob, quad_mult=1.0, temporal_extra=12, spatial_degree=6):
@@ -81,25 +69,12 @@ def functional_from_parts(val_sq, der_sq):
 
 def temporal_error_functional(basis, coeffs, u, du, quad_mult=1.0, temporal_extra=12, singular_first=False):
     """The same surrogate for purely temporal functions (scalar IVP)."""
-    from .temporal_hp import eval_coefficients
-
     mesh = basis.mesh
-    val_sq = 0.0
-    der_sq = 0.0
-    for j in range(mesh.m):
-        n = max(2, int((int(mesh.degrees[j]) + temporal_extra) * quad_mult))
-        if j == 0 and singular_first:
-            t, w = element_gauss_power(mesh, j, max(32, n))
-        else:
-            a, b = mesh.breakpoints[j], mesh.breakpoints[j + 1]
-            rule = gauss_legendre(n)
-            t = 0.5 * (a + b) + 0.5 * (b - a) * rule.nodes
-            w = 0.5 * (b - a) * rule.weights
-        ev = eval_coefficients(basis, coeffs, t) - u(t)
-        ed = eval_coefficients(basis, coeffs, t, derivative=1) - du(t)
-        val_sq += np.dot(w, ev * ev)
-        der_sq += np.dot(w, ed * ed)
-    return float((val_sq * der_sq) ** 0.25)
+    first = "power" if singular_first else None
+    t, w, elements = temporal_rule(mesh, _orders(mesh, quad_mult, temporal_extra), first)
+    ev = basis_matrix(basis, t, elements) @ coeffs - u(t)
+    ed = basis_matrix(basis, t, elements, derivative=1) @ coeffs - du(t)
+    return functional_from_parts(w @ (ev * ev), w @ (ed * ed))
 
 
 @dataclass(frozen=True)

@@ -6,12 +6,30 @@ L-shaped domain (one smooth in time, one with a t^(3/5) startup singularity).
 Forcings are closed-form: the corner factor r^(2/3) sin((2/3)(theta - pi/2))
 is harmonic, so the Laplacian of the cutoff solution reduces to cutoff
 derivatives, and the smooth part differentiates termwise.
+
+Each problem evaluates through `ManufacturedProblem.at(points)`, which
+computes the time-independent spatial factors once per point set; the
+fields u_exact, du_dt_exact and g go through the same evaluator.
 """
 
 from dataclasses import dataclass
+from functools import cache
 from typing import Callable
 
 import numpy as np
+
+
+@dataclass(frozen=True)
+class Evaluator:
+    """u, d_t u and g at a fixed point set, as functions of time alone.
+
+    A scalar t gives one value per point; a column of times (nt, 1) gives an
+    (nt, npts) array, row i at time t[i].
+    """
+
+    u: Callable
+    du_dt: Callable
+    g: Callable
 
 
 @dataclass(frozen=True)
@@ -24,11 +42,37 @@ class ManufacturedProblem:
     du_dt_exact: Callable
     series_truncation: int | None = None
     temporal_singularity: bool = False
+    # points -> Evaluator; None evaluates the fields above with the time column
+    evaluator: Callable | None = None
 
     def domain_interval(self):
         if self.dimension != 1:
             raise ValueError("not an interval problem")
         return (0.0, 1.0)
+
+    def at(self, points) -> Evaluator:
+        """Evaluator of the problem data at a fixed point set."""
+        if self.evaluator is not None:
+            return self.evaluator(points)
+
+        def broadcast(field):
+            def f(t):
+                out = np.asarray(field(t, points), dtype=float)
+                return np.broadcast_to(out, np.shape(t)[:-1] + (len(points),))
+
+            return f
+
+        return Evaluator(broadcast(self.u_exact), broadcast(self.du_dt_exact), broadcast(self.g))
+
+
+def _fields(at):
+    """The pointwise fields (t, x) -> values of an evaluator factory."""
+    return dict(
+        u_exact=lambda t, x: at(x).u(t),
+        du_dt_exact=lambda t, x: at(x).du_dt(t),
+        g=lambda t, x: at(x).g(t),
+        evaluator=at,
+    )
 
 
 def problem_u1(truncation=1000) -> ManufacturedProblem:
@@ -41,37 +85,19 @@ def problem_u1(truncation=1000) -> ManufacturedProblem:
     lam = np.pi**2 * m.astype(float) ** 2
     amp_u = 4.0 / (np.pi**3 * m.astype(float) ** 3)
     amp_du = 4.0 / (np.pi * m.astype(float))
-    cache = {}
 
-    def _sines(x):
-        key = (x.shape, x.tobytes()[:64], float(x[0]), float(x[-1]), float(x.sum()))
-        hit = cache.get("key") == key
-        if not hit:
-            cache["key"] = key
-            cache["S"] = np.sin(np.pi * np.outer(np.asarray(x, float), m))
-        return cache["S"]
-
-    def u_exact(t, x):
+    def at(x):
         x = np.asarray(x, dtype=float)
-        decay = np.exp(-lam * t)
-        return _sines(x) @ (amp_u * (1.0 - decay))
-
-    def du_dt(t, x):
-        x = np.asarray(x, dtype=float)
-        decay = np.exp(-lam * t)
-        return _sines(x) @ (amp_du * decay)
-
-    def g(t, x):
-        return np.ones_like(np.asarray(x, dtype=float))
+        # (modes, points), built on first use: the forcing needs none
+        sines_t = cache(lambda: np.sin(np.pi * np.outer(m, x)))
+        return Evaluator(
+            u=lambda t: (amp_u * (1.0 - np.exp(-lam * t))) @ sines_t(),
+            du_dt=lambda t: (amp_du * np.exp(-lam * t)) @ sines_t(),
+            g=lambda t: np.ones(np.broadcast(t, x).shape),
+        )
 
     return ManufacturedProblem(
-        name="u1",
-        dimension=1,
-        T=2.0,
-        g=g,
-        u_exact=u_exact,
-        du_dt_exact=du_dt,
-        series_truncation=truncation,
+        name="u1", dimension=1, T=2.0, series_truncation=truncation, **_fields(at)
     )
 
 
@@ -140,65 +166,65 @@ def _laplacian_cutoff_times_singular(xy):
 _REG_SCALE = 1.0 / 100.0
 
 
-def _reg_factors(t, xy):
-    x1 = xy[..., 0]
-    x2 = xy[..., 1]
-    q1 = x1 - 0.25
-    q2 = x2 + 0.25
-    s1, c1 = np.sin(np.pi * x1), np.cos(np.pi * x1)
-    s2, c2 = np.sin(np.pi * x2), np.cos(np.pi * x2)
-    E = np.exp(-t * (q1**2 + q2**2))
-    return x1, x2, q1, q2, s1, c1, s2, c2, E
+class _Regular:
+    """Spatial factors of the smooth part u_reg = t sin(pi x1) sin(pi x2)
+    e^(-t |q|^2) / 100 with q = (x1 - 1/4, x2 + 1/4).
+
+    Differentiating (sin(pi x) e^(-t q^2))'' = (-pi^2 s - 2 t s - 4 pi t q c
+    + 4 t^2 q^2 s) e^(-t q^2) in both directions gives
+    Laplace u_reg = E (t a0 + t^2 a1 + t^3 a2) with E = e^(-t |q|^2).
+    """
+
+    def __init__(self, xy):
+        x1, x2 = xy[..., 0], xy[..., 1]
+        q1, q2 = x1 - 0.25, x2 + 0.25
+        s1, c1 = np.sin(np.pi * x1), np.cos(np.pi * x1)
+        s2, c2 = np.sin(np.pi * x2), np.cos(np.pi * x2)
+        self.q_sq = q1**2 + q2**2
+        self.s = _REG_SCALE * s1 * s2
+        self.a0 = -2.0 * np.pi**2 * self.s
+        self.a1 = _REG_SCALE * (-4.0 * s1 * s2 - 4.0 * np.pi * (q1 * c1 * s2 + q2 * c2 * s1))
+        self.a2 = 4.0 * self.q_sq * self.s
+
+    def decay(self, t):
+        return np.exp(-t * self.q_sq)
+
+    def u(self, t):
+        return t * self.s * self.decay(t)
+
+    def du_dt(self, t, E=None):
+        E = self.decay(t) if E is None else E
+        return self.s * E * (1.0 - t * self.q_sq)
+
+    def laplace(self, t, E=None):
+        E = self.decay(t) if E is None else E
+        return E * (t * (self.a0 + t * (self.a1 + t * self.a2)))
+
+    def forcing(self, t):
+        """d_t u_reg - Laplace u_reg."""
+        E = self.decay(t)
+        return self.du_dt(t, E) - self.laplace(t, E)
 
 
 def u_reg(t, xy):
-    xy = np.asarray(xy, dtype=float)
-    _, _, _, _, s1, _, s2, _, E = _reg_factors(t, xy)
-    return _REG_SCALE * t * s1 * s2 * E
-
-
-def du_reg_dt(t, xy):
-    xy = np.asarray(xy, dtype=float)
-    _, _, q1, q2, s1, _, s2, _, E = _reg_factors(t, xy)
-    return _REG_SCALE * s1 * s2 * E * (1.0 - t * (q1**2 + q2**2))
-
-
-def laplace_u_reg(t, xy):
-    xy = np.asarray(xy, dtype=float)
-    _, _, q1, q2, s1, c1, s2, c2, E = _reg_factors(t, xy)
-    # (sin(pi x) e^{-t q^2})'' = (-pi^2 s - 2 t s - 4 pi t q c + 4 t^2 q^2 s) e^{-t q^2}
-    f1 = s1
-    f2 = s2
-    f1xx = -np.pi**2 * s1 - 2.0 * t * s1 - 4.0 * np.pi * t * q1 * c1 + 4.0 * t**2 * q1**2 * s1
-    f2yy = -np.pi**2 * s2 - 2.0 * t * s2 - 4.0 * np.pi * t * q2 * c2 + 4.0 * t**2 * q2**2 * s2
-    return _REG_SCALE * t * E * (f1xx * f2 + f1 * f2yy)
+    return _Regular(np.asarray(xy, dtype=float)).u(t)
 
 
 def _lshape_problem(name, tau, dtau, temporal_singularity):
-    def u_exact(t, xy):
+    def at(xy):
         xy = np.asarray(xy, dtype=float)
+        reg = _Regular(xy)
         r, _ = _polar(xy)
-        return u_reg(t, xy) + tau(t) * cutoff(r) * corner_singular(xy)
-
-    def du_dt(t, xy):
-        xy = np.asarray(xy, dtype=float)
-        r, _ = _polar(xy)
-        return du_reg_dt(t, xy) + dtau(t) * cutoff(r) * corner_singular(xy)
-
-    def g(t, xy):
-        xy = np.asarray(xy, dtype=float)
-        r, _ = _polar(xy)
-        sing = dtau(t) * cutoff(r) * corner_singular(xy) - tau(t) * _laplacian_cutoff_times_singular(xy)
-        return du_reg_dt(t, xy) - laplace_u_reg(t, xy) + sing
+        sing = cutoff(r) * corner_singular(xy)
+        lap_sing = _laplacian_cutoff_times_singular(xy)
+        return Evaluator(
+            u=lambda t: reg.u(t) + tau(t) * sing,
+            du_dt=lambda t: reg.du_dt(t) + dtau(t) * sing,
+            g=lambda t: reg.forcing(t) + (dtau(t) * sing - tau(t) * lap_sing),
+        )
 
     return ManufacturedProblem(
-        name=name,
-        dimension=2,
-        T=2.0,
-        g=g,
-        u_exact=u_exact,
-        du_dt_exact=du_dt,
-        temporal_singularity=temporal_singularity,
+        name=name, dimension=2, T=2.0, temporal_singularity=temporal_singularity, **_fields(at)
     )
 
 

@@ -25,10 +25,10 @@ from .hilbert import TemporalMatrices
 from .spatial_fem import SpatialQuadrature, SpatialSystem
 from .temporal_hp import (
     TemporalBasis,
-    element_gauss,
-    element_gauss_power,
+    basis_matrix,
     temporal_mass,
     temporal_moments,
+    temporal_rule,
 )
 
 DENSE_LIMIT = 20_000
@@ -108,26 +108,19 @@ class GlobalOperator:
         )
 
 
-def project_rhs(g, basis: TemporalBasis, sx: SpatialSystem, extra_order=8, temporal_singularity=False, spatial_degree=6):
-    """Space-time L2 projection of the forcing onto the unconstrained tensor
-    space (t=0 vertex and Dirichlet vertices included); returns the
+def project_rhs(prob, basis: TemporalBasis, sx: SpatialSystem, extra_order=8, spatial_degree=6):
+    """Space-time L2 projection of the forcing prob.g onto the unconstrained
+    tensor space (t=0 vertex and Dirichlet vertices included); returns the
     (M+1) x num_vertices coefficient array."""
     mesh = basis.mesh
     quad = SpatialQuadrature(sx.mesh, degree=spatial_degree)
-    nv = sx.mesh.num_vertices
-    R = np.zeros((basis.num_dofs_full, nv))
-    for j in range(mesh.m):
-        p = int(mesh.degrees[j])
-        if j == 0 and temporal_singularity:
-            t_nodes, t_w = element_gauss_power(mesh, j, max(32, p + extra_order))
-        else:
-            t_nodes, t_w = element_gauss(mesh, j, p + extra_order)
-        phis = basis.eval_element(j, t_nodes)  # (p+1, nt)
-        gids = basis.conn_full[j]
-        for q, (t, wt) in enumerate(zip(t_nodes, t_w)):
-            b = quad.moments(g(t, quad.points))
-            for a, ga in enumerate(gids):
-                R[ga] += wt * phis[a, q] * b
+    first = "power" if prob.temporal_singularity else None
+    t, w, elements = temporal_rule(mesh, mesh.degrees + extra_order, first)
+    phi_w = basis_matrix(basis, t, elements, constrained=False) * w[:, None]
+    g = prob.at(quad.points).g
+    R = np.zeros((basis.num_dofs_full, sx.mesh.num_vertices))
+    for c in quad.time_chunks(len(t)):
+        R += phi_w[c].T @ quad.moments(g(t[c, None]))
     Mt_full = temporal_mass(basis, constrained=False)
     # geometric meshes span many orders of magnitude in element size; solve
     # the Jacobi-scaled system to keep the mass solve well conditioned
@@ -212,9 +205,7 @@ def solve(tm: TemporalMatrices, sx: SpatialSystem, G, strategy="auto", basis: Te
 def solve_heat(prob, basis: TemporalBasis, tm: TemporalMatrices, sx: SpatialSystem, strategy="auto"):
     """Full pipeline for a manufactured problem: project the forcing, build
     the load, solve."""
-    ghat = project_rhs(
-        prob.g, basis, sx, temporal_singularity=prob.temporal_singularity
-    )
+    ghat = project_rhs(prob, basis, sx)
     G = rhs_from_projection(tm, sx, ghat)
     return solve(tm, sx, G, strategy=strategy, basis=basis)
 

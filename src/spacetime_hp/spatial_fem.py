@@ -17,6 +17,9 @@ import scipy.sparse as sp
 from .quadrature import gauss_legendre, triangle_rule
 
 _EDGE_SHIFT = np.int64(1) << 32
+# entries of one (time nodes x quadrature points) stack in the space-time
+# quadrature; bounds the memory of problem data evaluated in a batch
+_CHUNK_ENTRIES = 2**16
 
 
 def _mesh_signature(*arrays):
@@ -380,7 +383,9 @@ class SpatialQuadrature:
     integrals, P1 nodal moments, and FE evaluation at the points.
 
     On triangles this is the collapsed tensor rule of the requested degree of
-    exactness; on intervals a per-element Gauss rule.
+    exactness; on intervals a per-element Gauss rule. P is the sparse
+    (points x vertices) matrix of P1 shape values; the helpers act on the
+    last axis, so a stack of fields (one per row) is handled at once.
     """
 
     def __init__(self, mesh, degree=6):
@@ -393,33 +398,43 @@ class SpatialQuadrature:
             self.points = (mid[:, None] + half[:, None] * rule.nodes[None, :]).ravel()
             self.weights = (half[:, None] * rule.weights[None, :]).ravel()
             xi = 0.5 * (rule.nodes + 1.0)
-            self._shape = np.column_stack([1.0 - xi, xi])  # (q, 2)
-            self._conn = np.column_stack([np.arange(len(v) - 1), np.arange(1, len(v))])
-            self._q = len(rule.nodes)
+            shape = np.column_stack([1.0 - xi, xi])  # (q, 2)
+            conn = np.column_stack([np.arange(len(v) - 1), np.arange(1, len(v))])
         else:
             rule = triangle_rule(degree + 1)
             x, y = rule.nodes[:, 0], rule.nodes[:, 1]
-            self._shape = np.column_stack([1.0 - x - y, x, y])  # (q, 3)
+            shape = np.column_stack([1.0 - x - y, x, y])  # (q, 3)
             p = mesh.vertices[mesh.triangles]  # (nt, 3, 2)
-            pts = np.einsum("qk,nkd->nqd", self._shape, p)
-            self.points = pts.reshape(-1, 2)
+            self.points = np.einsum("qk,nkd->nqd", shape, p).reshape(-1, 2)
             self.weights = (2.0 * mesh.areas[:, None] * rule.weights[None, :]).ravel()
-            self._conn = mesh.triangles
-            self._q = len(rule.weights)
+            conn = mesh.triangles
+        # point e*q + i of element e carries shape[i, k] at vertex conn[e, k]
+        cols = np.broadcast_to(conn[:, None, :], (len(conn),) + shape.shape)
+        data = np.broadcast_to(shape, cols.shape)
+        rows = np.repeat(np.arange(len(self.weights)), shape.shape[1])
+        self.P = sp.csr_matrix(
+            (data.ravel(), (rows, cols.ravel())), shape=(len(self.weights), mesh.num_vertices)
+        )
+
+    def time_chunks(self, n_times):
+        """Slices of n_times time nodes, each small enough that a (times x
+        points) stack stays near _CHUNK_ENTRIES entries."""
+        step = max(1, _CHUNK_ENTRIES // len(self.weights))
+        return [slice(i, i + step) for i in range(0, n_times, step)]
 
     def l2_norm_sq(self, values):
-        return float(np.dot(self.weights, np.asarray(values) ** 2))
+        """Squared L2 norm of point values (one per row of a stack)."""
+        sq = (np.asarray(values) ** 2) @ self.weights
+        return sq if sq.ndim else float(sq)
 
     def moments(self, values):
-        """Nodal moments int f psi_i from point values of f."""
-        contrib = (np.asarray(values) * self.weights).reshape(-1, self._q) @ self._shape
-        nv = self.mesh.num_vertices
-        return np.bincount(self._conn.ravel(), contrib.ravel(), minlength=nv)
+        """Nodal moments int f psi_i = P^T (w f) from point values of f."""
+        return (self.P.T @ (np.asarray(values) * self.weights).T).T
 
     def fe_values(self, nodal):
-        """Values of the P1 function with the given nodal vector at the
-        quadrature points."""
-        return (np.asarray(nodal)[self._conn] @ self._shape.T).ravel()
+        """Values P nodal of the P1 function with the given nodal vector at
+        the quadrature points."""
+        return (self.P @ np.asarray(nodal).T).T
 
 
 def export_mesh(mesh: SpatialMesh2D, path):

@@ -294,6 +294,51 @@ def element_gauss_power(mesh: TemporalMesh, j, n, power=5):
     return t, w
 
 
+def temporal_rule(mesh: TemporalMesh, orders, first=None):
+    """Quadrature rule of the whole mesh: nodes, weights and the element of
+    each node, in time order.
+
+    Element j gets an orders[j]-point Gauss rule. `first` adapts the first
+    element to a solution that is not smooth at t = 0: "power" uses the
+    t = k*tau^5 substitution with at least 32 points (algebraic
+    singularities), "geometric" a composite rule on 8 pieces graded by the
+    ratio 4 towards t = 0 (stiff series).
+    """
+    if first not in (None, "power", "geometric"):
+        raise ValueError(f"unknown first-element rule {first!r}")
+    nodes, weights = [], []
+    for j in range(mesh.m):
+        n = int(orders[j])
+        if j == 0 and first == "power":
+            t, w = element_gauss_power(mesh, 0, max(32, n))
+        elif j == 0 and first == "geometric":
+            edges = np.concatenate([[0.0], mesh.breakpoints[1] * 4.0 ** np.arange(-7, 1, dtype=float)])
+            rule = gauss_legendre(n)
+            mid = 0.5 * (edges[:-1] + edges[1:])
+            half = 0.5 * np.diff(edges)
+            t = (mid[:, None] + half[:, None] * rule.nodes[None, :]).ravel()
+            w = (half[:, None] * rule.weights[None, :]).ravel()
+        else:
+            t, w = element_gauss(mesh, j, n)
+        nodes.append(t)
+        weights.append(w)
+    elements = np.repeat(np.arange(mesh.m), [len(t) for t in nodes])
+    return np.concatenate(nodes), np.concatenate(weights), elements
+
+
+def basis_matrix(basis: TemporalBasis, t, elements, derivative=0, constrained=True):
+    """Values (derivative=1: t-derivatives) of all basis functions at the
+    nodes t, as a (nodes x dofs) array; elements[i] is the element of t[i]."""
+    conns = basis.conn if constrained else basis.conn_full
+    out = np.zeros((len(t), basis.num_dofs if constrained else basis.num_dofs_full))
+    for j in np.unique(elements):
+        rows = np.nonzero(elements == j)[0]
+        cols = np.asarray(conns[j])
+        kept = cols >= 0
+        out[np.ix_(rows, cols[kept])] = basis.eval_element(j, t[rows], derivative)[kept].T
+    return out
+
+
 def quasi_interpolant(basis: TemporalBasis, v, dv, quad_order=None):
     """Coefficients of the temporal quasi-interpolant of v (with v(0) = 0).
 
@@ -332,23 +377,12 @@ def quasi_interpolant(basis: TemporalBasis, v, dv, quad_order=None):
 
 
 def eval_coefficients(basis: TemporalBasis, coeffs, t, derivative=0, constrained=True):
-    """Evaluate the function with the given coefficient vector at times t."""
+    """Evaluate the function with the given coefficient vector at times t in
+    [0, T] (right-continuous at breakpoints)."""
     t_arr = np.atleast_1d(np.asarray(t, dtype=float))
-    out = np.zeros_like(t_arr)
-    conns = basis.conn if constrained else basis.conn_full
-    for j in range(basis.mesh.m):
-        a, b = basis.mesh.breakpoints[j], basis.mesh.breakpoints[j + 1]
-        inside = (t_arr >= a) & (t_arr <= b) if j == basis.mesh.m - 1 else (
-            (t_arr >= a) & (t_arr < b)
-        )
-        if not np.any(inside):
-            continue
-        loc = basis.eval_element(j, t_arr[inside], derivative)
-        acc = np.zeros(inside.sum())
-        for k, g in enumerate(conns[j]):
-            if g >= 0:
-                acc += coeffs[g] * loc[k]
-        out[inside] = acc
+    bp = basis.mesh.breakpoints
+    elements = np.clip(np.searchsorted(bp, t_arr, side="right") - 1, 0, basis.mesh.m - 1)
+    out = basis_matrix(basis, t_arr, elements, derivative, constrained) @ coeffs
     return out if np.ndim(t) else float(out[0])
 
 
@@ -363,13 +397,9 @@ def temporal_mass(basis: TemporalBasis, constrained=True):
         rule = gauss_legendre(p + 2)
         vals, _ = lobatto_shapes(p, rule.nodes)
         local = (vals * rule.weights) @ vals.T * (k / 2.0)
-        gids = conns[j]
-        for a, ga in enumerate(gids):
-            if ga < 0:
-                continue
-            for b, gb in enumerate(gids):
-                if gb >= 0:
-                    out[ga, gb] += local[a, b]
+        gids = np.asarray(conns[j])
+        kept = gids >= 0
+        out[np.ix_(gids[kept], gids[kept])] += local[np.ix_(kept, kept)]
     return out
 
 
@@ -379,19 +409,8 @@ def temporal_moments(basis: TemporalBasis, f, constrained=False, extra_order=8, 
     With singular_first_element the first element uses the t = k*tau^5
     substitution (integrable algebraic singularities of f at t=0).
     """
-    n = basis.num_dofs if constrained else basis.num_dofs_full
-    out = np.zeros(n)
-    conns = basis.conn if constrained else basis.conn_full
-    for j in range(basis.mesh.m):
-        p = int(basis.mesh.degrees[j])
-        if j == 0 and singular_first_element:
-            t, w = element_gauss_power(basis.mesh, j, max(32, p + extra_order))
-        else:
-            t, w = element_gauss(basis.mesh, j, p + extra_order)
-        vals = basis.eval_element(j, t)
-        fw = np.asarray(f(t), dtype=float) * w
-        local = vals @ fw
-        for a, ga in enumerate(conns[j]):
-            if ga >= 0:
-                out[ga] += local[a]
-    return out
+    mesh = basis.mesh
+    t, w, elements = temporal_rule(
+        mesh, mesh.degrees + extra_order, "power" if singular_first_element else None
+    )
+    return (np.asarray(f(t), dtype=float) * w) @ basis_matrix(basis, t, elements, constrained=constrained)

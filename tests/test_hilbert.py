@@ -7,6 +7,7 @@ from spacetime_hp.fractional_norms import (
 )
 from spacetime_hp.hilbert import (
     HilbertQuadConfig,
+    _tensor_grid,
     assemble,
     kernel,
     load_matrices,
@@ -192,3 +193,11 @@ def test_geometric_mesh_assembly_is_stable():
     assert np.abs(tm.A_ht - tm2.A_ht).max() < 1e-9 * max(1.0, np.abs(tm.A_ht).max())
     np.linalg.cholesky(0.5 * (tm.A_ht + tm.A_ht.T))
     assert np.abs(tm.A_ht - tm.A_ht.T).max() / np.abs(tm.A_ht).max() < 1e-9
+
+
+def test_tensor_grid_is_cached_read_only():
+    X, Y, W = _tensor_grid(5, 3)
+    assert _tensor_grid(5, 3)[2] is W
+    assert W.sum() == pytest.approx(1.0, rel=1e-14) and X.shape == Y.shape == (15,)
+    with pytest.raises(ValueError):
+        W[0] = 0.0

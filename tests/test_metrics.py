@@ -15,10 +15,25 @@ from spacetime_hp.metrics import (
     rates,
     temporal_error_functional,
 )
-from spacetime_hp.problems import ManufacturedProblem, problem_u1
+from spacetime_hp import spatial_fem
+from spacetime_hp.problems import ManufacturedProblem, problem_u1, problem_u3
+from spacetime_hp.quadrature import gauss_legendre
 from spacetime_hp.solver import solve, solve_heat
-from spacetime_hp.spatial_fem import assemble_spatial, uniform_interval_mesh
-from spacetime_hp.temporal_hp import make_basis, uniform_mesh
+from spacetime_hp.spatial_fem import (
+    SpatialQuadrature,
+    assemble_spatial,
+    lshape_mesh,
+    refine_graded,
+    uniform_interval_mesh,
+)
+from spacetime_hp.temporal_hp import (
+    TemporalMeshSpec,
+    build_mesh,
+    element_gauss,
+    element_gauss_power,
+    make_basis,
+    uniform_mesh,
+)
 
 
 def _zero_solution(basis, sx):
@@ -258,3 +273,52 @@ def test_emit_records_format():
     assert lines[1].split("\t")[6] == "-"
     assert lines[1].split("\t")[5] == "7.330e-02"
     assert lines[2].split("\t")[6] != "-"
+
+
+def _element_rule(mesh, j, n, prob):
+    """Temporal rule on element j, written out node by node for the oracle."""
+    if j == 0 and prob.temporal_singularity:
+        return element_gauss_power(mesh, 0, max(32, n))
+    if j == 0 and prob.series_truncation is not None:
+        edges = [0.0] + [mesh.breakpoints[1] * 4.0**i for i in range(-7, 1)]
+        rule = gauss_legendre(n)
+        t = [0.5 * (a + b) + 0.5 * (b - a) * x for a, b in zip(edges, edges[1:]) for x in rule.nodes]
+        w = [0.5 * (b - a) * x for a, b in zip(edges, edges[1:]) for x in rule.weights]
+        return np.array(t), np.array(w)
+    return element_gauss(mesh, j, n)
+
+
+def _error_parts_node_by_node(sol, prob):
+    mesh = sol.basis.mesh
+    quad = SpatialQuadrature(sol.spatial.mesh, degree=6)
+    val, der = np.zeros(mesh.m), np.zeros(mesh.m)
+    for j in range(mesh.m):
+        for t, wt in zip(*_element_rule(mesh, j, int(mesh.degrees[j]) + 12, prob)):
+            ev = quad.fe_values(sol.nodal_at_time(t)) - prob.u_exact(t, quad.points)
+            ed = quad.fe_values(sol.nodal_time_derivative(t)) - prob.du_dt_exact(t, quad.points)
+            val[j] += wt * quad.l2_norm_sq(ev)
+            der[j] += wt * quad.l2_norm_sq(ed)
+    return val, der
+
+
+def _small_case(name):
+    if name == "u1-uniform":
+        return problem_u1(), uniform_mesh(2.0, 4, 1), uniform_interval_mesh((0, 1), 8)
+    if name == "u1-hp":
+        spec = TemporalMeshSpec(T=2, sigma=0.31, mu_hp=2.0, m1=4, m2=1)
+        return problem_u1(), build_mesh(spec), uniform_interval_mesh((0, 1), 16)
+    spec = TemporalMeshSpec(T=2, sigma=0.17, mu_hp=1.0, m1=3, m2=1)
+    return problem_u3(), build_mesh(spec), refine_graded(lshape_mesh(), 0.5**1.5, 0.6, 0.25)
+
+
+@pytest.mark.parametrize("chunk_entries", [spatial_fem._CHUNK_ENTRIES, 200], ids=["default", "small-chunks"])
+@pytest.mark.parametrize("case", ["u1-uniform", "u1-hp", "u3-graded"])
+def test_error_parts_match_node_by_node_loop(case, chunk_entries, monkeypatch):
+    prob, mesh_t, mesh_x = _small_case(case)
+    basis = make_basis(mesh_t)
+    sol = solve_heat(prob, basis, assemble(basis), assemble_spatial(mesh_x))
+    monkeypatch.setattr(spatial_fem, "_CHUNK_ENTRIES", chunk_entries)
+    val, der = l2q_error_element_parts(sol, prob)
+    ref_val, ref_der = _error_parts_node_by_node(sol, prob)
+    assert val == pytest.approx(ref_val, rel=1e-12)
+    assert der == pytest.approx(ref_der, rel=1e-12)

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from spacetime_hp.problems import (
+    ManufacturedProblem,
     corner_singular,
     cutoff,
     cutoff_d1,
@@ -180,3 +181,76 @@ def test_u1_truncation_is_adequate():
     x = np.linspace(0.05, 0.95, 19)
     for t in (1e-3, 0.1, 1.0):
         assert np.abs(a.u_exact(t, x) - b.u_exact(t, x)).max() < 1e-10
+
+
+def test_u1_repeated_point_sets_are_not_confused():
+    # two point sets with the same size, endpoints, sum and first 8 entries:
+    # each must get its own values, whatever was evaluated before
+    x1 = np.arange(1, 13) / 16
+    x2 = x1.copy()
+    x2[8] += 1 / 32
+    x2[9] -= 1 / 32
+    prob = problem_u1()
+    prob.u_exact(0.5, x1)
+    assert np.array_equal(prob.u_exact(0.5, x2), problem_u1().u_exact(0.5, x2))
+
+
+def _points_for(prob, rng):
+    if prob.dimension == 1:
+        return rng.uniform(0.0, 1.0, 9)
+    return _interior_points(rng, 9)
+
+
+@pytest.mark.parametrize("factory", [problem_u1, problem_u2, problem_u3], ids=["u1", "u2", "u3"])
+def test_evaluator_rows_match_fields(factory):
+    prob = factory()
+    rng = np.random.default_rng(11)
+    x = _points_for(prob, rng)
+    t = np.array([1e-3, 0.2, 0.7, 1.9])
+    ev = prob.at(x)
+    for name, field in (("u", prob.u_exact), ("du_dt", prob.du_dt_exact), ("g", prob.g)):
+        rows = getattr(ev, name)(t[:, None])
+        assert rows.shape == (len(t), len(x))
+        for i, ti in enumerate(t):
+            assert rows[i] == pytest.approx(field(ti, x), rel=1e-13, abs=1e-15)
+
+
+@pytest.mark.parametrize("factory", [problem_u1, problem_u2, problem_u3], ids=["u1", "u2", "u3"])
+def test_scalar_time_keeps_one_value_per_point(factory):
+    prob = factory()
+    x = _points_for(prob, np.random.default_rng(12))
+    ev = prob.at(x)
+    for values in (ev.u(0.4), ev.du_dt(0.4), ev.g(0.4), prob.u_exact(0.4, x), prob.g(0.4, x)):
+        assert values.shape == (len(x),)
+
+
+def test_u3_evaluator_rejects_initial_time():
+    prob = problem_u3()
+    pts = np.array([[-0.3, -0.3], [-0.5, 0.2]])
+    ev = prob.at(pts)
+    times = np.array([[0.0], [0.5]])
+    with pytest.raises(ValueError):
+        ev.du_dt(times)
+    with pytest.raises(ValueError):
+        ev.g(times)
+    with pytest.raises(ValueError):
+        prob.g(0.0, pts)
+    assert np.isfinite(ev.u(times)).all()
+
+
+def test_default_evaluator_broadcasts_plain_fields():
+    prob = ManufacturedProblem(
+        name="custom",
+        dimension=1,
+        T=2.0,
+        g=lambda t, x: np.ones_like(x),
+        u_exact=lambda t, x: t * np.sin(np.pi * x),
+        du_dt_exact=lambda t, x: np.sin(np.pi * x),
+    )
+    x = np.linspace(0.1, 0.9, 5)
+    t = np.array([0.25, 1.5])
+    ev = prob.at(x)
+    assert ev.u(t[:, None]) == pytest.approx(np.outer(t, np.sin(np.pi * x)))
+    assert ev.du_dt(t[:, None]) == pytest.approx(np.tile(np.sin(np.pi * x), (2, 1)))
+    assert ev.g(t[:, None]).shape == (2, 5)
+    assert ev.u(0.25).shape == (5,)

@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 from spacetime_hp.hilbert import assemble
-from spacetime_hp.problems import problem_u1
+from spacetime_hp import spatial_fem
+from spacetime_hp.problems import ManufacturedProblem, problem_u1, problem_u3
 from spacetime_hp.solver import (
     GlobalOperator,
     load_solution,
@@ -14,19 +15,30 @@ from spacetime_hp.solver import (
     solve_parametric_ivp,
 )
 from spacetime_hp.spatial_fem import (
+    SpatialQuadrature,
     assemble_spatial,
     lshape_mesh,
+    refine_graded,
     refine_uniform,
     uniform_interval_mesh,
 )
 from spacetime_hp.temporal_hp import (
     TemporalMeshSpec,
     build_mesh,
+    element_gauss,
+    element_gauss_power,
     eval_coefficients,
     make_basis,
     temporal_mass,
     uniform_mesh,
 )
+
+
+def _forcing(g, dimension=1):
+    """A problem that carries only the forcing g, for project_rhs."""
+    return ManufacturedProblem(
+        name="forcing", dimension=dimension, T=2.0, g=g, u_exact=None, du_dt_exact=None
+    )
 
 
 @pytest.fixture(scope="module")
@@ -39,7 +51,7 @@ def small_setup():
 
 def test_projection_reproduces_constants(small_setup):
     basis, tm, sx = small_setup
-    ghat = project_rhs(lambda t, x: np.ones_like(x), basis, sx)
+    ghat = project_rhs(_forcing(lambda t, x: np.ones_like(x)), basis, sx)
     # vertex coefficients 1, bubble coefficients 0 -> evaluates to one everywhere
     rng = np.random.default_rng(0)
     ts = rng.uniform(0, 2, 5)
@@ -52,7 +64,7 @@ def test_projection_reproduces_constants(small_setup):
 def test_projection_exact_for_low_order_polynomials(small_setup):
     basis, tm, sx = small_setup
     g = lambda t, x: (1.0 + 2.0 * t) * (3.0 - x)
-    ghat = project_rhs(g, basis, sx)
+    ghat = project_rhs(_forcing(g), basis, sx)
     for t in (0.1, 0.9, 1.7):
         phi = basis.eval_all(t, constrained=False)
         assert phi @ ghat == pytest.approx(g(t, sx.mesh.vertices), abs=1e-11)
@@ -62,7 +74,7 @@ def test_projection_preserves_mean_lshape():
     mesh2 = refine_uniform(lshape_mesh())
     sx = assemble_spatial(mesh2)
     basis = make_basis(uniform_mesh(2.0, 3, 2))
-    ghat = project_rhs(lambda t, xy: np.ones(len(xy)), basis, sx)
+    ghat = project_rhs(_forcing(lambda t, xy: np.ones(len(xy)), dimension=2), basis, sx)
     Mt = temporal_mass(basis, constrained=False)
     ct = np.zeros(basis.num_dofs_full)
     ct[: basis.mesh.m + 1] = 1.0  # coefficients of the constant 1 in time
@@ -144,7 +156,7 @@ def test_manufactured_polynomial_exactness():
     basis = make_basis(uniform_mesh(2.0, 2, 1))
     tm = assemble(basis)
     sx = assemble_spatial(uniform_interval_mesh((0, 1), 64))
-    ghat = project_rhs(prob_g, basis, sx)
+    ghat = project_rhs(_forcing(prob_g), basis, sx)
     G = rhs_from_projection(tm, sx, ghat)
     sol = solve(tm, sx, G, strategy="bartels-stewart", basis=basis)
     from spacetime_hp.quadrature import gauss_legendre
@@ -251,3 +263,41 @@ def test_bartels_stewart_handles_complex_schur_blocks():
     a = solve(tm, sx, G, strategy="dense", basis=basis)
     b = solve(tm, sx, G, strategy="bartels-stewart", basis=basis)
     assert np.abs(a.coefficients - b.coefficients).max() < 1e-8 * np.abs(a.coefficients).max()
+
+
+def _moments_node_by_node(prob, basis, sx):
+    """sum over temporal nodes of w phi_l(t) int g(t) psi_i, one node at a time."""
+    mesh = basis.mesh
+    quad = SpatialQuadrature(sx.mesh, degree=6)
+    R = np.zeros((basis.num_dofs_full, sx.mesh.num_vertices))
+    for j in range(mesh.m):
+        n = int(mesh.degrees[j]) + 8
+        if j == 0 and prob.temporal_singularity:
+            rule = element_gauss_power(mesh, 0, max(32, n))
+        else:
+            rule = element_gauss(mesh, j, n)
+        for t, wt in zip(*rule):
+            R += wt * np.outer(basis.eval_all(t, constrained=False), quad.moments(prob.g(t, quad.points)))
+    return R
+
+
+@pytest.mark.parametrize("chunk_entries", [spatial_fem._CHUNK_ENTRIES, 200], ids=["default", "small-chunks"])
+@pytest.mark.parametrize("case", ["u1-uniform", "u1-hp", "u3-graded"])
+def test_projection_matches_node_by_node_loop(case, chunk_entries, monkeypatch):
+    # the projection solves (M_t (x) M_x) ghat = R for the moments R
+    if case == "u1-uniform":
+        prob, mesh_t, mesh_x = problem_u1(), uniform_mesh(2.0, 4, 1), uniform_interval_mesh((0, 1), 8)
+    elif case == "u1-hp":
+        spec = TemporalMeshSpec(T=2, sigma=0.31, mu_hp=2.0, m1=4, m2=1)
+        prob, mesh_t, mesh_x = problem_u1(), build_mesh(spec), uniform_interval_mesh((0, 1), 16)
+    else:
+        spec = TemporalMeshSpec(T=2, sigma=0.17, mu_hp=1.0, m1=3, m2=1)
+        mesh_x = refine_graded(lshape_mesh(), 0.5**1.5, 0.6, 0.25)
+        prob, mesh_t = problem_u3(), build_mesh(spec)
+    basis = make_basis(mesh_t)
+    sx = assemble_spatial(mesh_x)
+    monkeypatch.setattr(spatial_fem, "_CHUNK_ENTRIES", chunk_entries)
+    ghat = project_rhs(prob, basis, sx)
+    R = _moments_node_by_node(prob, basis, sx)
+    got = temporal_mass(basis, constrained=False) @ ghat @ sx.M_full
+    assert np.abs(got - R).max() <= 1e-12 * np.abs(R).max()

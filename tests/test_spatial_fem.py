@@ -244,3 +244,24 @@ def test_graded_mesh_rate_recovery():
     rate_g, _ = power_fit(ns_g, errs_g)
     assert rate_u == pytest.approx(2.0 / 3.0, abs=0.1)
     assert rate_g == pytest.approx(1.0, abs=0.1)
+
+
+@pytest.mark.parametrize("mesh", [uniform_interval_mesh((0, 1), 7), refine_uniform(lshape_mesh())], ids=["1d", "2d"])
+def test_quadrature_interpolation_matrix(mesh):
+    quad = SpatialQuadrature(mesh, degree=4)
+    assert quad.P.shape == (len(quad.weights), mesh.num_vertices)
+    # P1 reproduces linear functions at the points; its rows sum to one
+    if mesh.vertices.ndim == 1:
+        lin, at_points = 1.0 + 2.0 * mesh.vertices, 1.0 + 2.0 * quad.points
+    else:
+        lin = 1.0 + 2.0 * mesh.vertices[:, 0] - mesh.vertices[:, 1]
+        at_points = 1.0 + 2.0 * quad.points[:, 0] - quad.points[:, 1]
+    assert quad.fe_values(lin) == pytest.approx(at_points, abs=1e-13)
+    assert quad.moments(np.ones(len(quad.weights))).sum() == pytest.approx(quad.weights.sum(), rel=1e-14)
+    # a stack of fields is handled row by row
+    rng = np.random.default_rng(5)
+    nodal = rng.standard_normal((3, mesh.num_vertices))
+    values = rng.standard_normal((3, len(quad.weights)))
+    assert quad.fe_values(nodal) == pytest.approx(np.array([quad.fe_values(v) for v in nodal]), abs=1e-14)
+    assert quad.moments(values) == pytest.approx(np.array([quad.moments(v) for v in values]), abs=1e-14)
+    assert quad.l2_norm_sq(values) == pytest.approx([quad.l2_norm_sq(v) for v in values], rel=1e-14)

@@ -6,8 +6,10 @@ from spacetime_hp.quadrature import gauss_legendre, integrate_1d, legendre_value
 from spacetime_hp.temporal_hp import (
     TemporalMesh,
     TemporalMeshSpec,
+    basis_matrix,
     build_mesh,
     element_gauss,
+    element_gauss_power,
     eval_basis,
     eval_coefficients,
     hp_condition_report,
@@ -15,6 +17,7 @@ from spacetime_hp.temporal_hp import (
     make_basis,
     quasi_interpolant,
     temporal_mass,
+    temporal_rule,
     uniform_mesh,
 )
 
@@ -258,3 +261,45 @@ def test_hp_condition_report_study_parameters():
     assert hp_condition_report(ok, delta=1.0, eps=1e-9) == []
     bad = TemporalMeshSpec(T=2, sigma=0.31, mu_hp=1.0, m1=5, m2=1)
     assert any("mu_hp" in w for w in hp_condition_report(bad, delta=1.0, eps=1e-9))
+
+
+def test_temporal_rule_reproduces_element_rules():
+    mesh = build_mesh(TemporalMeshSpec(T=2, sigma=0.31, mu_hp=2.0, m1=4, m2=1))
+    orders = mesh.degrees + 3
+    t, w, elements = temporal_rule(mesh, orders)
+    parts = [element_gauss(mesh, j, int(orders[j])) for j in range(mesh.m)]
+    assert np.array_equal(t, np.concatenate([p[0] for p in parts]))
+    assert np.array_equal(w, np.concatenate([p[1] for p in parts]))
+    assert np.array_equal(elements, np.repeat(np.arange(mesh.m), orders))
+    # power substitution on the first element, with at least 32 points
+    t, w, elements = temporal_rule(mesh, orders, "power")
+    t0, w0 = element_gauss_power(mesh, 0, 32)
+    assert np.array_equal(t[:32], t0) and np.array_equal(w[:32], w0)
+    assert np.array_equal(t[32:], np.concatenate([p[0] for p in parts[1:]]))
+    assert np.count_nonzero(elements == 0) == 32
+
+
+def test_temporal_rule_geometric_first_element():
+    mesh = uniform_mesh(2.0, 4, 2)
+    n = 5
+    t, w, elements = temporal_rule(mesh, np.full(mesh.m, n), "geometric")
+    first = elements == 0
+    assert np.count_nonzero(first) == 8 * n
+    # 8 Gauss pieces, each 4 times longer than its left neighbour
+    edges = np.concatenate([[0.0], 0.5 * 4.0 ** np.arange(-7.0, 1.0)])
+    assert w[first].reshape(8, n).sum(axis=1) == pytest.approx(np.diff(edges), rel=1e-14)
+    assert np.all((t[first].reshape(8, n).T > edges[:-1]) & (t[first].reshape(8, n).T < edges[1:]))
+    # exact for polynomials of degree 2n-1 on the whole element
+    assert np.dot(w[first], t[first] ** 9) == pytest.approx(0.5**10 / 10, rel=1e-13)
+    with pytest.raises(ValueError, match="first-element"):
+        temporal_rule(mesh, np.full(mesh.m, n), "log")
+
+
+@pytest.mark.parametrize("constrained", [True, False])
+@pytest.mark.parametrize("derivative", [0, 1])
+def test_basis_matrix_rows_are_basis_values(constrained, derivative):
+    basis = make_basis(build_mesh(TemporalMeshSpec(T=2, sigma=0.31, mu_hp=2.0, m1=3, m2=1)))
+    t, _, elements = temporal_rule(basis.mesh, basis.mesh.degrees + 2)
+    B = basis_matrix(basis, t, elements, derivative=derivative, constrained=constrained)
+    rows = [basis.eval_all(ti, derivative=derivative, constrained=constrained) for ti in t]
+    assert np.array_equal(B, np.array(rows))
