@@ -6,23 +6,33 @@ The kernel ln[tan(pi(s+t)/4T) tan(pi|t-s|/4T)] is split exactly into
 
     ln|t-s| + ln(s+t) - ln(2T-s-t) + ln(pi/4T) + G(s,t),
 
-where G collects the analytic remainders ln(tan(x)/x) and ln(sin(x)/x). The
-three logarithms are integrated per element pair with Duffy-type maps whose
-radial direction is handled by a Gauss rule exact for polynomials against
-ln(x): diagonal pairs split along s=t, pairs meeting the singular point in a
-corner split along the weighted diagonal, and separated pairs use tensor
-Gauss with orders driven by the distance of the singularity (Bernstein
-ellipse estimate). All polynomial factors are integrated exactly; only
-analytic factors carry quadrature error, controlled by order doubling.
+where G collects the analytic remainders ln(tan(x)/x) and ln(sin(x)/x). Where
+a logarithm's singular point touches an element pair, it is integrated with
+Duffy-type maps whose radial direction is handled by a Gauss rule exact for
+polynomials against ln(x): diagonal pairs split along s=t, and pairs meeting
+the singular point in a corner split along the weighted diagonal. These are
+O(m) pairs, each integrated on its own with the shapes of its exact degrees.
+
+Every other piece, including G with the constants on all m^2 pairs, uses
+tensor Gauss with orders driven by the distance of the singularity
+(Bernstein ellipse estimate). The pairs of each piece are grouped by their
+grid (nx, ny) and walked in chunks of about spatial_fem._CHUNK_ENTRIES grid
+values. For a chunk, the weighted kernel values F (pairs x nx x ny) give
+both element blocks by sum factorisation, (dN_x @ F) @ [N_y | dN_y], from 1D
+Lobatto tables for the largest degree; the shapes are hierarchical, so a
+degree-p element reads the first p+1 rows. All polynomial factors are
+integrated exactly; only analytic factors carry quadrature error, controlled
+by order doubling. The element blocks reach the global arrays in one
+index-array accumulation.
 """
 
-import struct
 from dataclasses import dataclass
 from functools import lru_cache
 from math import ceil, log, sqrt
 
 import numpy as np
 
+from . import spatial_fem
 from .quadrature import gauss_legendre_01, log_weighted_rule
 from .temporal_hp import TemporalBasis, TemporalMesh, lobatto_shapes
 
@@ -41,36 +51,29 @@ def kernel(s, t, T):
     )
 
 
-def _log_tan_ratio(x):
-    # ln(tan(x)/x), even and analytic for |x| < pi/2; series near 0
+def _log_ratio(f, x, series):
+    # ln(f(x)/x) for f = tan (analytic for |x| < pi/2) or f = sin (|x| < pi),
+    # by its even series near 0. Computed in place: the assembly passes whole
+    # chunks of quadrature grids.
     x = np.asarray(x, dtype=float)
-    out = np.empty_like(x)
     small = np.abs(x) < 1e-3
-    xs = x[small]
-    out[small] = xs**2 / 3.0 + 7.0 * xs**4 / 90.0
-    xl = x[~small]
-    out[~small] = np.log(np.tan(xl) / xl)
-    return out
-
-
-def _log_sinc(x):
-    # ln(sin(x)/x), even and analytic for |x| < pi; series near 0
-    x = np.asarray(x, dtype=float)
-    out = np.empty_like(x)
-    small = np.abs(x) < 1e-3
-    xs = x[small]
-    out[small] = -(xs**2) / 6.0 - xs**4 / 180.0
-    xl = x[~small]
-    out[~small] = np.log(np.sin(xl) / xl)
+    out = f(x, out=np.empty_like(x))
+    np.divide(out, x, out=out, where=~small)
+    np.log(out, out=out, where=~small)
+    out[small] = series(x[small])
     return out
 
 
 def smooth_remainder(s, t, T):
     """Analytic part G of the kernel split (plus nothing else)."""
-    z = np.abs(t - s)
-    w = s + t
     c = np.pi / (4.0 * T)
-    return _log_tan_ratio(c * z) + _log_sinc(c * w) - _log_sinc(c * (2.0 * T - w))
+    w = s + t
+    tan_series = lambda x: x**2 / 3.0 + 7.0 * x**4 / 90.0
+    sin_series = lambda x: -(x**2) / 6.0 - x**4 / 180.0
+    G = _log_ratio(np.tan, c * np.abs(t - s), tan_series)
+    G += _log_ratio(np.sin, c * w, sin_series)
+    G -= _log_ratio(np.sin, c * (2.0 * T - w), sin_series)
+    return G
 
 
 @dataclass(frozen=True)
@@ -112,9 +115,9 @@ def _near_log_order(h, delta, pdeg, cfg: HilbertQuadConfig):
 
 @lru_cache(maxsize=64)
 def _tensor_grid(nx, ny):
-    """Tensor Gauss grid on the unit square. Cached on the two orders: a
-    uniform mesh asks for a handful of (nx, ny) tens of thousands of times.
-    The arrays are shared, hence read-only."""
+    """Tensor Gauss grid on the unit square, flattened. Cached on the two
+    orders: every assembly asks again for the same handful of grids. The
+    arrays are shared, hence read-only."""
     x, wx = gauss_legendre_01(nx)
     y, wy = gauss_legendre_01(ny)
     X, Y = np.meshgrid(x, y, indexing="ij")
@@ -176,72 +179,41 @@ def _diagonal_duffy_pieces(pdeg, cfg: HilbertQuadConfig):
     return pieces
 
 
-def _pair_pieces(mesh: TemporalMesh, i, j, cfg: HilbertQuadConfig):
-    """All quadrature pieces (x, y, w) on the unit square for element pair
-    (i, j), weights carrying the full kernel value."""
-    T = mesh.T
-    bp = mesh.breakpoints
-    ai, bi, hi = bp[i], bp[i + 1], bp[i + 1] - bp[i]
-    aj, bj, hj = bp[j], bp[j + 1], bp[j + 1] - bp[j]
-    pi_, pj_ = int(mesh.degrees[i]), int(mesh.degrees[j])
-    pdeg = pi_ + pj_ + 1
-    pieces = []
-    const = log(np.pi / (4.0 * T))
+def _log_orders(h, delta, pdeg, cfg: HilbertQuadConfig):
+    """_near_log_order over arrays of (h, delta, pdeg), evaluated once per
+    distinct triple: a uniform mesh repeats a few hundred triples across
+    tens of thousands of pairs."""
+    code = 0  # one integer per distinct triple (np.unique over rows sorts slowly)
+    for v in (h, delta, pdeg):
+        u, inv = np.unique(v, return_inverse=True)
+        code = code * len(u) + inv
+    _, first, inv = np.unique(code, return_index=True, return_inverse=True)
+    n = np.array([_near_log_order(h[k], delta[k], int(pdeg[k]), cfg) for k in first])
+    return n[inv]
 
-    # --- ln|t-s| ---
-    if i == j:
-        const += log(hi)
-        pieces += _diagonal_duffy_pieces(pdeg, cfg)
-    elif abs(i - j) == 1:
-        if j == i + 1:  # s-element left of t-element, corner at x=1, y=0
-            for u, y, w in _corner_duffy_pieces(hi, hj, pdeg, cfg):
-                pieces.append((1.0 - u, y, w))
-        else:  # i == j + 1: corner at x=0, y=1
-            for u, y, w in _corner_duffy_pieces(hi, hj, pdeg, cfg):
-                pieces.append((u, 1.0 - y, w))
-    else:
-        delta = aj - bi if j > i else ai - bj
-        nx = _near_log_order(hi, delta, pi_ + pj_, cfg)
-        ny = _near_log_order(hj, delta, pi_ + pj_, cfg)
-        X, Y, W = _tensor_grid(nx, ny)
-        s = ai + hi * X
-        t = aj + hj * Y
-        pieces.append((X, Y, W * np.log(np.abs(t - s))))
 
-    # --- ln(s+t) ---
-    if i == 0 and j == 0:
-        pieces += _corner_duffy_pieces(hi, hj, pdeg, cfg)
-    else:
-        delta = ai + aj
-        nx = _near_log_order(hi, delta, pi_ + pj_, cfg)
-        ny = _near_log_order(hj, delta, pi_ + pj_, cfg)
-        X, Y, W = _tensor_grid(nx, ny)
-        pieces.append((X, Y, W * np.log((ai + hi * X) + (aj + hj * Y))))
-
-    # --- -ln(2T-s-t) ---
-    last = mesh.m - 1
-    if i == last and j == last:
-        for u, y, w in _corner_duffy_pieces(hi, hj, pdeg, cfg):
-            pieces.append((1.0 - u, 1.0 - y, -w))
-    else:
-        delta = (T - bi) + (T - bj)
-        nx = _near_log_order(hi, delta, pi_ + pj_, cfg)
-        ny = _near_log_order(hj, delta, pi_ + pj_, cfg)
-        X, Y, W = _tensor_grid(nx, ny)
-        pieces.append((X, Y, -W * np.log((T - ai - hi * X) + (T - aj - hj * Y))))
-
-    # --- analytic remainder + accumulated constants ---
-    nx = cfg.scale(pi_ + pj_ + cfg.smooth_extra)
-    ny = nx
-    X, Y, W = _tensor_grid(nx, ny)
-    s = ai + hi * X
-    t = aj + hj * Y
-    pieces.append((X, Y, W * (smooth_remainder(s, t, T) + const)))
-    return pieces
+def _singular_pieces(mesh: TemporalMesh, cfg: HilbertQuadConfig):
+    """Yields ((i, j), Duffy pieces (x, y, w) on the unit square) for the
+    O(m) element pairs that touch a singular point: ln|t-s| on diagonal and
+    adjacent pairs, ln(s+t) at (0,0) and -ln(2T-s-t) at (m-1,m-1)."""
+    h, p, last = mesh.element_lengths, mesh.degrees, mesh.m - 1
+    pdeg = lambda i, j: int(p[i] + p[j]) + 1
+    corner = lambda i, j: _corner_duffy_pieces(h[i], h[j], pdeg(i, j), cfg)
+    for i in range(mesh.m):
+        pieces = _diagonal_duffy_pieces(pdeg(i, i), cfg)
+        if i == 0:
+            pieces += corner(0, 0)
+        if i == last:
+            pieces += [(1.0 - u, 1.0 - y, -w) for u, y, w in corner(i, i)]
+        yield (i, i), pieces
+        if i < last:
+            # s-element left of the t-element: corner at x=1, y=0; mirrored below
+            yield (i, i + 1), [(1.0 - u, y, w) for u, y, w in corner(i, i + 1)]
+            yield (i + 1, i), [(u, 1.0 - y, w) for u, y, w in corner(i + 1, i)]
 
 
 def assemble(basis: TemporalBasis, config: HilbertQuadConfig | None = None) -> TemporalMatrices:
-    """Element-pair assembly of the transform matrices.
+    """Assembly of the transform matrices, batched over element pairs.
 
     The row index runs over the transformed (differentiated) side and must
     vanish at t=0; the column side of the cross mass matrix additionally
@@ -250,58 +222,82 @@ def assemble(basis: TemporalBasis, config: HilbertQuadConfig | None = None) -> T
     """
     cfg = config or HilbertQuadConfig()
     mesh = basis.mesh
-    M = basis.num_dofs
-    M_cross = np.zeros((M, M + 1))
-    A_cross = np.zeros((M, M + 1))
-    for i in range(mesh.m):
-        pi_ = int(mesh.degrees[i])
-        for j in range(mesh.m):
-            pj_ = int(mesh.degrees[j])
-            hj = mesh.element_lengths[j]
-            xs, ys, ws = [], [], []
-            for x, y, w in _pair_pieces(mesh, i, j, cfg):
-                xs.append(x)
-                ys.append(y)
-                ws.append(w)
-            x = np.concatenate(xs)
-            y = np.concatenate(ys)
-            w = np.concatenate(ws)
-            _, dNi = lobatto_shapes(pi_, 2.0 * x - 1.0)
-            Nj, dNj = lobatto_shapes(pj_, 2.0 * y - 1.0)
-            dNiw = dNi * w
-            Mblk = dNiw @ Nj.T
-            Ablk = dNiw @ dNj.T
-            rows = basis.conn[i]
-            cols = basis.conn_full[j]
-            for a, gk in enumerate(rows):
-                if gk < 0:
-                    continue
-                for b, gl in enumerate(cols):
-                    M_cross[gk, gl] += -(2.0 * hj / np.pi) * Mblk[a, b]
-                    A_cross[gk, gl] += -(4.0 / np.pi) * Ablk[a, b]
+    T, m, p, bp = mesh.T, mesh.m, mesh.degrees, mesh.breakpoints
+    P = int(p.max()) + 1  # hierarchical shapes: degree p uses the first p+1 rows
+    a, b, h = bp[:-1], bp[1:], mesh.element_lengths
+    I, J = (v.ravel() for v in np.indices((m, m)))  # pair k is (I[k], J[k])
+    pp = p[I] + p[J]
+    c0 = log(np.pi / (4.0 * T))
+
+    # tensor-Gauss pieces: (pairs on a grid, distance of the singularity or
+    # None for G, kernel for elements i, j (pairs x 1 x 1) at nodes x (column)
+    # and y (row) of the unit square)
+    def smooth(i, j, x, y):  # G plus the constants; ln|t-s| leaves ln(h) on the diagonal
+        const = c0 + np.where(i == j, np.log(h[i]), 0.0)
+        return smooth_remainder(a[i] + h[i] * x, a[j] + h[j] * y, T) + const
+
+    grid_pieces = (
+        (np.abs(I - J) > 1, np.where(J > I, a[J] - b[I], a[I] - b[J]),
+         lambda i, j, x, y: np.log(np.abs((a[j] + h[j] * y) - (a[i] + h[i] * x)))),
+        (I + J > 0, a[I] + a[J],
+         lambda i, j, x, y: np.log((a[i] + h[i] * x) + (a[j] + h[j] * y))),
+        (I + J < 2 * (m - 1), (T - b[I]) + (T - b[J]),
+         lambda i, j, x, y: -np.log((T - a[i] - h[i] * x) + (T - a[j] - h[j] * y))),
+        (np.full(m * m, True), None, smooth),
+    )
+    smooth_order = np.array([cfg.scale(q + cfg.smooth_extra) for q in range(2 * P - 1)])
+
+    @lru_cache(maxsize=None)
+    def shapes(n):  # Lobatto values and xi-derivatives at the n Gauss nodes on (0,1)
+        N, dN = lobatto_shapes(P - 1, 2.0 * gauss_legendre_01(n)[0] - 1.0)
+        return dN, np.hstack([N.T, dN.T])
+
+    # blk[k] = [M | A] block of pair k; a grid of weighted kernel values F
+    # contributes (dN_x @ F) @ [N_y | dN_y] for a whole chunk of pairs
+    blk = np.zeros((m * m, P, 2 * P))
+    for on_grid, delta, kern in grid_pieces:
+        k = np.flatnonzero(on_grid)
+        if delta is None:
+            nx = ny = smooth_order[pp[k]]
+        else:
+            hk, dk, pk = np.r_[h[I[k]], h[J[k]]], np.r_[delta[k], delta[k]], np.r_[pp[k], pp[k]]
+            nx, ny = _log_orders(hk, dk, pk, cfg).reshape(2, -1)
+        for gx, gy in sorted(set(zip(nx.tolist(), ny.tolist()))):
+            kg = k[(nx == gx) & (ny == gy)]
+            X, Y, W = (v.reshape(gx, gy) for v in _tensor_grid(gx, gy))
+            dNx, NdNy = shapes(gx)[0], shapes(gy)[1]
+            step = max(1, spatial_fem._CHUNK_ENTRIES // (gx * gy))
+            for c in range(0, len(kg), step):
+                kc = kg[c : c + step]
+                F = W * kern(I[kc, None, None], J[kc, None, None], X[:, :1], Y[:1])
+                blk[kc] += (dNx @ F) @ NdNy
+    for (i, j), pieces in _singular_pieces(mesh, cfg):
+        x, y, w = (np.concatenate(v) for v in zip(*pieces))
+        _, dNi = lobatto_shapes(p[i], 2.0 * x - 1.0)
+        Nj, dNj = lobatto_shapes(p[j], 2.0 * y - 1.0)
+        dNiw = dNi * w
+        blk[i * m + j, : p[i] + 1, : p[j] + 1] += dNiw @ Nj.T
+        blk[i * m + j, : p[i] + 1, P : P + p[j] + 1] += dNiw @ dNj.T
+
+    # one accumulation into the global arrays through padded connectivities;
+    # -1 marks the t=0 vertex row and the shapes beyond an element's degree
+    conn, conn_full = np.full((2, m, P), -1)
+    for j in range(m):
+        conn[j, : p[j] + 1], conn_full[j, : p[j] + 1] = basis.conn[j], basis.conn_full[j]
+    rows, cols = conn[I][:, :, None], conn_full[J][:, None, :]
+    keep = (rows >= 0) & (cols >= 0)
+    idx = (rows * (basis.num_dofs + 1) + cols)[keep]
+    shape = (basis.num_dofs, basis.num_dofs + 1)
+    M_cross, A_cross = (
+        np.bincount(idx, (scale * part)[keep], minlength=shape[0] * shape[1]).reshape(shape)
+        for scale, part in (
+            (-(2.0 * h[J] / np.pi)[:, None, None], blk[:, :, :P]),
+            (-(4.0 / np.pi), blk[:, :, P:]),
+        )
+    )
     return TemporalMatrices(
         M_ht=M_cross[:, 1:].copy(),
         A_ht=A_cross[:, 1:].copy(),
         M_cross=M_cross,
         mesh=mesh,
     )
-
-
-def save_matrices(tm: TemporalMatrices, path):
-    """Binary dump: header (M, mesh hash) as little-endian uint64, then the
-    mass and stiffness matrices row-major as 8-byte floats."""
-    M = tm.M_ht.shape[0]
-    with open(path, "wb") as f:
-        f.write(struct.pack("<QQ", M, tm.mesh.signature()))
-        f.write(np.ascontiguousarray(tm.M_ht, dtype="<f8").tobytes())
-        f.write(np.ascontiguousarray(tm.A_ht, dtype="<f8").tobytes())
-
-
-def load_matrices(path, mesh: TemporalMesh | None = None):
-    """Read a matrix dump; verifies the mesh hash when a mesh is supplied."""
-    with open(path, "rb") as f:
-        M, sig = struct.unpack("<QQ", f.read(16))
-        if mesh is not None and sig != mesh.signature():
-            raise ValueError("matrix dump does not match the given mesh")
-        data = np.frombuffer(f.read(2 * M * M * 8), dtype="<f8")
-    return data[: M * M].reshape(M, M).copy(), data[M * M :].reshape(M, M).copy()

@@ -5,13 +5,15 @@ from spacetime_hp.fractional_norms import (
     discrete_h12_norm_sq,
     ht_matrix_oracle,
 )
+from spacetime_hp import spatial_fem
 from spacetime_hp.hilbert import (
     HilbertQuadConfig,
+    _corner_duffy_pieces,
+    _diagonal_duffy_pieces,
+    _near_log_order,
     _tensor_grid,
     assemble,
     kernel,
-    load_matrices,
-    save_matrices,
     smooth_remainder,
 )
 from spacetime_hp.temporal_hp import (
@@ -19,6 +21,7 @@ from spacetime_hp.temporal_hp import (
     TemporalMeshSpec,
     build_mesh,
     eval_basis,
+    lobatto_shapes,
     make_basis,
     quasi_interpolant,
     uniform_mesh,
@@ -170,20 +173,6 @@ def test_cross_matrix_includes_origin_vertex():
     assert np.abs(tm.M_cross[:, 0]).max() > 0
 
 
-def test_matrix_dump_roundtrip(tmp_path):
-    mesh = uniform_mesh(2.0, 3, 2)
-    basis = make_basis(mesh)
-    tm = assemble(basis)
-    path = tmp_path / "tht.bin"
-    save_matrices(tm, path)
-    M_ht, A_ht = load_matrices(path, mesh)
-    assert np.array_equal(M_ht, tm.M_ht)
-    assert np.array_equal(A_ht, tm.A_ht)
-    other = uniform_mesh(2.0, 4, 2)
-    with pytest.raises(ValueError):
-        load_matrices(path, other)
-
-
 def test_geometric_mesh_assembly_is_stable():
     # tiny first elements: internal order-doubling consistency and SPD
     mesh = build_mesh(TemporalMeshSpec(T=2, sigma=0.17, mu_hp=1.0, m1=8, m2=1))
@@ -201,3 +190,77 @@ def test_tensor_grid_is_cached_read_only():
     assert W.sum() == pytest.approx(1.0, rel=1e-14) and X.shape == Y.shape == (15,)
     with pytest.raises(ValueError):
         W[0] = 0.0
+
+
+def _pair_loop_assembly(basis, cfg=HilbertQuadConfig()):
+    # reference: every element pair on its own, all pieces concatenated into
+    # one point set, shapes of the exact degrees, scalar scatter
+    mesh = basis.mesh
+    T, m, bp, p = mesh.T, mesh.m, mesh.breakpoints, mesh.degrees
+    M = basis.num_dofs
+    Mc, Ac = np.zeros((M, M + 1)), np.zeros((M, M + 1))
+
+    def tensor(i, j, delta, g):  # delta None: the analytic remainder's order
+        q = int(p[i] + p[j])
+        if delta is None:
+            nx = ny = cfg.scale(q + cfg.smooth_extra)
+        else:
+            nx = _near_log_order(bp[i + 1] - bp[i], delta, q, cfg)
+            ny = _near_log_order(bp[j + 1] - bp[j], delta, q, cfg)
+        X, Y, W = _tensor_grid(nx, ny)
+        s = bp[i] + (bp[i + 1] - bp[i]) * X
+        t = bp[j] + (bp[j + 1] - bp[j]) * Y
+        return [(X, Y, W * g(s, t))]
+
+    for i in range(m):
+        for j in range(m):
+            hi, hj = bp[i + 1] - bp[i], bp[j + 1] - bp[j]
+            pdeg = int(p[i] + p[j]) + 1
+            corner = _corner_duffy_pieces(hi, hj, pdeg, cfg)
+            const = np.log(np.pi / (4.0 * T)) + (np.log(hi) if i == j else 0.0)
+            if i == j:
+                pieces = _diagonal_duffy_pieces(pdeg, cfg)
+            elif j == i + 1:
+                pieces = [(1.0 - u, y, w) for u, y, w in corner]
+            elif i == j + 1:
+                pieces = [(u, 1.0 - y, w) for u, y, w in corner]
+            else:
+                delta = bp[j] - bp[i + 1] if j > i else bp[i] - bp[j + 1]
+                pieces = tensor(i, j, delta, lambda s, t: np.log(np.abs(t - s)))
+            if i == j == 0:
+                pieces = pieces + corner
+            else:
+                pieces = pieces + tensor(i, j, bp[i] + bp[j], lambda s, t: np.log(s + t))
+            if i == j == m - 1:
+                pieces = pieces + [(1.0 - u, 1.0 - y, -w) for u, y, w in corner]
+            else:
+                delta = (T - bp[i + 1]) + (T - bp[j + 1])
+                pieces = pieces + tensor(i, j, delta, lambda s, t: -np.log(2 * T - s - t))
+            pieces = pieces + tensor(i, j, None, lambda s, t: smooth_remainder(s, t, T) + const)
+            x, y, w = (np.concatenate(v) for v in zip(*pieces))
+            _, dNi = lobatto_shapes(p[i], 2.0 * x - 1.0)
+            Nj, dNj = lobatto_shapes(p[j], 2.0 * y - 1.0)
+            for a, gk in enumerate(basis.conn[i]):
+                for b, gl in enumerate(basis.conn_full[j]):
+                    if gk >= 0:
+                        Mc[gk, gl] -= 2.0 * hj / np.pi * np.sum(dNi[a] * w * Nj[b])
+                        Ac[gk, gl] -= 4.0 / np.pi * np.sum(dNi[a] * w * dNj[b])
+    return Mc[:, 1:], Ac[:, 1:], Mc
+
+
+PAIR_LOOP_MESHES = {
+    "uniform-m16-p1": uniform_mesh(2.0, 16, 1),
+    "uniform-m12-p4": uniform_mesh(1.0, 12, 4),
+    **dict(zip(["oracle-m2", "oracle-m3", "oracle-m4"], ORACLE_MESHES)),
+    "geometric-m1-8": build_mesh(TemporalMeshSpec(T=2, sigma=0.17, mu_hp=1.0, m1=8, m2=1)),
+}
+
+
+@pytest.mark.parametrize("chunk_entries", [spatial_fem._CHUNK_ENTRIES, 300], ids=["default", "small-chunks"])
+@pytest.mark.parametrize("mesh", PAIR_LOOP_MESHES.values(), ids=PAIR_LOOP_MESHES.keys())
+def test_batched_assembly_matches_pair_loop(mesh, chunk_entries, monkeypatch):
+    monkeypatch.setattr(spatial_fem, "_CHUNK_ENTRIES", chunk_entries)
+    basis = make_basis(mesh)
+    tm = assemble(basis)
+    for got, ref in zip((tm.M_ht, tm.A_ht, tm.M_cross), _pair_loop_assembly(basis)):
+        assert np.abs(got - ref).max() <= 1e-13 * np.abs(ref).max()
