@@ -22,7 +22,7 @@ import numpy as np
 from .hilbert import assemble
 from .metrics import StudyRecord, emit_records, eoc, functional_from_parts, l2q_error_element_parts
 from .problems import PROBLEMS, get_problem
-from .solver import DENSE_LIMIT, solve_heat
+from .solver import solve_heat
 from .spatial_fem import (
     assemble_spatial,
     export_mesh,
@@ -34,6 +34,8 @@ from .spatial_fem import (
 from .temporal_hp import TemporalMeshSpec, build_mesh, make_basis, uniform_mesh
 
 MEMORY_GUARD = 20_000_000
+# relative residual ||B u - G|| / ||G|| above which a level counts as failed
+RESIDUAL_GATE = 1e-8
 
 
 class ConfigError(Exception):
@@ -44,7 +46,6 @@ class ConfigError(Exception):
 class StudyConfig:
     problem: str
     levels: int = 4
-    strategy: str = "auto"
     out: str | None = None
     temporal_scheme: str = "uniform"
     temporal_p: int = 1
@@ -68,8 +69,6 @@ class StudyConfig:
             )
         if self.levels < 1:
             raise ConfigError("[study] levels: need at least 1 level")
-        if self.strategy not in ("auto", "dense", "bartels-stewart"):
-            raise ConfigError(f"[study] strategy: unknown strategy {self.strategy!r}")
         if self.temporal_scheme not in ("uniform", "p", "hp"):
             raise ConfigError(
                 f"[temporal] scheme: unknown scheme {self.temporal_scheme!r} (uniform|p|hp)"
@@ -94,7 +93,6 @@ class StudyConfig:
             "[study]",
             f"problem = {self.problem}",
             f"levels = {self.levels}",
-            f"strategy = {self.strategy}",
         ]
         if self.out:
             lines.append(f"out = {self.out}")
@@ -119,13 +117,32 @@ class StudyConfig:
         return "\n".join(lines) + "\n"
 
 
-def _get(parser, section, key, cast, default):
-    if not parser.has_option(section, key):
-        return default
-    raw = parser.get(section, key)
+# (section, key) -> (StudyConfig field, type); absent keys keep the field default
+_KEYS = {
+    ("study", "problem"): ("problem", str),
+    ("study", "levels"): ("levels", int),
+    ("study", "out"): ("out", str),
+    ("temporal", "scheme"): ("temporal_scheme", str),
+    ("temporal", "p"): ("temporal_p", int),
+    ("temporal", "m0"): ("temporal_m0", int),
+    ("temporal", "m"): ("temporal_m", int),
+    ("temporal", "sigma"): ("sigma", float),
+    ("temporal", "mu_hp"): ("mu_hp", float),
+    ("temporal", "m1_factor"): ("m1_factor", float),
+    ("temporal", "m2"): ("m2", int),
+    ("spatial", "scheme"): ("spatial_scheme", str),
+    ("spatial", "initial_elements"): ("initial_elements", int),
+    ("spatial", "initial_level"): ("initial_level", int),
+    ("spatial", "beta"): ("beta", float),
+    ("spatial", "radius"): ("radius", float),
+    ("spatial", "export_meshes"): ("export_meshes", bool),
+}
+
+
+def _cast(section, key, raw, cast):
     try:
         if cast is bool:
-            return raw.strip().lower() in ("1", "true", "yes", "on")
+            return raw.lower() in ("1", "true", "yes", "on")
         return cast(raw)
     except ValueError:
         raise ConfigError(f"[{section}] {key}: cannot parse {raw!r} as {cast.__name__}") from None
@@ -137,28 +154,16 @@ def parse_config(text) -> StudyConfig:
         parser.read_string(text)
     except configparser.Error as exc:
         raise ConfigError(f"config parse error: {exc}") from None
-    if not parser.has_section("study") or not parser.has_option("study", "problem"):
+    fields = {}
+    for section in parser.sections():
+        for key, raw in parser.items(section):
+            if (section, key) not in _KEYS:
+                raise ConfigError(f"[{section}] {key}: unknown key")
+            name, cast = _KEYS[section, key]
+            fields[name] = _cast(section, key, raw, cast)
+    if "problem" not in fields:
         raise ConfigError("[study] problem: required field missing")
-    return StudyConfig(
-        problem=parser.get("study", "problem").strip(),
-        levels=_get(parser, "study", "levels", int, 4),
-        strategy=_get(parser, "study", "strategy", str, "auto").strip(),
-        out=_get(parser, "study", "out", str, None),
-        temporal_scheme=_get(parser, "temporal", "scheme", str, "uniform").strip(),
-        temporal_p=_get(parser, "temporal", "p", int, 1),
-        temporal_m0=_get(parser, "temporal", "m0", int, 4),
-        temporal_m=_get(parser, "temporal", "m", int, 4),
-        sigma=_get(parser, "temporal", "sigma", float, 0.31),
-        mu_hp=_get(parser, "temporal", "mu_hp", float, 2.0),
-        m1_factor=_get(parser, "temporal", "m1_factor", float, 1.4),
-        m2=_get(parser, "temporal", "m2", int, 1),
-        spatial_scheme=_get(parser, "spatial", "scheme", str, "uniform").strip(),
-        initial_elements=_get(parser, "spatial", "initial_elements", int, 4),
-        initial_level=_get(parser, "spatial", "initial_level", int, 1),
-        beta=_get(parser, "spatial", "beta", float, 0.6),
-        radius=_get(parser, "spatial", "radius", float, 0.25),
-        export_meshes=_get(parser, "spatial", "export_meshes", bool, False),
-    )
+    return StudyConfig(**fields)
 
 
 def _spatial_for_level(cfg: StudyConfig, prob, level):
@@ -224,14 +229,11 @@ def run_study(cfg: StudyConfig, log=print):
             MN = M * sx.N
             if MN > MEMORY_GUARD:
                 raise MemoryError(f"level exceeds the memory guard: MN = {MN} > {MEMORY_GUARD}")
-            strategy = cfg.strategy
-            if strategy == "dense" and MN > DENSE_LIMIT:
-                raise MemoryError(
-                    f"dense strategy refused at MN = {MN} > {DENSE_LIMIT}; use bartels-stewart"
-                )
             basis = make_basis(mesh_t)
             tm = assemble(basis)
-            sol = solve_heat(prob, basis, tm, sx, strategy=strategy)
+            sol = solve_heat(prob, basis, tm, sx)
+            if sol.residual > RESIDUAL_GATE:
+                raise ArithmeticError(f"solver residual {sol.residual:.1e} > {RESIDUAL_GATE:g}")
             val_sq, der_sq = l2q_error_element_parts(sol, prob)
             err = functional_from_parts(val_sq.sum(), der_sq.sum())
             rec = StudyRecord(
@@ -326,7 +328,6 @@ def main(argv=None):
     )
     ap.add_argument("config", help="path to the study config")
     ap.add_argument("--levels", type=int, default=None, help="override the level count")
-    ap.add_argument("--strategy", default=None, help="override the solver strategy")
     ap.add_argument("--out", default=None, help="override the output directory")
     ap.add_argument("--seed", type=int, default=0, help="seed for the --verify checks")
     ap.add_argument(
@@ -342,8 +343,6 @@ def main(argv=None):
         cfg = parse_config(text)
         if args.levels is not None:
             cfg = replace(cfg, levels=args.levels)
-        if args.strategy is not None:
-            cfg = replace(cfg, strategy=args.strategy)
         if args.out is not None:
             cfg = replace(cfg, out=args.out)
     except ConfigError as exc:

@@ -8,12 +8,14 @@ forcing onto the unconstrained tensor space. Coefficients are stored
 temporal-major: row l of the coefficient array holds the spatial nodal vector
 of temporal basis function l.
 
-Solvers: dense LU on the materialized Kronecker sum (reference path) and a
-Bartels-Stewart sweep over the real Schur form of A_t^{-1} M_t (one sparse
-SPD solve per real eigenvalue, one coupled 2N solve per complex pair).
+The solver is a Bartels-Stewart sweep (Bartels & Stewart, CACM 1972) over
+the complex Schur form Q T Q^H of A_t^{-1} M_t: one sparse complex solve with
+M_x + T_ii A_x per diagonal entry, in one backward sweep. Full
+diagonalisation is avoided because the eigenvector matrix of the temporal
+pencil is badly conditioned on geometric hp meshes. Dense LU on the
+materialized Kronecker sum is kept only as a reference for tests.
 """
 
-import struct
 from dataclasses import dataclass
 
 import numpy as np
@@ -54,31 +56,6 @@ class SpaceTimeSolution:
         nodal = np.zeros(self.spatial.mesh.num_vertices)
         nodal[self.spatial.interior] = phi @ self.coefficients
         return nodal
-
-    def __call__(self, t, x):
-        """Point evaluation; slow (triangle search), intended for spot checks."""
-        nodal = self.nodal_at_time(t)
-        mesh = self.spatial.mesh
-        x = np.asarray(x, dtype=float)
-        if not hasattr(mesh, "triangles"):
-            return np.interp(x, mesh.vertices, nodal)
-        pts = np.atleast_2d(x)
-        out = np.empty(len(pts))
-        p = mesh.vertices[mesh.triangles]
-        for i, pt in enumerate(pts):
-            v0 = p[:, 0]
-            d = p[:, 1:] - v0[:, None, :]
-            rhs = pt[None, :] - v0
-            det = d[:, 0, 0] * d[:, 1, 1] - d[:, 0, 1] * d[:, 1, 0]
-            lam1 = (rhs[:, 0] * d[:, 1, 1] - rhs[:, 1] * d[:, 1, 0]) / det
-            lam2 = (-rhs[:, 0] * d[:, 0, 1] + rhs[:, 1] * d[:, 0, 0]) / det
-            ok = (lam1 >= -1e-12) & (lam2 >= -1e-12) & (lam1 + lam2 <= 1 + 1e-12)
-            if not ok.any():
-                raise ValueError(f"point {pt} outside the mesh")
-            k = int(np.argmax(ok))
-            bary = np.array([1 - lam1[k] - lam2[k], lam1[k], lam2[k]])
-            out[i] = nodal[mesh.triangles[k]] @ bary
-        return out if x.ndim == 2 else float(out[0])
 
 
 @dataclass(frozen=True)
@@ -136,78 +113,33 @@ def rhs_from_projection(tm: TemporalMatrices, sx: SpatialSystem, ghat):
     return tm.M_cross @ ghat @ sx.M_full[:, sx.interior]
 
 
-def _schur_blocks(T):
-    M = len(T)
-    scale = max(np.abs(T).max(), 1.0)
-    blocks = []
-    i = 0
-    while i < M:
-        if i + 1 < M and abs(T[i + 1, i]) > 1e-14 * scale:
-            blocks.append((i, 2))
-            i += 2
-        else:
-            blocks.append((i, 1))
-            i += 1
-    return blocks
+def solve(tm: TemporalMatrices, sx: SpatialSystem, G, basis: TemporalBasis | None = None) -> SpaceTimeSolution:
+    """Solve the space-time system for the load array G (shape M x N).
 
-
-def _solve_bartels_stewart(tm, sx, G):
-    A_t, M_t = tm.A_ht, tm.M_ht
+    With A_t symmetric positive definite, the system reads U M_x + C U A_x =
+    A_t^{-1} G for C = A_t^{-1} M_t = Q T Q^H; V = Q^H U is swept from the
+    last row up, since row i of T couples V_i only to the rows below it."""
     M_x, A_x = sx.M_x, sx.A_x
-    cho = la.cho_factor(0.5 * (A_t + A_t.T))
-    C = la.cho_solve(cho, M_t)
-    Gt = la.cho_solve(cho, G)
-    T, Q = la.schur(C, output="real")
-    H = Q.T @ Gt
-    M, N = G.shape
-    V = np.zeros((M, N))
-    W = np.zeros((M, N))  # rows V_b A_x, accumulated for the sweep
-    for start, size in reversed(_schur_blocks(T)):
-        hi = start + size
-        rhs = H[start:hi].copy()
-        if hi < M:
-            rhs -= T[start:hi, hi:] @ W[hi:]
-        if size == 1:
-            lam = T[start, start]
-            op = sp.csc_matrix(M_x + lam * A_x)
-            V[start] = spla.splu(op).solve(rhs[0])
-        else:
-            t11, t12 = T[start, start], T[start, start + 1]
-            t21, t22 = T[start + 1, start], T[start + 1, start + 1]
-            op = sp.bmat(
-                [[M_x + t11 * A_x, t12 * A_x], [t21 * A_x, M_x + t22 * A_x]], format="csc"
-            )
-            vv = spla.splu(op).solve(np.concatenate([rhs[0], rhs[1]]))
-            V[start] = vv[:N]
-            V[start + 1] = vv[N:]
-        W[start:hi] = (A_x @ V[start:hi].T).T
-    return Q @ V
-
-
-def solve(tm: TemporalMatrices, sx: SpatialSystem, G, strategy="auto", basis: TemporalBasis | None = None) -> SpaceTimeSolution:
-    """Solve the space-time system for the load array G (shape M x N)."""
-    M, N = G.shape
-    if strategy == "auto":
-        strategy = "dense" if M * N <= 2000 else "bartels-stewart"
-    op = GlobalOperator(tm, sx)
-    if strategy == "dense":
-        B = op.materialize()
-        U = la.lu_solve(la.lu_factor(B), G.ravel()).reshape(M, N)
-    elif strategy == "bartels-stewart":
-        U = _solve_bartels_stewart(tm, sx, G)
-    else:
-        raise ValueError(f"unknown strategy {strategy!r}")
+    cho = la.cho_factor(0.5 * (tm.A_ht + tm.A_ht.T))
+    T, Q = la.schur(la.cho_solve(cho, tm.M_ht), output="complex")
+    V = Q.conj().T @ la.cho_solve(cho, G)  # overwritten row by row with the solution
+    W = np.zeros_like(V)  # rows A_x V_j of the rows already solved
+    for i in reversed(range(len(T))):
+        rhs = V[i] - T[i, i + 1 :] @ W[i + 1 :]
+        V[i] = spla.splu(sp.csc_matrix(M_x + T[i, i] * A_x)).solve(rhs)
+        W[i] = A_x @ V[i]
+    U = Q.real @ V.real - Q.imag @ V.imag
     gnorm = np.linalg.norm(G)
-    residual = np.linalg.norm(op.apply(U) - G) / (gnorm if gnorm > 0 else 1.0)
+    residual = np.linalg.norm(GlobalOperator(tm, sx).apply(U) - G) / (gnorm if gnorm > 0 else 1.0)
     return SpaceTimeSolution(coefficients=U, basis=basis, spatial=sx, residual=residual)
 
 
-def solve_heat(prob, basis: TemporalBasis, tm: TemporalMatrices, sx: SpatialSystem, strategy="auto"):
+def solve_heat(prob, basis: TemporalBasis, tm: TemporalMatrices, sx: SpatialSystem):
     """Full pipeline for a manufactured problem: project the forcing, build
     the load, solve."""
     ghat = project_rhs(prob, basis, sx)
     G = rhs_from_projection(tm, sx, ghat)
-    return solve(tm, sx, G, strategy=strategy, basis=basis)
+    return solve(tm, sx, G, basis=basis)
 
 
 def solve_parametric_ivp(mu, f, basis: TemporalBasis, tm: TemporalMatrices, singular_first_element=False):
@@ -224,26 +156,3 @@ def solve_parametric_ivp(mu, f, basis: TemporalBasis, tm: TemporalMatrices, sing
     fhat = d * la.solve(d[:, None] * Mt_full * d[None, :], d * mom, assume_a="pos")
     rhs = tm.M_cross @ fhat
     return la.solve(tm.A_ht + mu * tm.M_ht, rhs)
-
-
-def save_solution(sol: SpaceTimeSolution, path):
-    """Binary dump with header (M, N, temporal mesh hash, spatial mesh hash)."""
-    M, N = sol.coefficients.shape
-    with open(path, "wb") as f:
-        f.write(
-            struct.pack(
-                "<QQQQ", M, N, sol.basis.mesh.signature(), sol.spatial.mesh.signature()
-            )
-        )
-        f.write(np.ascontiguousarray(sol.coefficients, dtype="<f8").tobytes())
-
-
-def load_solution(path, basis=None, spatial=None):
-    with open(path, "rb") as f:
-        M, N, tsig, xsig = struct.unpack("<QQQQ", f.read(32))
-        if basis is not None and tsig != basis.mesh.signature():
-            raise ValueError("solution dump does not match the temporal mesh")
-        if spatial is not None and xsig != spatial.mesh.signature():
-            raise ValueError("solution dump does not match the spatial mesh")
-        data = np.frombuffer(f.read(M * N * 8), dtype="<f8")
-    return data.reshape(M, N).copy()

@@ -22,15 +22,6 @@ _EDGE_SHIFT = np.int64(1) << 32
 _CHUNK_ENTRIES = 2**16
 
 
-def _mesh_signature(*arrays):
-    import hashlib
-
-    h = hashlib.sha256()
-    for a in arrays:
-        h.update(np.ascontiguousarray(a).tobytes())
-    return int.from_bytes(h.digest()[:8], "little")
-
-
 @dataclass(frozen=True)
 class SpatialMesh1D:
     vertices: np.ndarray
@@ -55,9 +46,6 @@ class SpatialMesh1D:
         mask = np.zeros(self.num_vertices, dtype=bool)
         mask[0] = mask[-1] = True
         return mask
-
-    def signature(self):
-        return _mesh_signature(self.vertices)
 
 
 def uniform_interval_mesh(domain, n_elements) -> SpatialMesh1D:
@@ -142,9 +130,6 @@ class SpatialMesh2D:
             )
             angles.append(np.arccos(np.clip(cosang, -1, 1)))
         return float(np.min(angles))
-
-    def signature(self):
-        return _mesh_signature(self.vertices, self.triangles)
 
 
 def lshape_mesh() -> SpatialMesh2D:

@@ -103,15 +103,6 @@ class TemporalMesh:
             )
         return "\n".join(lines)
 
-    def signature(self):
-        """Stable 64-bit hash of the mesh geometry, used in binary dump headers."""
-        import hashlib
-
-        h = hashlib.sha256()
-        h.update(self.breakpoints.tobytes())
-        h.update(self.degrees.astype(np.int64).tobytes())
-        return int.from_bytes(h.digest()[:8], "little")
-
 
 def build_mesh(spec: TemporalMeshSpec) -> TemporalMesh:
     """Geometric mesh with breakpoints T1*sigma^(m1-j), uniform beyond T1,

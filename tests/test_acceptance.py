@@ -13,6 +13,7 @@ import time
 
 import numpy as np
 import pytest
+import scipy.linalg as la
 
 from spacetime_hp.cli import StudyConfig, parse_config, run_study, write_outputs
 from spacetime_hp.fractional_norms import (
@@ -34,7 +35,7 @@ from spacetime_hp.metrics import (
     temporal_error_functional,
 )
 from spacetime_hp.quadrature import gauss_legendre, log_weighted_rule, triangle_rule
-from spacetime_hp.solver import solve, solve_parametric_ivp
+from spacetime_hp.solver import GlobalOperator, solve, solve_parametric_ivp
 from spacetime_hp.spatial_fem import (
     SpatialMesh2D,
     assemble_spatial,
@@ -60,7 +61,7 @@ def _report(criterion, passed, detail):
 
 @pytest.fixture(scope="module")
 def u1_uniform_records():
-    cfg = StudyConfig(problem="u1", levels=7, strategy="auto", temporal_scheme="uniform",
+    cfg = StudyConfig(problem="u1", levels=7, temporal_scheme="uniform",
                       temporal_p=1, temporal_m0=4, spatial_scheme="uniform",
                       initial_elements=4)
     records, failures = run_study(cfg, log=lambda *a, **k: None)
@@ -70,7 +71,7 @@ def u1_uniform_records():
 
 @pytest.fixture(scope="module")
 def u1_hp_records():
-    cfg = StudyConfig(problem="u1", levels=6, strategy="auto", temporal_scheme="hp",
+    cfg = StudyConfig(problem="u1", levels=6, temporal_scheme="hp",
                       sigma=0.31, mu_hp=2.0, m1_factor=1.4, m2=1,
                       spatial_scheme="uniform", initial_elements=16)
     records, failures = run_study(cfg, log=lambda *a, **k: None)
@@ -230,7 +231,6 @@ def _study_rate(problem, temporal_scheme, spatial_scheme, **kw):
     cfg = StudyConfig(
         problem=problem,
         levels=4,
-        strategy="auto",
         temporal_scheme=temporal_scheme,
         spatial_scheme=spatial_scheme,
         initial_level=2,
@@ -356,11 +356,9 @@ def test_criterion_8_solver_cross_validation():
         sx = assemble_spatial(uniform_interval_mesh((0, 1), nx + 1))
         assert sx.N == nx
         G = rng.standard_normal((basis.num_dofs, sx.N))
-        dense = solve(tm, sx, G, strategy="dense", basis=basis)
-        bs = solve(tm, sx, G, strategy="bartels-stewart", basis=basis)
-        dev = np.abs(dense.coefficients - bs.coefficients).max() / np.abs(
-            dense.coefficients
-        ).max()
+        dense = la.lu_solve(la.lu_factor(GlobalOperator(tm, sx).materialize()), G.ravel())
+        bs = solve(tm, sx, G, basis=basis)
+        dev = np.abs(dense - bs.coefficients.ravel()).max() / np.abs(dense).max()
         worst = max(worst, dev)
     passed = worst < 1e-8
     _report(
@@ -407,8 +405,7 @@ def test_criterion_9_property_suites(tmp_path):
     # homogeneity of the error surrogate (power-of-two scaling is exact)
     basis = make_basis(uniform_mesh(2.0, 2, 1))
     sx = assemble_spatial(uniform_interval_mesh((0, 1), 8))
-    sol = solve(tm=assemble(basis), sx=sx, G=np.zeros((basis.num_dofs, sx.N)),
-                strategy="dense", basis=basis)
+    sol = solve(tm=assemble(basis), sx=sx, G=np.zeros((basis.num_dofs, sx.N)), basis=basis)
     from spacetime_hp.problems import ManufacturedProblem
 
     mk = lambda c: ManufacturedProblem(

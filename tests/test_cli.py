@@ -15,7 +15,6 @@ U1_SMALL = """
 [study]
 problem = u1
 levels = 2
-strategy = auto
 
 [temporal]
 scheme = uniform
@@ -55,6 +54,14 @@ def test_parse_rejects_unknown_problem():
 def test_parse_rejects_bad_numbers():
     with pytest.raises(ConfigError, match="levels"):
         parse_config(U1_SMALL.replace("levels = 2", "levels = two"))
+
+
+@pytest.mark.parametrize("line", ["levles = 9", "strategy = dense"])
+def test_parse_rejects_unknown_keys(line):
+    with pytest.raises(ConfigError, match=rf"\[study\] {line.split()[0]}: unknown key"):
+        parse_config(U1_SMALL.replace("levels = 2\n", f"levels = 2\n{line}\n"))
+    with pytest.raises(ConfigError, match=rf"\[solver\] {line.split()[0]}: unknown key"):
+        parse_config(U1_SMALL + f"\n[solver]\n{line}\n")
 
 
 def test_run_study_produces_monotone_records():
@@ -116,22 +123,6 @@ def test_main_partial_exit_code(tmp_path):
     assert main([str(cfg_path)]) == 2
 
 
-def test_dense_cap_skips_level_with_reason(monkeypatch):
-    # the dense strategy refuses levels beyond the materialization cap;
-    # earlier levels survive and the reason is recorded
-    import spacetime_hp.cli as cli_mod
-
-    monkeypatch.setattr(cli_mod, "DENSE_LIMIT", 100)
-    text = U1_SMALL.replace("strategy = auto", "strategy = dense").replace(
-        "levels = 2", "levels = 3"
-    )
-    cfg = parse_config(text)
-    records, failures = run_study(cfg, log=lambda *a, **k: None)
-    assert len(records) == 2
-    assert len(failures) == 1 and failures[0][0] == 2
-    assert "refused" in failures[0][1]
-
-
 def test_memory_guard_skips_level(monkeypatch):
     import spacetime_hp.cli as cli_mod
 
@@ -141,6 +132,16 @@ def test_memory_guard_skips_level(monkeypatch):
     assert len(records) == 2
     assert len(failures) == 1
     assert "memory guard" in failures[0][1]
+
+
+def test_residual_gate_fails_level(monkeypatch):
+    import spacetime_hp.cli as cli_mod
+
+    monkeypatch.setattr(cli_mod, "RESIDUAL_GATE", 1e-20)
+    records, failures = run_study(parse_config(U1_SMALL), log=lambda *a, **k: None)
+    assert records == []
+    assert [level for level, _ in failures] == [0, 1]
+    assert all("solver residual" in reason and reason.endswith("> 1e-20") for _, reason in failures)
 
 
 def test_outputs_deterministic(tmp_path):
@@ -158,12 +159,6 @@ def test_outputs_deterministic(tmp_path):
     assert (a / "records.tsv").exists()
 
 
-def test_override_strategy(tmp_path):
-    cfg_path = tmp_path / "study.cfg"
-    cfg_path.write_text(U1_SMALL)
-    assert main([str(cfg_path), "--levels", "1", "--strategy", "bartels-stewart"]) == 0
-
-
 def test_run_verification_passes():
     assert run_verification(seed=0, log=lambda *a, **k: None)
 
@@ -173,7 +168,6 @@ def test_mesh_export_option(tmp_path):
 [study]
 problem = u2
 levels = 1
-strategy = auto
 out = {out}
 
 [temporal]

@@ -38,7 +38,7 @@ from spacetime_hp.temporal_hp import (
 
 def _zero_solution(basis, sx):
     G = np.zeros((basis.num_dofs, sx.N))
-    return solve(G=G, tm=assemble(basis), sx=sx, strategy="dense", basis=basis)
+    return solve(G=G, tm=assemble(basis), sx=sx, basis=basis)
 
 
 def _analytic_problem(u, du, g=None, dimension=1):

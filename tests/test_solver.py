@@ -1,15 +1,14 @@
 import numpy as np
 import pytest
+import scipy.linalg as la
 
 from spacetime_hp.hilbert import assemble
 from spacetime_hp import spatial_fem
 from spacetime_hp.problems import ManufacturedProblem, problem_u1, problem_u3
 from spacetime_hp.solver import (
     GlobalOperator,
-    load_solution,
     project_rhs,
     rhs_from_projection,
-    save_solution,
     solve,
     solve_heat,
     solve_parametric_ivp,
@@ -32,6 +31,12 @@ from spacetime_hp.temporal_hp import (
     temporal_mass,
     uniform_mesh,
 )
+
+
+def _dense_solve(tm, sx, G):
+    """Reference: dense LU on the materialized Kronecker sum."""
+    B = GlobalOperator(tm, sx).materialize()
+    return la.lu_solve(la.lu_factor(B), G.ravel()).reshape(G.shape)
 
 
 def _forcing(g, dimension=1):
@@ -121,24 +126,19 @@ def test_strategies_agree(small_setup):
     assert basis.num_dofs == 17 and sx.N == 63
     rng = np.random.default_rng(3)
     G = rng.standard_normal((17, 63))
-    a = solve(tm, sx, G, strategy="dense", basis=basis)
-    b = solve(tm, sx, G, strategy="bartels-stewart", basis=basis)
-    scale = np.abs(a.coefficients).max()
-    assert np.abs(a.coefficients - b.coefficients).max() / scale < 1e-8
-    assert a.residual < 1e-10 and b.residual < 1e-10
+    a = _dense_solve(tm, sx, G)
+    b = solve(tm, sx, G, basis=basis)
+    scale = np.abs(a).max()
+    assert np.abs(a - b.coefficients).max() / scale < 1e-8
+    dense_residual = np.linalg.norm(GlobalOperator(tm, sx).apply(a) - G) / np.linalg.norm(G)
+    assert dense_residual < 1e-10 and b.residual < 1e-10
 
 
 def test_zero_data_zero_solution(small_setup):
     basis, tm, sx = small_setup
     G = np.zeros((basis.num_dofs, sx.N))
-    sol = solve(tm, sx, G, strategy="dense", basis=basis)
+    sol = solve(tm, sx, G, basis=basis)
     assert np.all(sol.coefficients == 0.0)
-
-
-def test_unknown_strategy(small_setup):
-    basis, tm, sx = small_setup
-    with pytest.raises(ValueError):
-        solve(tm, sx, np.zeros((basis.num_dofs, sx.N)), strategy="magic")
 
 
 def test_solution_vanishes_at_initial_time(small_setup):
@@ -158,7 +158,7 @@ def test_manufactured_polynomial_exactness():
     sx = assemble_spatial(uniform_interval_mesh((0, 1), 64))
     ghat = project_rhs(_forcing(prob_g), basis, sx)
     G = rhs_from_projection(tm, sx, ghat)
-    sol = solve(tm, sx, G, strategy="bartels-stewart", basis=basis)
+    sol = solve(tm, sx, G, basis=basis)
     from spacetime_hp.quadrature import gauss_legendre
 
     rule = gauss_legendre(20)
@@ -219,35 +219,6 @@ def test_discrete_stability_under_refinement():
     assert ratios.max() < 10.0
 
 
-def test_point_evaluation_2d():
-    prob = problem_u1(truncation=50)
-    mesh2 = refine_uniform(refine_uniform(lshape_mesh()))
-    sx = assemble_spatial(mesh2)
-    basis = make_basis(uniform_mesh(2.0, 2, 1))
-    tm = assemble(basis)
-    rng = np.random.default_rng(0)
-    G = rng.standard_normal((basis.num_dofs, sx.N))
-    sol = solve(tm, sx, G, strategy="dense", basis=basis)
-    # FE function reproduces its nodal values
-    k = sx.interior[3]
-    got = sol(1.3, mesh2.vertices[k])
-    assert got == pytest.approx(sol.nodal_at_time(1.3)[k], abs=1e-12)
-    with pytest.raises(ValueError):
-        sol(1.0, np.array([0.5, 0.5]))  # inside the removed quadrant
-
-
-def test_solution_dump_roundtrip(tmp_path, small_setup):
-    basis, tm, sx = small_setup
-    sol = solve_heat(problem_u1(truncation=50), basis, tm, sx)
-    path = tmp_path / "sol.bin"
-    save_solution(sol, path)
-    back = load_solution(path, basis=basis, spatial=sx)
-    assert np.array_equal(back, sol.coefficients)
-    other = make_basis(uniform_mesh(2.0, 5, 1))
-    with pytest.raises(ValueError):
-        load_solution(path, basis=other)
-
-
 def test_bartels_stewart_handles_complex_schur_blocks():
     # mixed-degree meshes give the transform pencil complex eigenvalue pairs;
     # cross-check against dense LU
@@ -260,9 +231,9 @@ def test_bartels_stewart_handles_complex_schur_blocks():
     sx = assemble_spatial(uniform_interval_mesh((0, 1), 12))
     rng = np.random.default_rng(9)
     G = rng.standard_normal((basis.num_dofs, sx.N))
-    a = solve(tm, sx, G, strategy="dense", basis=basis)
-    b = solve(tm, sx, G, strategy="bartels-stewart", basis=basis)
-    assert np.abs(a.coefficients - b.coefficients).max() < 1e-8 * np.abs(a.coefficients).max()
+    a = _dense_solve(tm, sx, G)
+    b = solve(tm, sx, G, basis=basis)
+    assert np.abs(a - b.coefficients).max() < 1e-8 * np.abs(a).max()
 
 
 def _moments_node_by_node(prob, basis, sx):
