@@ -1,70 +1,7 @@
 """Space-time Galerkin solver for parabolic problems: temporal hp-FEM
-stabilized by a modified Hilbert transform, tensorized with spatial P1 FEM."""
+stabilized by a modified Hilbert transform, tensorized with spatial P1 FEM.
 
-from .hilbert import HilbertQuadConfig, TemporalMatrices, assemble, kernel
-from .metrics import StudyRecord, eoc, error_functional, exp_fit, power_fit
-from .problems import ManufacturedProblem, get_problem
-from .solver import (
-    GlobalOperator,
-    SpaceTimeSolution,
-    project_rhs,
-    solve,
-    solve_heat,
-    solve_parametric_ivp,
-)
-from .spatial_fem import (
-    SpatialMesh1D,
-    SpatialMesh2D,
-    SpatialSystem,
-    assemble_spatial,
-    lshape_mesh,
-    refine_graded,
-    refine_uniform,
-    uniform_interval_mesh,
-)
-from .temporal_hp import (
-    TemporalBasis,
-    TemporalMesh,
-    TemporalMeshSpec,
-    build_mesh,
-    make_basis,
-    quasi_interpolant,
-    uniform_mesh,
-)
+The modules are imported by name: `spacetime_hp.cli` runs the convergence
+studies, and the other modules hold the layers it calls."""
 
 __version__ = "0.1.0"
-
-__all__ = [
-    "HilbertQuadConfig",
-    "TemporalMatrices",
-    "assemble",
-    "kernel",
-    "StudyRecord",
-    "eoc",
-    "error_functional",
-    "exp_fit",
-    "power_fit",
-    "ManufacturedProblem",
-    "get_problem",
-    "GlobalOperator",
-    "SpaceTimeSolution",
-    "project_rhs",
-    "solve",
-    "solve_heat",
-    "solve_parametric_ivp",
-    "SpatialMesh1D",
-    "SpatialMesh2D",
-    "SpatialSystem",
-    "assemble_spatial",
-    "lshape_mesh",
-    "refine_graded",
-    "refine_uniform",
-    "uniform_interval_mesh",
-    "TemporalBasis",
-    "TemporalMesh",
-    "TemporalMeshSpec",
-    "build_mesh",
-    "make_basis",
-    "quasi_interpolant",
-    "uniform_mesh",
-]

@@ -88,34 +88,6 @@ class StudyConfig:
                 f"[spatial] beta: grading parameter must satisfy beta in (0,1], got {self.beta}"
             )
 
-    def to_text(self):
-        lines = [
-            "[study]",
-            f"problem = {self.problem}",
-            f"levels = {self.levels}",
-        ]
-        if self.out:
-            lines.append(f"out = {self.out}")
-        lines += ["", "[temporal]", f"scheme = {self.temporal_scheme}"]
-        if self.temporal_scheme == "uniform":
-            lines += [f"p = {self.temporal_p}", f"m0 = {self.temporal_m0}"]
-        elif self.temporal_scheme == "p":
-            lines += [f"m = {self.temporal_m}"]
-        else:
-            lines += [
-                f"sigma = {self.sigma}",
-                f"mu_hp = {self.mu_hp}",
-                f"m1_factor = {self.m1_factor}",
-                f"m2 = {self.m2}",
-            ]
-        lines += ["", "[spatial]", f"scheme = {self.spatial_scheme}"]
-        lines += [f"initial_elements = {self.initial_elements}", f"initial_level = {self.initial_level}"]
-        if self.spatial_scheme == "graded":
-            lines += [f"beta = {self.beta}", f"radius = {self.radius}"]
-        if self.export_meshes:
-            lines += ["export_meshes = true"]
-        return "\n".join(lines) + "\n"
-
 
 # (section, key) -> (StudyConfig field, type); absent keys keep the field default
 _KEYS = {
@@ -142,9 +114,9 @@ _KEYS = {
 def _cast(section, key, raw, cast):
     try:
         if cast is bool:
-            return raw.lower() in ("1", "true", "yes", "on")
+            return configparser.ConfigParser.BOOLEAN_STATES[raw.lower()]
         return cast(raw)
-    except ValueError:
+    except (KeyError, ValueError):
         raise ConfigError(f"[{section}] {key}: cannot parse {raw!r} as {cast.__name__}") from None
 
 
@@ -273,54 +245,6 @@ def write_outputs(cfg: StudyConfig, records):
     (out / "records.tsv").write_text(emit_records(records))
 
 
-def run_verification(seed=0, log=print):
-    """Quick oracle cross-checks run before a study with --verify."""
-    from .fractional_norms import ht_matrix_oracle
-    from .quadrature import gauss_legendre, log_weighted_rule
-    from .temporal_hp import quasi_interpolant
-
-    rng = np.random.default_rng(seed)
-    ok = True
-
-    def check(name, passed, detail=""):
-        nonlocal ok
-        status = "ok" if passed else "FAIL"
-        log(f"verify: {name}: {status} {detail}")
-        ok = ok and passed
-
-    g = gauss_legendre(8)
-    check("gauss-legendre weight sum", abs(g.weights.sum() - 2.0) < 1e-13)
-    lr = log_weighted_rule(6)
-    moment_err = max(
-        abs(float(np.dot(lr.weights, lr.nodes**d)) + 1.0 / (d + 1) ** 2) for d in range(8)
-    )
-    check("log-weighted moments", moment_err < 1e-12, f"(err {moment_err:.1e})")
-    mesh = uniform_mesh(2.0, 2, 2)
-    basis = make_basis(mesh)
-    tm = assemble(basis)
-    Mo, Ao = ht_matrix_oracle(basis, K=2048)
-    dev = max(np.abs(tm.M_ht - Mo).max(), np.abs(tm.A_ht - Ao).max())
-    check("transform matrices vs series oracle", dev < 1e-5, f"(dev {dev:.1e})")
-    sym = np.abs(tm.A_ht - tm.A_ht.T).max() / np.abs(tm.A_ht).max()
-    check("transform stiffness symmetry", sym < 1e-9, f"(asym {sym:.1e})")
-    T = 2.0
-    b1 = make_basis(uniform_mesh(T, 1, 16))
-    c = quasi_interpolant(
-        b1,
-        lambda t: np.sqrt(2 / T) * np.sin(np.pi * t / (2 * T)),
-        lambda t: np.sqrt(2 / T) * np.pi / (2 * T) * np.cos(np.pi * t / (2 * T)),
-    )
-    tm1 = assemble(b1)
-    dev = abs(c @ tm1.A_ht @ c - np.pi / 4)
-    check("single-mode elliptic pairing", dev < 1e-6, f"(dev {dev:.1e})")
-    mesh2 = refine_uniform(lshape_mesh())
-    sys2 = assemble_spatial(mesh2)
-    lin = rng.standard_normal(2) @ mesh2.vertices.T
-    resid = np.abs((sys2.A_full @ lin)[sys2.interior]).max()
-    check("spatial patch test", resid < 1e-12, f"(resid {resid:.1e})")
-    return ok
-
-
 def main(argv=None):
     ap = argparse.ArgumentParser(
         prog="spacetime-hp",
@@ -329,10 +253,6 @@ def main(argv=None):
     ap.add_argument("config", help="path to the study config")
     ap.add_argument("--levels", type=int, default=None, help="override the level count")
     ap.add_argument("--out", default=None, help="override the output directory")
-    ap.add_argument("--seed", type=int, default=0, help="seed for the --verify checks")
-    ap.add_argument(
-        "--verify", action="store_true", help="run oracle cross-checks before solving"
-    )
     args = ap.parse_args(argv)
     try:
         text = Path(args.config).read_text()
@@ -348,9 +268,6 @@ def main(argv=None):
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 1
-    if args.verify and not run_verification(seed=args.seed):
-        print("verification failed; aborting study", file=sys.stderr)
-        return 2
     records, failures = run_study(cfg)
     print(emit_table(records), end="")
     write_outputs(cfg, records)

@@ -37,18 +37,16 @@ from .quadrature import gauss_legendre_01, log_weighted_rule
 from .temporal_hp import TemporalBasis, TemporalMesh, lobatto_shapes
 
 
-def kernel(s, t, T):
-    """Weakly singular kernel ln[tan(pi(s+t)/4T) tan(pi|t-s|/4T)].
+# Gauss orders per direction; assemble's multiplier scales every one of them
+SMOOTH_EXTRA = 6  # analytic remainder G on pair (i, j): p_i + p_j + SMOOTH_EXTRA
+LOG_EXTRA = 3  # log-weighted Duffy rules: (p_i + p_j + 1) // 2 + LOG_EXTRA
+ANGULAR_SMOOTH_MIN = 20  # floor of the angular order in the corner Duffy rules
+TARGET_EXPONENT = 16.1  # near-singular tensor Gauss: error ~ rho^(-2n) ~ e^(-2 TARGET_EXPONENT)
+MAX_ORDER = 48
 
-    Diverges logarithmically on the diagonal; evaluating at s = t raises.
-    """
-    s = np.asarray(s, dtype=float)
-    t = np.asarray(t, dtype=float)
-    if np.any(s == t):
-        raise ValueError("kernel is singular on the diagonal s = t")
-    return np.log(
-        np.tan(np.pi * (s + t) / (4.0 * T)) * np.tan(np.pi * np.abs(t - s) / (4.0 * T))
-    )
+
+def _scaled(n, multiplier):
+    return max(2, ceil(n * multiplier))
 
 
 def _log_ratio(f, x, series):
@@ -77,22 +75,6 @@ def smooth_remainder(s, t, T):
 
 
 @dataclass(frozen=True)
-class HilbertQuadConfig:
-    """Quadrature orders for the assembly; `multiplier` scales every order
-    (used by the order-doubling convergence checks)."""
-
-    smooth_extra: int = 6
-    log_extra: int = 3
-    angular_smooth_min: int = 20
-    target_exponent: float = 16.1
-    max_order: int = 48
-    multiplier: float = 1.0
-
-    def scale(self, n):
-        return max(2, ceil(n * self.multiplier))
-
-
-@dataclass(frozen=True)
 class TemporalMatrices:
     """Dense transform matrices on the constrained temporal space, plus the
     cross mass matrix whose column side includes the vertex at t=0."""
@@ -103,14 +85,14 @@ class TemporalMatrices:
     mesh: TemporalMesh
 
 
-def _near_log_order(h, delta, pdeg, cfg: HilbertQuadConfig):
+def _near_log_order(h, delta, pdeg, multiplier):
     # Gauss order for a log singularity at distance delta beyond an interval
     # of length h: error ~ rho^(-2n) with the Bernstein ellipse radius rho.
     r = 1.0 + 2.0 * max(delta, 1e-300) / h
     rho = r + sqrt(r * r - 1.0)
-    n_analytic = ceil(cfg.target_exponent / log(rho)) if rho > 1.0 else cfg.max_order
+    n_analytic = ceil(TARGET_EXPONENT / log(rho)) if rho > 1.0 else MAX_ORDER
     n = max(pdeg // 2 + 4, n_analytic)
-    return cfg.scale(min(n, cfg.max_order))
+    return _scaled(min(n, MAX_ORDER), multiplier)
 
 
 @lru_cache(maxsize=64)
@@ -127,11 +109,11 @@ def _tensor_grid(nx, ny):
     return grid
 
 
-def _corner_duffy_pieces(c1, c2, pdeg, cfg: HilbertQuadConfig):
+def _corner_duffy_pieces(c1, c2, pdeg, multiplier):
     """Quadrature pieces for int_0^1 int_0^1 F(u,y) ln(c1*u + c2*y) du dy with
     F polynomial of total degree <= pdeg; returns tuples (u, y, w)."""
-    n_log = cfg.scale(pdeg // 2 + cfg.log_extra)
-    n_ang = cfg.scale(max(pdeg // 2 + cfg.log_extra, cfg.angular_smooth_min))
+    n_log = _scaled(pdeg // 2 + LOG_EXTRA, multiplier)
+    n_ang = _scaled(max(pdeg // 2 + LOG_EXTRA, ANGULAR_SMOOTH_MIN), multiplier)
     lr = log_weighted_rule(n_log)
     g_ang, w_ang = gauss_legendre_01(n_ang)
     g_rad, w_rad = gauss_legendre_01(n_log + 2)
@@ -153,11 +135,10 @@ def _corner_duffy_pieces(c1, c2, pdeg, cfg: HilbertQuadConfig):
     return pieces
 
 
-def _diagonal_duffy_pieces(pdeg, cfg: HilbertQuadConfig):
+def _diagonal_duffy_pieces(pdeg, multiplier):
     """Pieces for int int F(x,y) ln|y - x| dx dy over the unit square,
     exact for polynomial F of degree <= pdeg per variable."""
-    n_log = cfg.scale(pdeg // 2 + cfg.log_extra)
-    n_ang = cfg.scale(pdeg // 2 + cfg.log_extra)
+    n_log = n_ang = _scaled(pdeg // 2 + LOG_EXTRA, multiplier)
     lr = log_weighted_rule(n_log)
     g_ang, w_ang = gauss_legendre_01(n_ang)
     g_rad, w_rad = gauss_legendre_01(n_log + 2)
@@ -179,7 +160,7 @@ def _diagonal_duffy_pieces(pdeg, cfg: HilbertQuadConfig):
     return pieces
 
 
-def _log_orders(h, delta, pdeg, cfg: HilbertQuadConfig):
+def _log_orders(h, delta, pdeg, multiplier):
     """_near_log_order over arrays of (h, delta, pdeg), evaluated once per
     distinct triple: a uniform mesh repeats a few hundred triples across
     tens of thousands of pairs."""
@@ -188,19 +169,19 @@ def _log_orders(h, delta, pdeg, cfg: HilbertQuadConfig):
         u, inv = np.unique(v, return_inverse=True)
         code = code * len(u) + inv
     _, first, inv = np.unique(code, return_index=True, return_inverse=True)
-    n = np.array([_near_log_order(h[k], delta[k], int(pdeg[k]), cfg) for k in first])
+    n = np.array([_near_log_order(h[k], delta[k], int(pdeg[k]), multiplier) for k in first])
     return n[inv]
 
 
-def _singular_pieces(mesh: TemporalMesh, cfg: HilbertQuadConfig):
+def _singular_pieces(mesh: TemporalMesh, multiplier):
     """Yields ((i, j), Duffy pieces (x, y, w) on the unit square) for the
     O(m) element pairs that touch a singular point: ln|t-s| on diagonal and
     adjacent pairs, ln(s+t) at (0,0) and -ln(2T-s-t) at (m-1,m-1)."""
     h, p, last = mesh.element_lengths, mesh.degrees, mesh.m - 1
     pdeg = lambda i, j: int(p[i] + p[j]) + 1
-    corner = lambda i, j: _corner_duffy_pieces(h[i], h[j], pdeg(i, j), cfg)
+    corner = lambda i, j: _corner_duffy_pieces(h[i], h[j], pdeg(i, j), multiplier)
     for i in range(mesh.m):
-        pieces = _diagonal_duffy_pieces(pdeg(i, i), cfg)
+        pieces = _diagonal_duffy_pieces(pdeg(i, i), multiplier)
         if i == 0:
             pieces += corner(0, 0)
         if i == last:
@@ -212,15 +193,15 @@ def _singular_pieces(mesh: TemporalMesh, cfg: HilbertQuadConfig):
             yield (i + 1, i), [(u, 1.0 - y, w) for u, y, w in corner(i + 1, i)]
 
 
-def assemble(basis: TemporalBasis, config: HilbertQuadConfig | None = None) -> TemporalMatrices:
+def assemble(basis: TemporalBasis, multiplier=1.0) -> TemporalMatrices:
     """Assembly of the transform matrices, batched over element pairs.
 
     The row index runs over the transformed (differentiated) side and must
     vanish at t=0; the column side of the cross mass matrix additionally
     includes the vertex function at t=0, which the right-hand side projection
-    needs.
+    needs. `multiplier` scales every quadrature order (the order-doubling
+    checks pass 1.5 and 2).
     """
-    cfg = config or HilbertQuadConfig()
     mesh = basis.mesh
     T, m, p, bp = mesh.T, mesh.m, mesh.degrees, mesh.breakpoints
     P = int(p.max()) + 1  # hierarchical shapes: degree p uses the first p+1 rows
@@ -245,7 +226,7 @@ def assemble(basis: TemporalBasis, config: HilbertQuadConfig | None = None) -> T
          lambda i, j, x, y: -np.log((T - a[i] - h[i] * x) + (T - a[j] - h[j] * y))),
         (np.full(m * m, True), None, smooth),
     )
-    smooth_order = np.array([cfg.scale(q + cfg.smooth_extra) for q in range(2 * P - 1)])
+    smooth_order = np.array([_scaled(q + SMOOTH_EXTRA, multiplier) for q in range(2 * P - 1)])
 
     @lru_cache(maxsize=None)
     def shapes(n):  # Lobatto values and xi-derivatives at the n Gauss nodes on (0,1)
@@ -261,7 +242,7 @@ def assemble(basis: TemporalBasis, config: HilbertQuadConfig | None = None) -> T
             nx = ny = smooth_order[pp[k]]
         else:
             hk, dk, pk = np.r_[h[I[k]], h[J[k]]], np.r_[delta[k], delta[k]], np.r_[pp[k], pp[k]]
-            nx, ny = _log_orders(hk, dk, pk, cfg).reshape(2, -1)
+            nx, ny = _log_orders(hk, dk, pk, multiplier).reshape(2, -1)
         for gx, gy in sorted(set(zip(nx.tolist(), ny.tolist()))):
             kg = k[(nx == gx) & (ny == gy)]
             X, Y, W = (v.reshape(gx, gy) for v in _tensor_grid(gx, gy))
@@ -271,7 +252,7 @@ def assemble(basis: TemporalBasis, config: HilbertQuadConfig | None = None) -> T
                 kc = kg[c : c + step]
                 F = W * kern(I[kc, None, None], J[kc, None, None], X[:, :1], Y[:1])
                 blk[kc] += (dNx @ F) @ NdNy
-    for (i, j), pieces in _singular_pieces(mesh, cfg):
+    for (i, j), pieces in _singular_pieces(mesh, multiplier):
         x, y, w = (np.concatenate(v) for v in zip(*pieces))
         _, dNi = lobatto_shapes(p[i], 2.0 * x - 1.0)
         Nj, dNj = lobatto_shapes(p[j], 2.0 * y - 1.0)

@@ -26,17 +26,18 @@ def _first_rule(prob):
     return None
 
 
-def _orders(mesh, quad_mult, temporal_extra):
-    return np.maximum(2, ((mesh.degrees + temporal_extra) * quad_mult).astype(int))
+# Gauss points per temporal element beyond its degree, before quad_mult
+TEMPORAL_EXTRA = 12
 
 
-def l2q_error_element_parts(sol, prob, quad_mult=1.0, temporal_extra=12, spatial_degree=6):
+def l2q_error_element_parts(sol, prob, quad_mult=1.0):
     """Squared L2 norms of u - u_MN and of its time derivative over each slab
     (t_{j-1}, t_j) x D, as two arrays with one entry per temporal element."""
     basis = sol.basis
     mesh = basis.mesh
-    quad = SpatialQuadrature(sol.spatial.mesh, degree=spatial_degree)
-    t, w, elements = temporal_rule(mesh, _orders(mesh, quad_mult, temporal_extra), _first_rule(prob))
+    quad = SpatialQuadrature(sol.spatial.mesh)
+    orders = np.maximum(2, ((mesh.degrees + TEMPORAL_EXTRA) * quad_mult).astype(int))
+    t, w, elements = temporal_rule(mesh, orders, _first_rule(prob))
     U = np.zeros((basis.num_dofs, sol.spatial.mesh.num_vertices))
     U[:, sol.spatial.interior] = sol.coefficients
     phi = basis_matrix(basis, t, elements)
@@ -51,30 +52,15 @@ def l2q_error_element_parts(sol, prob, quad_mult=1.0, temporal_extra=12, spatial
     return np.bincount(elements, w * val, mesh.m), np.bincount(elements, w * der, mesh.m)
 
 
-def l2q_error_parts(sol, prob, quad_mult=1.0, temporal_extra=12, spatial_degree=6):
-    """Squared L2(Q) norms of u - u_MN and of its time derivative."""
-    val_sq, der_sq = l2q_error_element_parts(sol, prob, quad_mult, temporal_extra, spatial_degree)
-    return float(val_sq.sum()), float(der_sq.sum())
-
-
-def error_functional(sol, prob, quad_mult=1.0, temporal_extra=12, spatial_degree=6):
+def error_functional(sol, prob, quad_mult=1.0):
     """[u - u_MN] = sqrt(||e||_L2(Q) ||d_t e||_L2(Q))."""
-    return functional_from_parts(*l2q_error_parts(sol, prob, quad_mult, temporal_extra, spatial_degree))
+    val_sq, der_sq = l2q_error_element_parts(sol, prob, quad_mult)
+    return functional_from_parts(val_sq.sum(), der_sq.sum())
 
 
 def functional_from_parts(val_sq, der_sq):
     """The surrogate from the squared norms: (||e||^2 ||d_t e||^2)^(1/4)."""
     return float((val_sq * der_sq) ** 0.25)
-
-
-def temporal_error_functional(basis, coeffs, u, du, quad_mult=1.0, temporal_extra=12, singular_first=False):
-    """The same surrogate for purely temporal functions (scalar IVP)."""
-    mesh = basis.mesh
-    first = "power" if singular_first else None
-    t, w, elements = temporal_rule(mesh, _orders(mesh, quad_mult, temporal_extra), first)
-    ev = basis_matrix(basis, t, elements) @ coeffs - u(t)
-    ed = basis_matrix(basis, t, elements, derivative=1) @ coeffs - du(t)
-    return functional_from_parts(w @ (ev * ev), w @ (ed * ed))
 
 
 @dataclass(frozen=True)

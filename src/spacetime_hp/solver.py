@@ -25,15 +25,11 @@ import scipy.sparse.linalg as spla
 
 from .hilbert import TemporalMatrices
 from .spatial_fem import SpatialQuadrature, SpatialSystem
-from .temporal_hp import (
-    TemporalBasis,
-    basis_matrix,
-    temporal_mass,
-    temporal_moments,
-    temporal_rule,
-)
+from .temporal_hp import TemporalBasis, basis_matrix, temporal_mass, temporal_rule
 
 DENSE_LIMIT = 20_000
+# Gauss points per temporal element beyond its degree for the load moments
+LOAD_EXTRA = 8
 
 
 @dataclass(frozen=True)
@@ -42,20 +38,6 @@ class SpaceTimeSolution:
     basis: TemporalBasis
     spatial: SpatialSystem
     residual: float
-
-    def nodal_at_time(self, t):
-        """Full spatial nodal vector (Dirichlet zeros included) at time t."""
-        phi = self.basis.eval_all(t)
-        interior_vals = phi @ self.coefficients
-        nodal = np.zeros(self.spatial.mesh.num_vertices)
-        nodal[self.spatial.interior] = interior_vals
-        return nodal
-
-    def nodal_time_derivative(self, t):
-        phi = self.basis.eval_all(t, derivative=1)
-        nodal = np.zeros(self.spatial.mesh.num_vertices)
-        nodal[self.spatial.interior] = phi @ self.coefficients
-        return nodal
 
 
 @dataclass(frozen=True)
@@ -85,26 +67,31 @@ class GlobalOperator:
         )
 
 
-def project_rhs(prob, basis: TemporalBasis, sx: SpatialSystem, extra_order=8, spatial_degree=6):
+def _temporal_projection(basis: TemporalBasis, R):
+    """Coefficients in the unconstrained temporal space of the L2 projection
+    with moments R (one row per basis function, any number of columns)."""
+    Mt_full = temporal_mass(basis, constrained=False)
+    # geometric meshes span many orders of magnitude in element size; solve
+    # the Jacobi-scaled system to keep the mass solve well conditioned
+    d = 1.0 / np.sqrt(np.diag(Mt_full))
+    return d[:, None] * la.solve(d[:, None] * Mt_full * d[None, :], d[:, None] * R, assume_a="pos")
+
+
+def project_rhs(prob, basis: TemporalBasis, sx: SpatialSystem):
     """Space-time L2 projection of the forcing prob.g onto the unconstrained
     tensor space (t=0 vertex and Dirichlet vertices included); returns the
     (M+1) x num_vertices coefficient array."""
     mesh = basis.mesh
-    quad = SpatialQuadrature(sx.mesh, degree=spatial_degree)
+    quad = SpatialQuadrature(sx.mesh)
     first = "power" if prob.temporal_singularity else None
-    t, w, elements = temporal_rule(mesh, mesh.degrees + extra_order, first)
+    t, w, elements = temporal_rule(mesh, mesh.degrees + LOAD_EXTRA, first)
     phi_w = basis_matrix(basis, t, elements, constrained=False) * w[:, None]
     g = prob.at(quad.points).g
     R = np.zeros((basis.num_dofs_full, sx.mesh.num_vertices))
     for c in quad.time_chunks(len(t)):
         R += phi_w[c].T @ quad.moments(g(t[c, None]))
-    Mt_full = temporal_mass(basis, constrained=False)
-    # geometric meshes span many orders of magnitude in element size; solve
-    # the Jacobi-scaled system to keep the mass solve well conditioned
-    d = 1.0 / np.sqrt(np.diag(Mt_full))
-    R = d[:, None] * la.solve(d[:, None] * Mt_full * d[None, :], d[:, None] * R, assume_a="pos")
     lu = spla.splu(sp.csc_matrix(sx.M_full))
-    return lu.solve(R.T).T
+    return lu.solve(_temporal_projection(basis, R).T).T
 
 
 def rhs_from_projection(tm: TemporalMatrices, sx: SpatialSystem, ghat):
@@ -142,17 +129,14 @@ def solve_heat(prob, basis: TemporalBasis, tm: TemporalMatrices, sx: SpatialSyst
     return solve(tm, sx, G, basis=basis)
 
 
-def solve_parametric_ivp(mu, f, basis: TemporalBasis, tm: TemporalMatrices, singular_first_element=False):
+def solve_parametric_ivp(mu, f, basis: TemporalBasis, tm: TemporalMatrices):
     """Scalar initial value problem d_t u + mu u = f, u(0) = 0, discretized
     with transformed test functions; the load uses the temporal L2 projection
     of f."""
     if mu < 0:
         raise ValueError(f"parameter mu must be >= 0, got {mu}")
-    mom = temporal_moments(
-        basis, f, constrained=False, singular_first_element=singular_first_element
-    )
-    Mt_full = temporal_mass(basis, constrained=False)
-    d = 1.0 / np.sqrt(np.diag(Mt_full))
-    fhat = d * la.solve(d[:, None] * Mt_full * d[None, :], d * mom, assume_a="pos")
-    rhs = tm.M_cross @ fhat
-    return la.solve(tm.A_ht + mu * tm.M_ht, rhs)
+    mesh = basis.mesh
+    t, w, elements = temporal_rule(mesh, mesh.degrees + LOAD_EXTRA)
+    mom = (np.asarray(f(t), dtype=float) * w) @ basis_matrix(basis, t, elements, constrained=False)
+    fhat = _temporal_projection(basis, mom[:, None])[:, 0]
+    return la.solve(tm.A_ht + mu * tm.M_ht, tm.M_cross @ fhat)

@@ -55,15 +55,10 @@ class TemporalMesh:
 
     breakpoints: np.ndarray
     degrees: np.ndarray
-    spec: TemporalMeshSpec | None = None
 
     @property
     def T(self):
         return float(self.breakpoints[-1])
-
-    @property
-    def T1(self):
-        return min(1.0, self.T)
 
     @property
     def m(self):
@@ -83,7 +78,7 @@ class TemporalMesh:
         return int(self.degrees.sum())
 
     @classmethod
-    def from_arrays(cls, breakpoints, degrees, spec=None):
+    def from_arrays(cls, breakpoints, degrees):
         breakpoints = np.asarray(breakpoints, dtype=float)
         degrees = np.asarray(degrees, dtype=int)
         if breakpoints[0] != 0.0 or np.any(np.diff(breakpoints) <= 0):
@@ -92,16 +87,7 @@ class TemporalMesh:
             raise ValueError("need one degree >= 1 per element")
         breakpoints.setflags(write=False)
         degrees.setflags(write=False)
-        return cls(breakpoints, degrees, spec)
-
-    def format_table(self):
-        lines = [f"{'j':>4} {'t_j':>22} {'k_j':>22} {'p_j':>4}"]
-        k = self.element_lengths
-        for j in range(1, self.m + 1):
-            lines.append(
-                f"{j:>4} {self.breakpoints[j]:>22.15e} {k[j-1]:>22.15e} {self.degrees[j-1]:>4}"
-            )
-        return "\n".join(lines)
+        return cls(breakpoints, degrees)
 
 
 def build_mesh(spec: TemporalMeshSpec) -> TemporalMesh:
@@ -118,7 +104,7 @@ def build_mesh(spec: TemporalMeshSpec) -> TemporalMesh:
     for j in range(2, spec.m1 + 1):
         p[j - 1] = floor(spec.mu_hp * j)
     p[spec.m1 :] = floor(spec.mu_hp * spec.m1)
-    return TemporalMesh.from_arrays(t, p, spec)
+    return TemporalMesh.from_arrays(t, p)
 
 
 def uniform_mesh(T: float, m: int, p: int) -> TemporalMesh:
@@ -214,12 +200,6 @@ class TemporalBasis:
     def num_dofs_full(self):
         return self.mesh.num_dofs + 1
 
-    def element_of(self, t):
-        """Index of the element containing t (right-continuous at breakpoints)."""
-        bp = self.mesh.breakpoints
-        j = int(np.searchsorted(bp, t, side="right")) - 1
-        return min(max(j, 0), self.mesh.m - 1)
-
     def eval_element(self, j, t, derivative=0):
         """All local shape values (or t-derivatives) of element j at times t."""
         t = np.atleast_1d(np.asarray(t, dtype=float))
@@ -230,40 +210,9 @@ class TemporalBasis:
             return ders * (2.0 / (b - a))
         return vals
 
-    def eval_all(self, t, derivative=0, constrained=True):
-        """Vector of all basis function values at scalar time t."""
-        n = self.num_dofs if constrained else self.num_dofs_full
-        out = np.zeros(n)
-        j = self.element_of(t)
-        loc = self.eval_element(j, t, derivative)[:, 0]
-        conn = self.conn[j] if constrained else self.conn_full[j]
-        for k, g in enumerate(conn):
-            if g >= 0:
-                out[g] = loc[k]
-        return out
-
 
 def make_basis(mesh: TemporalMesh) -> TemporalBasis:
     return TemporalBasis(mesh)
-
-
-def eval_basis(basis: TemporalBasis, global_dof: int, t, derivative=0):
-    """Value (derivative=1: time derivative) of one global basis function;
-    zero outside its support."""
-    if not 0 <= global_dof < basis.num_dofs:
-        raise IndexError(f"global dof {global_dof} out of range [0, {basis.num_dofs})")
-    t_arr = np.atleast_1d(np.asarray(t, dtype=float))
-    out = np.zeros_like(t_arr)
-    for j in range(basis.mesh.m):
-        if global_dof in basis.conn[j]:
-            k = basis.conn[j].index(global_dof)
-            a, b = basis.mesh.breakpoints[j], basis.mesh.breakpoints[j + 1]
-            inside = (t_arr >= a) & (t_arr <= b) if j == basis.mesh.m - 1 else (
-                (t_arr >= a) & (t_arr < b)
-            )
-            if np.any(inside):
-                out[inside] = basis.eval_element(j, t_arr[inside], derivative)[k]
-    return out if np.ndim(t) else float(out[0])
 
 
 def element_gauss(mesh: TemporalMesh, j, n):
@@ -330,14 +279,15 @@ def basis_matrix(basis: TemporalBasis, t, elements, derivative=0, constrained=Tr
     return out
 
 
-def quasi_interpolant(basis: TemporalBasis, v, dv, quad_order=None):
+def quasi_interpolant(basis: TemporalBasis, v, dv):
     """Coefficients of the temporal quasi-interpolant of v (with v(0) = 0).
 
     Vertex DOFs take the nodal values v(t_j); on each element the bubble
     coefficients are the Legendre coefficients of the L2 projection of v' onto
     degree p_j - 1, so the interpolant is nodally exact and its derivative is
     the element-wise L2 projection of v'. For p_1 = 1 the first element
-    reduces to the linear interpolant v(t_1)*t/t_1.
+    reduces to the linear interpolant v(t_1)*t/t_1. The projection uses
+    2 p_j + 8 Gauss points on element j.
     """
     mesh = basis.mesh
 
@@ -353,9 +303,8 @@ def quasi_interpolant(basis: TemporalBasis, v, dv, quad_order=None):
         p = int(mesh.degrees[j])
         if p < 2:
             continue
-        n = quad_order or (2 * p + 8)
         a, b = mesh.breakpoints[j], mesh.breakpoints[j + 1]
-        rule = gauss_legendre(n)
+        rule = gauss_legendre(2 * p + 8)
         xi = rule.nodes
         t = 0.5 * (a + b) + 0.5 * (b - a) * xi
         dv_ref = np.asarray(dv(t), dtype=float) * (0.5 * (b - a))  # derivative in xi units
@@ -365,16 +314,6 @@ def quasi_interpolant(basis: TemporalBasis, v, dv, quad_order=None):
             c = (2 * k + 1) / 2.0 * np.dot(rule.weights, dv_ref * L[k])
             coeffs[basis.conn[j][ell - 1]] = c
     return coeffs
-
-
-def eval_coefficients(basis: TemporalBasis, coeffs, t, derivative=0, constrained=True):
-    """Evaluate the function with the given coefficient vector at times t in
-    [0, T] (right-continuous at breakpoints)."""
-    t_arr = np.atleast_1d(np.asarray(t, dtype=float))
-    bp = basis.mesh.breakpoints
-    elements = np.clip(np.searchsorted(bp, t_arr, side="right") - 1, 0, basis.mesh.m - 1)
-    out = basis_matrix(basis, t_arr, elements, derivative, constrained) @ coeffs
-    return out if np.ndim(t) else float(out[0])
 
 
 def temporal_mass(basis: TemporalBasis, constrained=True):
@@ -392,16 +331,3 @@ def temporal_mass(basis: TemporalBasis, constrained=True):
         kept = gids >= 0
         out[np.ix_(gids[kept], gids[kept])] += local[np.ix_(kept, kept)]
     return out
-
-
-def temporal_moments(basis: TemporalBasis, f, constrained=False, extra_order=8, singular_first_element=False):
-    """Moments int f(t) phi_l(t) dt of all basis functions.
-
-    With singular_first_element the first element uses the t = k*tau^5
-    substitution (integrable algebraic singularities of f at t=0).
-    """
-    mesh = basis.mesh
-    t, w, elements = temporal_rule(
-        mesh, mesh.degrees + extra_order, "power" if singular_first_element else None
-    )
-    return (np.asarray(f(t), dtype=float) * w) @ basis_matrix(basis, t, elements, constrained=constrained)

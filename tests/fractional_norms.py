@@ -14,8 +14,8 @@ from math import ceil
 
 import numpy as np
 
-from .quadrature import gauss_legendre
-from .temporal_hp import TemporalBasis
+from spacetime_hp.quadrature import gauss_legendre
+from spacetime_hp.temporal_hp import TemporalBasis
 
 
 @dataclass(frozen=True)

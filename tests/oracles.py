@@ -1,0 +1,103 @@
+"""Reference implementations the tests compare the package against.
+
+Each evaluates one quantity the direct way: one point, one basis function or
+one time at a time, where the package works on whole batches.
+"""
+
+import numpy as np
+
+from spacetime_hp.metrics import TEMPORAL_EXTRA, functional_from_parts
+from spacetime_hp.quadrature import QuadratureRule
+from spacetime_hp.temporal_hp import TemporalBasis, basis_matrix, temporal_rule
+
+
+def integrate_1d(rule: QuadratureRule, f, interval) -> float:
+    """Integrate f over (a,b) with an affinely mapped reference rule."""
+    a, b = interval
+    if not a < b:
+        raise ValueError(f"empty interval ({a}, {b})")
+    x = 0.5 * (a + b) + 0.5 * (b - a) * rule.nodes
+    return 0.5 * (b - a) * float(np.dot(rule.weights, f(x)))
+
+
+def kernel(s, t, T):
+    """Weakly singular kernel ln[tan(pi(s+t)/4T) tan(pi|t-s|/4T)] of the
+    modified Hilbert transform.
+
+    Diverges logarithmically on the diagonal; evaluating at s = t raises.
+    """
+    s = np.asarray(s, dtype=float)
+    t = np.asarray(t, dtype=float)
+    if np.any(s == t):
+        raise ValueError("kernel is singular on the diagonal s = t")
+    return np.log(
+        np.tan(np.pi * (s + t) / (4.0 * T)) * np.tan(np.pi * np.abs(t - s) / (4.0 * T))
+    )
+
+
+def element_of(basis: TemporalBasis, t):
+    """Index of the element containing t (right-continuous at breakpoints)."""
+    bp = basis.mesh.breakpoints
+    j = int(np.searchsorted(bp, t, side="right")) - 1
+    return min(max(j, 0), basis.mesh.m - 1)
+
+
+def eval_all(basis: TemporalBasis, t, derivative=0, constrained=True):
+    """Vector of all basis function values at scalar time t."""
+    n = basis.num_dofs if constrained else basis.num_dofs_full
+    out = np.zeros(n)
+    j = element_of(basis, t)
+    loc = basis.eval_element(j, t, derivative)[:, 0]
+    conn = basis.conn[j] if constrained else basis.conn_full[j]
+    for k, g in enumerate(conn):
+        if g >= 0:
+            out[g] = loc[k]
+    return out
+
+
+def eval_basis(basis: TemporalBasis, global_dof: int, t, derivative=0):
+    """Value (derivative=1: time derivative) of one global basis function;
+    zero outside its support."""
+    if not 0 <= global_dof < basis.num_dofs:
+        raise IndexError(f"global dof {global_dof} out of range [0, {basis.num_dofs})")
+    t_arr = np.atleast_1d(np.asarray(t, dtype=float))
+    out = np.zeros_like(t_arr)
+    for j in range(basis.mesh.m):
+        if global_dof in basis.conn[j]:
+            k = basis.conn[j].index(global_dof)
+            a, b = basis.mesh.breakpoints[j], basis.mesh.breakpoints[j + 1]
+            inside = (t_arr >= a) & (t_arr <= b) if j == basis.mesh.m - 1 else (
+                (t_arr >= a) & (t_arr < b)
+            )
+            if np.any(inside):
+                out[inside] = basis.eval_element(j, t_arr[inside], derivative)[k]
+    return out if np.ndim(t) else float(out[0])
+
+
+def eval_coefficients(basis: TemporalBasis, coeffs, t, derivative=0, constrained=True):
+    """Evaluate the function with the given coefficient vector at times t in
+    [0, T] (right-continuous at breakpoints)."""
+    t_arr = np.atleast_1d(np.asarray(t, dtype=float))
+    bp = basis.mesh.breakpoints
+    elements = np.clip(np.searchsorted(bp, t_arr, side="right") - 1, 0, basis.mesh.m - 1)
+    out = basis_matrix(basis, t_arr, elements, derivative, constrained) @ coeffs
+    return out if np.ndim(t) else float(out[0])
+
+
+def nodal_at_time(sol, t, derivative=0):
+    """Full spatial nodal vector (Dirichlet zeros included) of a space-time
+    solution (derivative=1: of its time derivative) at time t."""
+    nodal = np.zeros(sol.spatial.mesh.num_vertices)
+    nodal[sol.spatial.interior] = eval_all(sol.basis, t, derivative) @ sol.coefficients
+    return nodal
+
+
+def temporal_error_functional(basis, coeffs, u, du, singular_first=False):
+    """The error surrogate sqrt(||e|| ||d_t e||) for purely temporal
+    functions (scalar IVP), on the error metric's temporal rule."""
+    mesh = basis.mesh
+    first = "power" if singular_first else None
+    t, w, elements = temporal_rule(mesh, mesh.degrees + TEMPORAL_EXTRA, first)
+    ev = basis_matrix(basis, t, elements) @ coeffs - u(t)
+    ed = basis_matrix(basis, t, elements, derivative=1) @ coeffs - du(t)
+    return functional_from_parts(w @ (ev * ev), w @ (ed * ed))

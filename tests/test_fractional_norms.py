@@ -2,7 +2,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from spacetime_hp.fractional_norms import (
+from spacetime_hp.quadrature import gauss_legendre
+
+from fractional_norms import (
     FourierExpansion,
     check_interpolation_inequality,
     check_poincare,
@@ -20,7 +22,6 @@ from spacetime_hp.fractional_norms import (
     slobodetskii_seminorm,
     slobodetskii_triple_norm,
 )
-from spacetime_hp.quadrature import gauss_legendre
 
 
 def _rand_expansion(rng, K=10, interval=(0.0, 2.0)):

@@ -1,31 +1,28 @@
 import numpy as np
 import pytest
 
-from spacetime_hp.fractional_norms import (
-    discrete_h12_norm_sq,
-    ht_matrix_oracle,
-)
 from spacetime_hp import spatial_fem
 from spacetime_hp.hilbert import (
-    HilbertQuadConfig,
+    SMOOTH_EXTRA,
     _corner_duffy_pieces,
     _diagonal_duffy_pieces,
     _near_log_order,
     _tensor_grid,
     assemble,
-    kernel,
     smooth_remainder,
 )
 from spacetime_hp.temporal_hp import (
     TemporalMesh,
     TemporalMeshSpec,
     build_mesh,
-    eval_basis,
     lobatto_shapes,
     make_basis,
     quasi_interpolant,
     uniform_mesh,
 )
+
+from fractional_norms import discrete_h12_norm_sq, ht_matrix_oracle
+from oracles import eval_basis, kernel
 
 
 def test_kernel_symmetry_and_spot_value():
@@ -98,7 +95,7 @@ def test_order_doubling_stability():
     mesh = TemporalMesh.from_arrays([0.0, 0.3, 0.8, 1.4, 2.0], [2, 4, 3, 6])
     basis = make_basis(mesh)
     tm = assemble(basis)
-    tm2 = assemble(basis, HilbertQuadConfig(multiplier=2.0))
+    tm2 = assemble(basis, multiplier=2.0)
     assert np.abs(tm.M_ht - tm2.M_ht).max() < 1e-10
     assert np.abs(tm.A_ht - tm2.A_ht).max() < 1e-10
 
@@ -178,7 +175,7 @@ def test_geometric_mesh_assembly_is_stable():
     mesh = build_mesh(TemporalMeshSpec(T=2, sigma=0.17, mu_hp=1.0, m1=8, m2=1))
     basis = make_basis(mesh)
     tm = assemble(basis)
-    tm2 = assemble(basis, HilbertQuadConfig(multiplier=1.5))
+    tm2 = assemble(basis, multiplier=1.5)
     assert np.abs(tm.A_ht - tm2.A_ht).max() < 1e-9 * max(1.0, np.abs(tm.A_ht).max())
     np.linalg.cholesky(0.5 * (tm.A_ht + tm.A_ht.T))
     assert np.abs(tm.A_ht - tm.A_ht.T).max() / np.abs(tm.A_ht).max() < 1e-9
@@ -192,7 +189,7 @@ def test_tensor_grid_is_cached_read_only():
         W[0] = 0.0
 
 
-def _pair_loop_assembly(basis, cfg=HilbertQuadConfig()):
+def _pair_loop_assembly(basis):
     # reference: every element pair on its own, all pieces concatenated into
     # one point set, shapes of the exact degrees, scalar scatter
     mesh = basis.mesh
@@ -203,10 +200,10 @@ def _pair_loop_assembly(basis, cfg=HilbertQuadConfig()):
     def tensor(i, j, delta, g):  # delta None: the analytic remainder's order
         q = int(p[i] + p[j])
         if delta is None:
-            nx = ny = cfg.scale(q + cfg.smooth_extra)
+            nx = ny = q + SMOOTH_EXTRA
         else:
-            nx = _near_log_order(bp[i + 1] - bp[i], delta, q, cfg)
-            ny = _near_log_order(bp[j + 1] - bp[j], delta, q, cfg)
+            nx = _near_log_order(bp[i + 1] - bp[i], delta, q, 1.0)
+            ny = _near_log_order(bp[j + 1] - bp[j], delta, q, 1.0)
         X, Y, W = _tensor_grid(nx, ny)
         s = bp[i] + (bp[i + 1] - bp[i]) * X
         t = bp[j] + (bp[j + 1] - bp[j]) * Y
@@ -216,10 +213,10 @@ def _pair_loop_assembly(basis, cfg=HilbertQuadConfig()):
         for j in range(m):
             hi, hj = bp[i + 1] - bp[i], bp[j + 1] - bp[j]
             pdeg = int(p[i] + p[j]) + 1
-            corner = _corner_duffy_pieces(hi, hj, pdeg, cfg)
+            corner = _corner_duffy_pieces(hi, hj, pdeg, 1.0)
             const = np.log(np.pi / (4.0 * T)) + (np.log(hi) if i == j else 0.0)
             if i == j:
-                pieces = _diagonal_duffy_pieces(pdeg, cfg)
+                pieces = _diagonal_duffy_pieces(pdeg, 1.0)
             elif j == i + 1:
                 pieces = [(1.0 - u, y, w) for u, y, w in corner]
             elif i == j + 1:

@@ -3,13 +3,9 @@ import pytest
 import scipy.integrate as si
 from hypothesis import given, settings, strategies as st
 
-from spacetime_hp.quadrature import (
-    gauss_legendre,
-    integrate_1d,
-    log_weighted_rule,
-    tensor_square_rule,
-    triangle_rule,
-)
+from spacetime_hp.quadrature import gauss_legendre, log_weighted_rule, triangle_rule
+
+from oracles import integrate_1d
 
 
 def test_gauss_legendre_small_closed_forms():
@@ -120,20 +116,19 @@ def test_convergence_monotone_for_exp():
 
 
 def test_triangle_rule_measure_and_exactness():
-    r = triangle_rule(7)
-    assert abs(r.weights.sum() - 0.5) < 1e-13
-    x, y = r.nodes[:, 0], r.nodes[:, 1]
     # exact integral of x^p y^q over the reference triangle: p! q! / (p+q+2)!
     from math import factorial
 
-    for p in range(4):
-        for q in range(3):
-            exact = factorial(p) * factorial(q) / factorial(p + q + 2)
-            assert np.dot(r.weights, x**p * y**q) == pytest.approx(exact, rel=1e-12)
-
-
-def test_tensor_square_rule():
-    r = tensor_square_rule(5)
-    assert abs(r.weights.sum() - 4.0) < 1e-13
-    x, y = r.nodes[:, 0], r.nodes[:, 1]
-    assert np.dot(r.weights, x**2 * y**4) == pytest.approx((2 / 3) * (2 / 5), rel=1e-12)
+    for n in range(3, 8):
+        r = triangle_rule(n)
+        assert len(r.weights) == n * n
+        assert abs(r.weights.sum() - 0.5) < 1e-13
+        assert r.degree_exactness == 2 * n - 2
+        x, y = r.nodes[:, 0], r.nodes[:, 1]
+        for p in range(2 * n - 1):
+            for q in range(2 * n - 1 - p):
+                exact = factorial(p) * factorial(q) / factorial(p + q + 2)
+                assert np.dot(r.weights, x**p * y**q) == pytest.approx(exact, rel=1e-12)
+        # and no further: x^(2n-1) is off by 1.2e-6 (n = 7) to 1.5e-2 (n = 3)
+        d = 2 * n - 1
+        assert np.dot(r.weights, x**d) != pytest.approx(factorial(d) / factorial(d + 2), rel=1e-7)
