@@ -219,11 +219,11 @@ def run_study(cfg: StudyConfig, log=print):
                 val_sq_elements=tuple(val_sq.tolist()),
                 der_sq_elements=tuple(der_sq.tolist()),
             )
-            records.append(rec)
             if cfg.export_meshes and prob.dimension == 2 and cfg.out:
                 out = Path(cfg.out)
                 out.mkdir(parents=True, exist_ok=True)
                 export_mesh(mesh_x, out / f"mesh_level{level}.txt")
+            records.append(rec)
             log(
                 f"level {level}: MN={MN} (M={M}, N={sx.N}) error={err:.3e} "
                 f"[{rec.wall_time:.1f}s]"
@@ -255,17 +255,14 @@ def main(argv=None):
     ap.add_argument("--out", default=None, help="override the output directory")
     args = ap.parse_args(argv)
     try:
-        text = Path(args.config).read_text()
-    except OSError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 1
-    try:
-        cfg = parse_config(text)
+        cfg = parse_config(Path(args.config).read_text())
         if args.levels is not None:
             cfg = replace(cfg, levels=args.levels)
         if args.out is not None:
             cfg = replace(cfg, out=args.out)
-    except ConfigError as exc:
+        if cfg.out:
+            Path(cfg.out).mkdir(parents=True, exist_ok=True)
+    except (ConfigError, OSError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 1
     records, failures = run_study(cfg)

@@ -198,9 +198,9 @@ def assemble(basis: TemporalBasis, multiplier=1.0) -> TemporalMatrices:
 
     The row index runs over the transformed (differentiated) side and must
     vanish at t=0; the column side of the cross mass matrix additionally
-    includes the vertex function at t=0, which the right-hand side projection
-    needs. `multiplier` scales every quadrature order (the order-doubling
-    checks pass 1.5 and 2).
+    includes the vertex function at t=0, which the load of the projected
+    forcing needs. `multiplier` scales every quadrature order (the
+    order-doubling checks pass 1.5 and 2).
     """
     mesh = basis.mesh
     T, m, p, bp = mesh.T, mesh.m, mesh.degrees, mesh.breakpoints
@@ -260,15 +260,13 @@ def assemble(basis: TemporalBasis, multiplier=1.0) -> TemporalMatrices:
         blk[i * m + j, : p[i] + 1, : p[j] + 1] += dNiw @ Nj.T
         blk[i * m + j, : p[i] + 1, P : P + p[j] + 1] += dNiw @ dNj.T
 
-    # one accumulation into the global arrays through padded connectivities;
-    # -1 marks the t=0 vertex row and the shapes beyond an element's degree
-    conn, conn_full = np.full((2, m, P), -1)
-    for j in range(m):
-        conn[j, : p[j] + 1], conn_full[j, : p[j] + 1] = basis.conn[j], basis.conn_full[j]
-    rows, cols = conn[I][:, :, None], conn_full[J][:, None, :]
+    # one accumulation into the global arrays: rows in the constrained space
+    # (dofs - 1), columns in the unconstrained one; negative indices mark the
+    # t=0 vertex row and the shapes beyond an element's degree
+    rows, cols = basis.dofs[I][:, :, None] - 1, basis.dofs[J][:, None, :]
     keep = (rows >= 0) & (cols >= 0)
-    idx = (rows * (basis.num_dofs + 1) + cols)[keep]
-    shape = (basis.num_dofs, basis.num_dofs + 1)
+    idx = (rows * basis.num_dofs_full + cols)[keep]
+    shape = (basis.num_dofs, basis.num_dofs_full)
     M_cross, A_cross = (
         np.bincount(idx, (scale * part)[keep], minlength=shape[0] * shape[1]).reshape(shape)
         for scale, part in (

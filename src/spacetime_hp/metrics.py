@@ -38,8 +38,9 @@ def l2q_error_element_parts(sol, prob, quad_mult=1.0):
     quad = SpatialQuadrature(sol.spatial.mesh)
     orders = np.maximum(2, ((mesh.degrees + TEMPORAL_EXTRA) * quad_mult).astype(int))
     t, w, elements = temporal_rule(mesh, orders, _first_rule(prob))
-    U = np.zeros((basis.num_dofs, sol.spatial.mesh.num_vertices))
-    U[:, sol.spatial.interior] = sol.coefficients
+    # full nodal coefficients, with a zero row for the vertex at t=0
+    U = np.zeros((basis.num_dofs_full, sol.spatial.mesh.num_vertices))
+    U[1:, sol.spatial.interior] = sol.coefficients
     phi = basis_matrix(basis, t, elements)
     dphi = basis_matrix(basis, t, elements, derivative=1)
     ev = prob.at(quad.points)
@@ -104,46 +105,6 @@ def eoc(records):
         return [None] * len(records)
     vals = rates([r.error for r in records], [r.width for r in records])
     return [None] + vals
-
-
-@dataclass(frozen=True)
-class ExpFit:
-    b: float
-    residual: float
-    ok: bool
-
-
-EXP_FIT_RESIDUAL_THRESHOLD = 0.05
-
-
-def exp_sqrt_fit(ms, errors):
-    """Least squares of log(e) against sqrt(M): returns the decay rate b in
-    e ~ exp(-b sqrt(M)) and the RMS residual of the fit."""
-    x = np.sqrt(np.asarray(ms, dtype=float))
-    y = np.log(np.asarray(errors, dtype=float))
-    A = np.column_stack([np.ones_like(x), -x])
-    coef, *_ = np.linalg.lstsq(A, y, rcond=None)
-    resid = float(np.sqrt(np.mean((A @ coef - y) ** 2)))
-    return float(coef[1]), resid
-
-
-def power_fit(xs, errors):
-    """Least squares of log(e) against log(x): returns the algebraic rate r
-    in e ~ x^(-r) and the RMS residual."""
-    x = np.log(np.asarray(xs, dtype=float))
-    y = np.log(np.asarray(errors, dtype=float))
-    A = np.column_stack([np.ones_like(x), -x])
-    coef, *_ = np.linalg.lstsq(A, y, rcond=None)
-    resid = float(np.sqrt(np.mean((A @ coef - y) ** 2)))
-    return float(coef[1]), resid
-
-
-def exp_fit(records) -> ExpFit:
-    """Exponential-decay diagnostic over records keyed by M."""
-    if len(records) < 4:
-        raise ValueError("need at least 4 records in the exponential regime")
-    b, resid = exp_sqrt_fit([r.M for r in records], [r.error for r in records])
-    return ExpFit(b=b, residual=resid, ok=resid <= EXP_FIT_RESIDUAL_THRESHOLD)
 
 
 RECORD_HEADER = "MN\tM\tN\th_x\tk_max\terror\teoc\twall_time"

@@ -206,10 +206,6 @@ class _Regular:
         return self.du_dt(t, E) - self.laplace(t, E)
 
 
-def u_reg(t, xy):
-    return _Regular(np.asarray(xy, dtype=float)).u(t)
-
-
 def _lshape_problem(name, tau, dtau, temporal_singularity):
     def at(xy):
         xy = np.asarray(xy, dtype=float)

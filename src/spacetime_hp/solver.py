@@ -3,8 +3,10 @@
     (A_t x M_x + M_t x A_x) u = G
 
 in the tensor basis (temporal transform matrices x spatial P1 matrices),
-with the right-hand side obtained from the space-time L2 projection of the
-forcing onto the unconstrained tensor space. Coefficients are stored
+with the right-hand side <Pi g, (H phi_k) psi_i> of the space-time L2
+projection Pi of the forcing onto the unconstrained tensor space. The test
+functions psi_i lie in the spatial P1 space and cancel the spatial half of
+Pi, so only the temporal projection is computed. Coefficients are stored
 temporal-major: row l of the coefficient array holds the spatial nodal vector
 of temporal basis function l.
 
@@ -70,34 +72,30 @@ class GlobalOperator:
 def _temporal_projection(basis: TemporalBasis, R):
     """Coefficients in the unconstrained temporal space of the L2 projection
     with moments R (one row per basis function, any number of columns)."""
-    Mt_full = temporal_mass(basis, constrained=False)
+    Mt_full = temporal_mass(basis)
     # geometric meshes span many orders of magnitude in element size; solve
     # the Jacobi-scaled system to keep the mass solve well conditioned
     d = 1.0 / np.sqrt(np.diag(Mt_full))
     return d[:, None] * la.solve(d[:, None] * Mt_full * d[None, :], d[:, None] * R, assume_a="pos")
 
 
-def project_rhs(prob, basis: TemporalBasis, sx: SpatialSystem):
-    """Space-time L2 projection of the forcing prob.g onto the unconstrained
-    tensor space (t=0 vertex and Dirichlet vertices included); returns the
-    (M+1) x num_vertices coefficient array."""
+def project_rhs(prob, basis: TemporalBasis, tm: TemporalMatrices, sx: SpatialSystem):
+    """Load array <Pi g, (H phi_k) psi_i> (shape M x N) of the space-time L2
+    projection Pi of the forcing prob.g onto the unconstrained tensor space.
+
+    Testing with the interior P1 functions psi_i cancels the spatial half of
+    Pi, so the load is M_cross applied to the temporal projection of the
+    moments int g phi_l psi_i."""
     mesh = basis.mesh
     quad = SpatialQuadrature(sx.mesh)
     first = "power" if prob.temporal_singularity else None
     t, w, elements = temporal_rule(mesh, mesh.degrees + LOAD_EXTRA, first)
-    phi_w = basis_matrix(basis, t, elements, constrained=False) * w[:, None]
+    phi_w = basis_matrix(basis, t, elements) * w[:, None]
     g = prob.at(quad.points).g
     R = np.zeros((basis.num_dofs_full, sx.mesh.num_vertices))
     for c in quad.time_chunks(len(t)):
         R += phi_w[c].T @ quad.moments(g(t[c, None]))
-    lu = spla.splu(sp.csc_matrix(sx.M_full))
-    return lu.solve(_temporal_projection(basis, R).T).T
-
-
-def rhs_from_projection(tm: TemporalMatrices, sx: SpatialSystem, ghat):
-    """Moments <Pi g, (H phi_k) psi_i> of the projected forcing against the
-    transformed test functions; returns the (M, N) load array."""
-    return tm.M_cross @ ghat @ sx.M_full[:, sx.interior]
+    return tm.M_cross @ _temporal_projection(basis, R[:, sx.interior])
 
 
 def solve(tm: TemporalMatrices, sx: SpatialSystem, G, basis: TemporalBasis | None = None) -> SpaceTimeSolution:
@@ -122,11 +120,8 @@ def solve(tm: TemporalMatrices, sx: SpatialSystem, G, basis: TemporalBasis | Non
 
 
 def solve_heat(prob, basis: TemporalBasis, tm: TemporalMatrices, sx: SpatialSystem):
-    """Full pipeline for a manufactured problem: project the forcing, build
-    the load, solve."""
-    ghat = project_rhs(prob, basis, sx)
-    G = rhs_from_projection(tm, sx, ghat)
-    return solve(tm, sx, G, basis=basis)
+    """Full pipeline for a manufactured problem: build the load, solve."""
+    return solve(tm, sx, project_rhs(prob, basis, tm, sx), basis=basis)
 
 
 def solve_parametric_ivp(mu, f, basis: TemporalBasis, tm: TemporalMatrices):
@@ -137,6 +132,6 @@ def solve_parametric_ivp(mu, f, basis: TemporalBasis, tm: TemporalMatrices):
         raise ValueError(f"parameter mu must be >= 0, got {mu}")
     mesh = basis.mesh
     t, w, elements = temporal_rule(mesh, mesh.degrees + LOAD_EXTRA)
-    mom = (np.asarray(f(t), dtype=float) * w) @ basis_matrix(basis, t, elements, constrained=False)
+    mom = (np.asarray(f(t), dtype=float) * w) @ basis_matrix(basis, t, elements)
     fhat = _temporal_projection(basis, mom[:, None])[:, 0]
     return la.solve(tm.A_ht + mu * tm.M_ht, tm.M_cross @ fhat)

@@ -251,8 +251,9 @@ def refine_graded(mesh: SpatialMesh2D, target_hx, beta, radius) -> SpatialMesh2D
 
 @dataclass(frozen=True)
 class SpatialSystem:
-    """Mass/stiffness matrices on the constrained space plus their
-    unconstrained counterparts (needed by the space-time L2 projection)."""
+    """Mass/stiffness matrices on the constrained space (interior vertices)
+    plus their unconstrained counterparts on all vertices, which the tests
+    read."""
 
     mesh: object
     M_x: sp.csr_matrix
@@ -378,7 +379,7 @@ class SpatialQuadrature:
             self.weights = (half[:, None] * rule.weights[None, :]).ravel()
             xi = 0.5 * (rule.nodes + 1.0)
             shape = np.column_stack([1.0 - xi, xi])  # (q, 2)
-            conn = np.column_stack([np.arange(len(v) - 1), np.arange(1, len(v))])
+            cells = np.column_stack([np.arange(len(v) - 1), np.arange(1, len(v))])
         else:
             rule = triangle_rule(degree + 1)
             x, y = rule.nodes[:, 0], rule.nodes[:, 1]
@@ -386,9 +387,9 @@ class SpatialQuadrature:
             p = mesh.vertices[mesh.triangles]  # (nt, 3, 2)
             self.points = np.einsum("qk,nkd->nqd", shape, p).reshape(-1, 2)
             self.weights = (2.0 * mesh.areas[:, None] * rule.weights[None, :]).ravel()
-            conn = mesh.triangles
-        # point e*q + i of element e carries shape[i, k] at vertex conn[e, k]
-        cols = np.broadcast_to(conn[:, None, :], (len(conn),) + shape.shape)
+            cells = mesh.triangles
+        # point e*q + i of element e carries shape[i, k] at vertex cells[e, k]
+        cols = np.broadcast_to(cells[:, None, :], (len(cells),) + shape.shape)
         data = np.broadcast_to(shape, cols.shape)
         rows = np.repeat(np.arange(len(self.weights)), shape.shape[1])
         self.P = sp.csr_matrix(

@@ -167,30 +167,25 @@ def lobatto_shapes(p, xi):
 class TemporalBasis:
     """Lobatto hierarchical basis on a temporal mesh.
 
-    conn[j] holds the global DOF indices of the local shapes (N_1, N_2,
-    bubbles) of element j; the vertex at t=0 carries index -1 and is excluded
-    from the constrained space. conn_full numbers the same shapes in the
-    unconstrained space (t=0 vertex first).
+    dofs[j, k] is the index of local shape k (N_1, N_2, then the bubbles) of
+    element j in the unconstrained space, whose index 0 is the vertex at t=0;
+    the constrained space drops that vertex, so its indices are dofs - 1.
+    Slots beyond an element's degree hold -1.
     """
 
     mesh: TemporalMesh
-    conn: tuple = field(default=())
-    conn_full: tuple = field(default=())
+    dofs: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        m = self.mesh.m
-        p = self.mesh.degrees
-        conn = []
-        conn_full = []
-        bubble = m  # constrained numbering: vertices t_1..t_m occupy 0..m-1
-        for j in range(m):
-            loc = [j - 1, j] + list(range(bubble, bubble + p[j] - 1))
-            loc_full = [j, j + 1] + [g + m + 1 for g in range(bubble - m, bubble - m + p[j] - 1)]
-            bubble += p[j] - 1
-            conn.append(tuple(loc))
-            conn_full.append(tuple(loc_full))
-        object.__setattr__(self, "conn", tuple(conn))
-        object.__setattr__(self, "conn_full", tuple(conn_full))
+        m, p = self.mesh.m, self.mesh.degrees
+        dofs = np.full((m, int(p.max()) + 1), -1)
+        dofs[:, 0], dofs[:, 1] = np.arange(m), np.arange(1, m + 1)
+        # the bubbles of element j follow the m+1 vertices and those of elements < j
+        k = np.arange(dofs.shape[1] - 2)
+        first = m + 1 + np.cumsum(p - 1) - (p - 1)
+        dofs[:, 2:] = np.where(k < (p - 1)[:, None], first[:, None] + k, -1)
+        dofs.setflags(write=False)
+        object.__setattr__(self, "dofs", dofs)
 
     @property
     def num_dofs(self):
@@ -266,16 +261,15 @@ def temporal_rule(mesh: TemporalMesh, orders, first=None):
     return np.concatenate(nodes), np.concatenate(weights), elements
 
 
-def basis_matrix(basis: TemporalBasis, t, elements, derivative=0, constrained=True):
-    """Values (derivative=1: t-derivatives) of all basis functions at the
-    nodes t, as a (nodes x dofs) array; elements[i] is the element of t[i]."""
-    conns = basis.conn if constrained else basis.conn_full
-    out = np.zeros((len(t), basis.num_dofs if constrained else basis.num_dofs_full))
+def basis_matrix(basis: TemporalBasis, t, elements, derivative=0):
+    """Values (derivative=1: t-derivatives) of all basis functions of the
+    unconstrained space at the nodes t, as a (nodes x dofs) array whose
+    column 0 is the vertex at t=0; elements[i] is the element of t[i]."""
+    out = np.zeros((len(t), basis.num_dofs_full))
     for j in np.unique(elements):
         rows = np.nonzero(elements == j)[0]
-        cols = np.asarray(conns[j])
-        kept = cols >= 0
-        out[np.ix_(rows, cols[kept])] = basis.eval_element(j, t[rows], derivative)[kept].T
+        cols = basis.dofs[j, : basis.mesh.degrees[j] + 1]
+        out[np.ix_(rows, cols)] = basis.eval_element(j, t[rows], derivative).T
     return out
 
 
@@ -312,22 +306,14 @@ def quasi_interpolant(basis: TemporalBasis, v, dv):
         for ell in range(3, p + 2):
             k = ell - 2
             c = (2 * k + 1) / 2.0 * np.dot(rule.weights, dv_ref * L[k])
-            coeffs[basis.conn[j][ell - 1]] = c
+            coeffs[basis.dofs[j, ell - 1] - 1] = c
     return coeffs
 
 
-def temporal_mass(basis: TemporalBasis, constrained=True):
-    """Plain temporal mass matrix (no Hilbert transform) of the chosen space."""
-    n = basis.num_dofs if constrained else basis.num_dofs_full
-    out = np.zeros((n, n))
-    conns = basis.conn if constrained else basis.conn_full
-    for j in range(basis.mesh.m):
-        p = int(basis.mesh.degrees[j])
-        k = basis.mesh.element_lengths[j]
-        rule = gauss_legendre(p + 2)
-        vals, _ = lobatto_shapes(p, rule.nodes)
-        local = (vals * rule.weights) @ vals.T * (k / 2.0)
-        gids = np.asarray(conns[j])
-        kept = gids >= 0
-        out[np.ix_(gids[kept], gids[kept])] += local[np.ix_(kept, kept)]
-    return out
+def temporal_mass(basis: TemporalBasis):
+    """Plain temporal mass matrix (no Hilbert transform) of the unconstrained
+    space: the Gram matrix of basis_matrix on p_j + 1 Gauss points per
+    element, exact for the degree-2p_j products."""
+    t, w, elements = temporal_rule(basis.mesh, basis.mesh.degrees + 1)
+    B = basis_matrix(basis, t, elements)
+    return (B.T * w) @ B

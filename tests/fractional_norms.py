@@ -271,7 +271,7 @@ def basis_mode_moments(basis: TemporalBasis, K, pts_per_wavelength=12):
         w = (half[:, None] * rule.weights[None, :]).ravel()
         vals = (basis.eval_element(j, t) * w).T
         ders = (basis.eval_element(j, t, derivative=1) * w).T
-        gids = np.array(basis.conn[j])
+        gids = basis.dofs[j, : mesh.degrees[j] + 1] - 1
         keep = gids >= 0
         for lo in range(0, K, 256):
             hi = min(lo + 256, K)

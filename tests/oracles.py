@@ -42,45 +42,44 @@ def element_of(basis: TemporalBasis, t):
     return min(max(j, 0), basis.mesh.m - 1)
 
 
-def eval_all(basis: TemporalBasis, t, derivative=0, constrained=True):
-    """Vector of all basis function values at scalar time t."""
-    n = basis.num_dofs if constrained else basis.num_dofs_full
-    out = np.zeros(n)
+def eval_all(basis: TemporalBasis, t, derivative=0):
+    """Vector of all basis function values of the unconstrained space (index
+    0: the vertex at t=0) at scalar time t."""
+    out = np.zeros(basis.num_dofs_full)
     j = element_of(basis, t)
     loc = basis.eval_element(j, t, derivative)[:, 0]
-    conn = basis.conn[j] if constrained else basis.conn_full[j]
-    for k, g in enumerate(conn):
+    for k, g in enumerate(basis.dofs[j]):
         if g >= 0:
             out[g] = loc[k]
     return out
 
 
 def eval_basis(basis: TemporalBasis, global_dof: int, t, derivative=0):
-    """Value (derivative=1: time derivative) of one global basis function;
-    zero outside its support."""
+    """Value (derivative=1: time derivative) of one global basis function of
+    the constrained space; zero outside its support."""
     if not 0 <= global_dof < basis.num_dofs:
         raise IndexError(f"global dof {global_dof} out of range [0, {basis.num_dofs})")
     t_arr = np.atleast_1d(np.asarray(t, dtype=float))
     out = np.zeros_like(t_arr)
     for j in range(basis.mesh.m):
-        if global_dof in basis.conn[j]:
-            k = basis.conn[j].index(global_dof)
+        local = np.flatnonzero(basis.dofs[j] == global_dof + 1)
+        if local.size:
             a, b = basis.mesh.breakpoints[j], basis.mesh.breakpoints[j + 1]
             inside = (t_arr >= a) & (t_arr <= b) if j == basis.mesh.m - 1 else (
                 (t_arr >= a) & (t_arr < b)
             )
             if np.any(inside):
-                out[inside] = basis.eval_element(j, t_arr[inside], derivative)[k]
+                out[inside] = basis.eval_element(j, t_arr[inside], derivative)[local[0]]
     return out if np.ndim(t) else float(out[0])
 
 
-def eval_coefficients(basis: TemporalBasis, coeffs, t, derivative=0, constrained=True):
-    """Evaluate the function with the given coefficient vector at times t in
-    [0, T] (right-continuous at breakpoints)."""
+def eval_coefficients(basis: TemporalBasis, coeffs, t, derivative=0):
+    """Evaluate the function with the given coefficient vector of the
+    constrained space at times t in [0, T] (right-continuous at breakpoints)."""
     t_arr = np.atleast_1d(np.asarray(t, dtype=float))
     bp = basis.mesh.breakpoints
     elements = np.clip(np.searchsorted(bp, t_arr, side="right") - 1, 0, basis.mesh.m - 1)
-    out = basis_matrix(basis, t_arr, elements, derivative, constrained) @ coeffs
+    out = basis_matrix(basis, t_arr, elements, derivative)[:, 1:] @ coeffs
     return out if np.ndim(t) else float(out[0])
 
 
@@ -88,7 +87,7 @@ def nodal_at_time(sol, t, derivative=0):
     """Full spatial nodal vector (Dirichlet zeros included) of a space-time
     solution (derivative=1: of its time derivative) at time t."""
     nodal = np.zeros(sol.spatial.mesh.num_vertices)
-    nodal[sol.spatial.interior] = eval_all(sol.basis, t, derivative) @ sol.coefficients
+    nodal[sol.spatial.interior] = eval_all(sol.basis, t, derivative)[1:] @ sol.coefficients
     return nodal
 
 
@@ -98,6 +97,6 @@ def temporal_error_functional(basis, coeffs, u, du, singular_first=False):
     mesh = basis.mesh
     first = "power" if singular_first else None
     t, w, elements = temporal_rule(mesh, mesh.degrees + TEMPORAL_EXTRA, first)
-    ev = basis_matrix(basis, t, elements) @ coeffs - u(t)
-    ed = basis_matrix(basis, t, elements, derivative=1) @ coeffs - du(t)
+    ev = basis_matrix(basis, t, elements)[:, 1:] @ coeffs - u(t)
+    ed = basis_matrix(basis, t, elements, derivative=1)[:, 1:] @ coeffs - du(t)
     return functional_from_parts(w @ (ev * ev), w @ (ed * ed))

@@ -167,8 +167,7 @@ def test_outputs_deterministic(tmp_path):
     assert (a / "records.tsv").exists()
 
 
-def test_mesh_export_option(tmp_path):
-    text = """
+MESH_EXPORT_STUDY = """
 [study]
 problem = u2
 levels = 1
@@ -184,8 +183,34 @@ initial_level = 1
 beta = 0.6
 radius = 0.25
 export_meshes = true
-""".format(out=tmp_path / "meshes")
-    cfg = parse_config(text)
+"""
+
+
+def test_mesh_export_option(tmp_path):
+    cfg = parse_config(MESH_EXPORT_STUDY.format(out=tmp_path / "meshes"))
     records, failures = run_study(cfg, log=lambda *a, **k: None)
     assert failures == []
     assert (tmp_path / "meshes" / "mesh_level0.txt").exists()
+
+
+def test_failed_mesh_export_fails_the_level(tmp_path):
+    # the output path is a file, so the export fails: the level counts as
+    # failed and not also as completed
+    out = tmp_path / "taken"
+    out.write_text("")
+    cfg = parse_config(MESH_EXPORT_STUDY.format(out=out))
+    records, failures = run_study(cfg, log=lambda *a, **k: None)
+    assert records == []
+    assert [level for level, _ in failures] == [0]
+    assert failures[0][1].startswith("FileExistsError")
+
+
+def test_main_rejects_unusable_output_path(tmp_path, capsys):
+    cfg_path = tmp_path / "study.cfg"
+    cfg_path.write_text(U1_SMALL)
+    out = tmp_path / "taken"
+    out.write_text("")
+    assert main([str(cfg_path), "--levels", "1", "--out", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("config error: ")
+    assert captured.out == ""  # no level ran

@@ -237,8 +237,8 @@ def _pair_loop_assembly(basis):
             x, y, w = (np.concatenate(v) for v in zip(*pieces))
             _, dNi = lobatto_shapes(p[i], 2.0 * x - 1.0)
             Nj, dNj = lobatto_shapes(p[j], 2.0 * y - 1.0)
-            for a, gk in enumerate(basis.conn[i]):
-                for b, gl in enumerate(basis.conn_full[j]):
+            for a, gk in enumerate(basis.dofs[i, : p[i] + 1] - 1):
+                for b, gl in enumerate(basis.dofs[j, : p[j] + 1]):
                     if gk >= 0:
                         Mc[gk, gl] -= 2.0 * hj / np.pi * np.sum(dNi[a] * w * Nj[b])
                         Ac[gk, gl] -= 4.0 / np.pi * np.sum(dNi[a] * w * dNj[b])

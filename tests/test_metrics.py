@@ -8,9 +8,7 @@ from spacetime_hp.metrics import (
     emit_records,
     eoc,
     error_functional,
-    exp_fit,
     l2q_error_element_parts,
-    power_fit,
     rates,
 )
 from spacetime_hp import spatial_fem
@@ -33,6 +31,7 @@ from spacetime_hp.temporal_hp import (
     uniform_mesh,
 )
 
+from fits import exp_fit, power_fit
 from fractional_norms import FourierExpansion, h12_norm_fourier
 from oracles import nodal_at_time, temporal_error_functional
 

@@ -152,9 +152,9 @@ def test_forcing_consistency_fd(factory):
 def test_u3_temporal_factor():
     prob = problem_u3()
     pt = np.array([[-0.1, -0.1]])
-    from spacetime_hp.problems import u_reg
+    from spacetime_hp.problems import _Regular
 
-    sing = prob.u_exact(1.0, pt) - u_reg(1.0, pt)
+    sing = prob.u_exact(1.0, pt) - _Regular(pt).u(1.0)
     base = cutoff(np.hypot(0.1, 0.1)) * corner_singular(pt)
     assert sing[0] / base[0] == pytest.approx(np.exp(-1.0), abs=1e-12)
 

@@ -8,7 +8,6 @@ from spacetime_hp.problems import ManufacturedProblem, problem_u1, problem_u3
 from spacetime_hp.solver import (
     GlobalOperator,
     project_rhs,
-    rhs_from_projection,
     solve,
     solve_heat,
     solve_parametric_ivp,
@@ -55,38 +54,40 @@ def small_setup():
     return basis, tm, sx
 
 
+def _tensor_load(tm, sx, ct, cx):
+    """Load of the tensor function with temporal coefficients ct (t=0 vertex
+    included) and spatial nodal values cx, tested with (H phi_k) psi_i."""
+    return np.outer(tm.M_cross @ ct, (sx.M_full @ cx)[sx.interior])
+
+
+def _assert_load(G, ref, tol):
+    assert np.abs(G - ref).max() <= tol * np.abs(ref).max()
+
+
 def test_projection_reproduces_constants(small_setup):
     basis, tm, sx = small_setup
-    ghat = project_rhs(_forcing(lambda t, x: np.ones_like(x)), basis, sx)
-    # vertex coefficients 1, bubble coefficients 0 -> evaluates to one everywhere
-    rng = np.random.default_rng(0)
-    ts = rng.uniform(0, 2, 5)
-    for t in ts:
-        phi = eval_all(basis, t, constrained=False)
-        vals = phi @ ghat
-        assert vals == pytest.approx(np.ones(sx.mesh.num_vertices), abs=1e-12)
+    G = project_rhs(_forcing(lambda t, x: np.ones_like(x)), basis, tm, sx)
+    # vertex coefficients 1 (p = 1: no bubbles) in time, nodal values 1 in space
+    _assert_load(G, _tensor_load(tm, sx, np.ones(basis.num_dofs_full), np.ones(sx.mesh.num_vertices)), 1e-12)
 
 
 def test_projection_exact_for_low_order_polynomials(small_setup):
     basis, tm, sx = small_setup
     g = lambda t, x: (1.0 + 2.0 * t) * (3.0 - x)
-    ghat = project_rhs(_forcing(g), basis, sx)
-    for t in (0.1, 0.9, 1.7):
-        phi = eval_all(basis, t, constrained=False)
-        assert phi @ ghat == pytest.approx(g(t, sx.mesh.vertices), abs=1e-11)
+    G = project_rhs(_forcing(g), basis, tm, sx)
+    ct = 1.0 + 2.0 * basis.mesh.breakpoints  # P1 in time, P1 in space: Pi g = g
+    _assert_load(G, _tensor_load(tm, sx, ct, 3.0 - sx.mesh.vertices), 1e-11)
 
 
 def test_projection_preserves_mean_lshape():
     mesh2 = refine_uniform(lshape_mesh())
     sx = assemble_spatial(mesh2)
     basis = make_basis(uniform_mesh(2.0, 3, 2))
-    ghat = project_rhs(_forcing(lambda t, xy: np.ones(len(xy)), dimension=2), basis, sx)
-    Mt = temporal_mass(basis, constrained=False)
+    tm = assemble(basis)
+    G = project_rhs(_forcing(lambda t, xy: np.ones(len(xy)), dimension=2), basis, tm, sx)
     ct = np.zeros(basis.num_dofs_full)
-    ct[: basis.mesh.m + 1] = 1.0  # coefficients of the constant 1 in time
-    cx = np.ones(sx.mesh.num_vertices)
-    integral = ct @ Mt @ ghat @ (sx.M_full @ cx)
-    assert integral == pytest.approx(6.0, abs=1e-10)
+    ct[: basis.mesh.m + 1] = 1.0  # coefficients of the constant 1 in time, bubbles 0
+    _assert_load(G, _tensor_load(tm, sx, ct, np.ones(sx.mesh.num_vertices)), 1e-10)
 
 
 def test_global_operator_matches_materialization(small_setup):
@@ -157,9 +158,7 @@ def test_manufactured_polynomial_exactness():
     basis = make_basis(uniform_mesh(2.0, 2, 1))
     tm = assemble(basis)
     sx = assemble_spatial(uniform_interval_mesh((0, 1), 64))
-    ghat = project_rhs(_forcing(prob_g), basis, sx)
-    G = rhs_from_projection(tm, sx, ghat)
-    sol = solve(tm, sx, G, basis=basis)
+    sol = solve(tm, sx, project_rhs(_forcing(prob_g), basis, tm, sx), basis=basis)
     from spacetime_hp.quadrature import gauss_legendre
 
     rule = gauss_legendre(20)
@@ -211,7 +210,7 @@ def test_discrete_stability_under_refinement():
         basis = make_basis(uniform_mesh(2.0, m, 1))
         tm = assemble(basis)
         sol = solve_heat(prob, basis, tm, sx)
-        Mt_c = temporal_mass(basis, constrained=True)
+        Mt_c = temporal_mass(basis)[1:, 1:]
         U = sol.coefficients
         unorm = np.sqrt(np.sum(U * (Mt_c @ U @ sx.M_x.toarray())))
         ratios.append(unorm / np.sqrt(6.0))  # ||g||_L2(Q) = sqrt(|Q|) for g = 1
@@ -249,14 +248,13 @@ def _moments_node_by_node(prob, basis, sx):
         else:
             rule = element_gauss(mesh, j, n)
         for t, wt in zip(*rule):
-            R += wt * np.outer(eval_all(basis, t, constrained=False), quad.moments(prob.g(t, quad.points)))
+            R += wt * np.outer(eval_all(basis, t), quad.moments(prob.g(t, quad.points)))
     return R
 
 
 @pytest.mark.parametrize("chunk_entries", [spatial_fem._CHUNK_ENTRIES, 200], ids=["default", "small-chunks"])
 @pytest.mark.parametrize("case", ["u1-uniform", "u1-hp", "u3-graded"])
 def test_projection_matches_node_by_node_loop(case, chunk_entries, monkeypatch):
-    # the projection solves (M_t (x) M_x) ghat = R for the moments R
     if case == "u1-uniform":
         prob, mesh_t, mesh_x = problem_u1(), uniform_mesh(2.0, 4, 1), uniform_interval_mesh((0, 1), 8)
     elif case == "u1-hp":
@@ -267,9 +265,14 @@ def test_projection_matches_node_by_node_loop(case, chunk_entries, monkeypatch):
         mesh_x = refine_graded(lshape_mesh(), 0.5**1.5, 0.6, 0.25)
         prob, mesh_t = problem_u3(), build_mesh(spec)
     basis = make_basis(mesh_t)
+    tm = assemble(basis)
     sx = assemble_spatial(mesh_x)
     monkeypatch.setattr(spatial_fem, "_CHUNK_ENTRIES", chunk_entries)
-    ghat = project_rhs(prob, basis, sx)
+    G = project_rhs(prob, basis, tm, sx)
     R = _moments_node_by_node(prob, basis, sx)
-    got = temporal_mass(basis, constrained=False) @ ghat @ sx.M_full
-    assert np.abs(got - R).max() <= 1e-12 * np.abs(R).max()
+    # two steps: project onto the unconstrained tensor space, then test with
+    # (H phi_k) psi_i; the load skips the spatial projection that cancels
+    M_full = sx.M_full.toarray()
+    ghat = la.solve(M_full, la.solve(temporal_mass(basis), R).T).T
+    ref = tm.M_cross @ ghat @ M_full[:, sx.interior]
+    assert np.abs(G - ref).max() <= 1e-12 * np.abs(ref).max()

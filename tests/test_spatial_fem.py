@@ -16,6 +16,8 @@ from spacetime_hp.spatial_fem import (
     uniform_interval_mesh,
 )
 
+from fits import power_fit
+
 
 def test_uniform_interval_mesh():
     mesh = uniform_interval_mesh((0, 1), 4)
@@ -237,8 +239,6 @@ def test_graded_mesh_rate_recovery():
         e, n = _poisson_l2_error(g)
         errs_g.append(e)
         ns_g.append(n)
-    from spacetime_hp.metrics import power_fit
-
     rate_u, _ = power_fit(ns_u, errs_u)
     rate_g, _ = power_fit(ns_g, errs_g)
     assert rate_u == pytest.approx(2.0 / 3.0, abs=0.1)

@@ -126,7 +126,7 @@ def test_eval_basis_nodal_vertex_property():
 def test_eval_basis_bubble_midpoint_value():
     # N_3 at the element midpoint equals int_{-1}^0 L_1 = -1/2
     basis = make_basis(uniform_mesh(2.0, 1, 3))
-    g3 = basis.conn[0][2]
+    g3 = basis.dofs[0, 2] - 1
     assert eval_basis(basis, g3, 1.0) == pytest.approx(-0.5, abs=1e-14)
     assert eval_basis(basis, g3, 0.0) == 0.0
     assert eval_basis(basis, g3, 2.0) == 0.0
@@ -146,10 +146,19 @@ def test_all_basis_functions_vanish_at_zero():
 
 
 def test_connectivity_excludes_origin_vertex():
+    # unconstrained indices: the t=0 vertex is 0, -1 pads beyond the degree
     basis = make_basis(uniform_mesh(1, 3, 2))
-    assert basis.conn[0][0] == -1
-    assert basis.conn_full[0][0] == 0
+    assert basis.dofs.tolist() == [[0, 1, 4], [1, 2, 5], [2, 3, 6]]
     assert basis.num_dofs_full == basis.num_dofs + 1
+    basis = make_basis(build_mesh(TemporalMeshSpec(T=2, sigma=0.31, mu_hp=2.0, m1=3, m2=1)))
+    assert list(basis.mesh.degrees) == [1, 4, 6, 6]
+    assert basis.dofs.tolist() == [
+        [0, 1, -1, -1, -1, -1, -1],
+        [1, 2, 5, 6, 7, -1, -1],
+        [2, 3, 8, 9, 10, 11, 12],
+        [3, 4, 13, 14, 15, 16, 17],
+    ]
+    assert not basis.dofs.flags.writeable
 
 
 def test_quasi_interpolant_linear_exact():
@@ -231,7 +240,7 @@ def test_hp_projection_error_decays_exponentially():
 def test_temporal_mass_against_quadrature():
     mesh = build_mesh(TemporalMeshSpec(T=2, sigma=0.31, mu_hp=2.0, m1=3, m2=1))
     basis = make_basis(mesh)
-    M = temporal_mass(basis, constrained=True)
+    M = temporal_mass(basis)[1:, 1:]
     rng = np.random.default_rng(3)
     x = rng.standard_normal(basis.num_dofs)
     y = rng.standard_normal(basis.num_dofs)
@@ -291,8 +300,10 @@ def test_temporal_rule_geometric_first_element():
 @pytest.mark.parametrize("constrained", [True, False])
 @pytest.mark.parametrize("derivative", [0, 1])
 def test_basis_matrix_rows_are_basis_values(constrained, derivative):
+    # the constrained space is the unconstrained one without the t=0 vertex
     basis = make_basis(build_mesh(TemporalMeshSpec(T=2, sigma=0.31, mu_hp=2.0, m1=3, m2=1)))
     t, _, elements = temporal_rule(basis.mesh, basis.mesh.degrees + 2)
-    B = basis_matrix(basis, t, elements, derivative=derivative, constrained=constrained)
-    rows = [eval_all(basis, ti, derivative=derivative, constrained=constrained) for ti in t]
+    first = 1 if constrained else 0
+    B = basis_matrix(basis, t, elements, derivative=derivative)[:, first:]
+    rows = [eval_all(basis, ti, derivative=derivative)[first:] for ti in t]
     assert np.array_equal(B, np.array(rows))
