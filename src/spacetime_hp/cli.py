@@ -67,8 +67,13 @@ class StudyConfig:
             raise ConfigError(
                 f"[study] problem: unknown problem {self.problem!r}; choose from {sorted(PROBLEMS)}"
             )
-        if self.levels < 1:
-            raise ConfigError("[study] levels: need at least 1 level")
+        for name, (bound, inclusive) in _LOWER_BOUNDS.items():
+            value = getattr(self, name)
+            # NaN fails both comparisons
+            if not (value >= bound if inclusive else value > bound):
+                raise ConfigError(
+                    f"{_KEY_OF[name]}: must be {'>=' if inclusive else '>'} {bound}, got {value}"
+                )
         if self.temporal_scheme not in ("uniform", "p", "hp"):
             raise ConfigError(
                 f"[temporal] scheme: unknown scheme {self.temporal_scheme!r} (uniform|p|hp)"
@@ -77,8 +82,6 @@ class StudyConfig:
             raise ConfigError(
                 f"[temporal] sigma: grading parameter must satisfy sigma in (0,1), got {self.sigma}"
             )
-        if self.temporal_scheme == "hp" and self.mu_hp < 1.0:
-            raise ConfigError(f"[temporal] mu_hp: slope parameter must be >= 1, got {self.mu_hp}")
         if self.spatial_scheme not in ("uniform", "graded"):
             raise ConfigError(
                 f"[spatial] scheme: unknown scheme {self.spatial_scheme!r} (uniform|graded)"
@@ -108,6 +111,22 @@ _KEYS = {
     ("spatial", "beta"): ("beta", float),
     ("spatial", "radius"): ("radius", float),
     ("spatial", "export_meshes"): ("export_meshes", bool),
+}
+
+_KEY_OF = {name: f"[{section}] {key}" for (section, key), (name, _) in _KEYS.items()}
+
+# (lower bound, bound allowed) of the numeric StudyConfig fields
+_LOWER_BOUNDS = {
+    "levels": (1, True),
+    "temporal_p": (1, True),
+    "temporal_m0": (1, True),
+    "temporal_m": (1, True),
+    "mu_hp": (1.0, True),
+    "m1_factor": (0.0, False),
+    "m2": (0, True),
+    "initial_elements": (2, True),
+    "initial_level": (0, True),
+    "radius": (0.0, False),
 }
 
 

@@ -28,7 +28,7 @@ index-array accumulation.
 
 from dataclasses import dataclass
 from functools import lru_cache
-from math import ceil, log, sqrt
+from math import ceil, log
 
 import numpy as np
 
@@ -88,11 +88,13 @@ class TemporalMatrices:
 def _near_log_order(h, delta, pdeg, multiplier):
     # Gauss order for a log singularity at distance delta beyond an interval
     # of length h: error ~ rho^(-2n) with the Bernstein ellipse radius rho.
-    r = 1.0 + 2.0 * max(delta, 1e-300) / h
-    rho = r + sqrt(r * r - 1.0)
-    n_analytic = ceil(TARGET_EXPONENT / log(rho)) if rho > 1.0 else MAX_ORDER
-    n = max(pdeg // 2 + 4, n_analytic)
-    return _scaled(min(n, MAX_ORDER), multiplier)
+    # Elementwise over arrays of (h, delta, pdeg).
+    r = 1.0 + 2.0 * np.maximum(delta, 1e-300) / h
+    rho = r + np.sqrt(r * r - 1.0)
+    with np.errstate(divide="ignore"):
+        n_analytic = np.where(rho > 1.0, np.ceil(TARGET_EXPONENT / np.log(rho)), MAX_ORDER)
+    n = np.minimum(np.maximum(pdeg // 2 + 4, n_analytic), MAX_ORDER)
+    return np.maximum(2, np.ceil(n * multiplier)).astype(int)
 
 
 @lru_cache(maxsize=64)
@@ -158,19 +160,6 @@ def _diagonal_duffy_pieces(pdeg, multiplier):
     W = np.outer(w_rad, lr.weights) * X
     pieces.append((X.ravel(), (X * (1.0 - VH)).ravel(), W.ravel()))
     return pieces
-
-
-def _log_orders(h, delta, pdeg, multiplier):
-    """_near_log_order over arrays of (h, delta, pdeg), evaluated once per
-    distinct triple: a uniform mesh repeats a few hundred triples across
-    tens of thousands of pairs."""
-    code = 0  # one integer per distinct triple (np.unique over rows sorts slowly)
-    for v in (h, delta, pdeg):
-        u, inv = np.unique(v, return_inverse=True)
-        code = code * len(u) + inv
-    _, first, inv = np.unique(code, return_index=True, return_inverse=True)
-    n = np.array([_near_log_order(h[k], delta[k], int(pdeg[k]), multiplier) for k in first])
-    return n[inv]
 
 
 def _singular_pieces(mesh: TemporalMesh, multiplier):
@@ -241,8 +230,8 @@ def assemble(basis: TemporalBasis, multiplier=1.0) -> TemporalMatrices:
         if delta is None:
             nx = ny = smooth_order[pp[k]]
         else:
-            hk, dk, pk = np.r_[h[I[k]], h[J[k]]], np.r_[delta[k], delta[k]], np.r_[pp[k], pp[k]]
-            nx, ny = _log_orders(hk, dk, pk, multiplier).reshape(2, -1)
+            nx = _near_log_order(h[I[k]], delta[k], pp[k], multiplier)
+            ny = _near_log_order(h[J[k]], delta[k], pp[k], multiplier)
         for gx, gy in sorted(set(zip(nx.tolist(), ny.tolist()))):
             kg = k[(nx == gx) & (ny == gy)]
             X, Y, W = (v.reshape(gx, gy) for v in _tensor_grid(gx, gy))

@@ -3,10 +3,9 @@
 The computable error surrogate is [v] = sqrt(||v||_L2(Q) * ||d_t v||_L2(Q)),
 which dominates the fractional-in-time, L2-in-space error norm. Both L2(Q)
 norms are evaluated on one space-time quadrature: the exact data once per
-spatial point set, the temporal nodes in bounded chunks; the first temporal
-element gets special treatment when the exact solution carries a startup
-singularity (power substitution) or is a stiff series (geometric composite
-subdivision).
+spatial point set, the temporal nodes in bounded chunks, on the temporal
+rule of temporal_hp.temporal_rule, whose first element absorbs the
+solution's non-smoothness at t = 0.
 """
 
 from dataclasses import dataclass
@@ -15,15 +14,6 @@ import numpy as np
 
 from .spatial_fem import SpatialQuadrature
 from .temporal_hp import basis_matrix, temporal_rule
-
-
-def _first_rule(prob):
-    """First-element rule suited to the exact solution's behavior near t = 0."""
-    if prob.temporal_singularity:
-        return "power"
-    if prob.series_truncation is not None:
-        return "geometric"
-    return None
 
 
 # Gauss points per temporal element beyond its degree, before quad_mult
@@ -37,7 +27,7 @@ def l2q_error_element_parts(sol, prob, quad_mult=1.0):
     mesh = basis.mesh
     quad = SpatialQuadrature(sol.spatial.mesh)
     orders = np.maximum(2, ((mesh.degrees + TEMPORAL_EXTRA) * quad_mult).astype(int))
-    t, w, elements = temporal_rule(mesh, orders, _first_rule(prob))
+    t, w, elements = temporal_rule(mesh, orders)
     # full nodal coefficients, with a zero row for the vertex at t=0
     U = np.zeros((basis.num_dofs_full, sol.spatial.mesh.num_vertices))
     U[1:, sol.spatial.interior] = sol.coefficients

@@ -34,14 +34,19 @@ class Evaluator:
 
 @dataclass(frozen=True)
 class ManufacturedProblem:
+    """Data of a manufactured problem on (0, T) x D: the forcing g, the exact
+    solution and its time derivative, each a function (t, x) -> values.
+
+    Problems describe data only: every one is analytic in time on (0, T] and
+    non-smooth at most at t = 0, which temporal_hp.temporal_rule integrates
+    for all of them alike."""
+
     name: str
     dimension: int
     T: float
     g: Callable
     u_exact: Callable
     du_dt_exact: Callable
-    series_truncation: int | None = None
-    temporal_singularity: bool = False
     # points -> Evaluator; None evaluates the fields above with the time column
     evaluator: Callable | None = None
 
@@ -96,9 +101,7 @@ def problem_u1(truncation=1000) -> ManufacturedProblem:
             g=lambda t: np.ones(np.broadcast(t, x).shape),
         )
 
-    return ManufacturedProblem(
-        name="u1", dimension=1, T=2.0, series_truncation=truncation, **_fields(at)
-    )
+    return ManufacturedProblem(name="u1", dimension=1, T=2.0, **_fields(at))
 
 
 # --- L-shape ingredients ------------------------------------------------------
@@ -206,7 +209,7 @@ class _Regular:
         return self.du_dt(t, E) - self.laplace(t, E)
 
 
-def _lshape_problem(name, tau, dtau, temporal_singularity):
+def _lshape_problem(name, tau, dtau):
     def at(xy):
         xy = np.asarray(xy, dtype=float)
         reg = _Regular(xy)
@@ -219,16 +222,14 @@ def _lshape_problem(name, tau, dtau, temporal_singularity):
             g=lambda t: reg.forcing(t) + (dtau(t) * sing - tau(t) * lap_sing),
         )
 
-    return ManufacturedProblem(
-        name=name, dimension=2, T=2.0, temporal_singularity=temporal_singularity, **_fields(at)
-    )
+    return ManufacturedProblem(name=name, dimension=2, T=2.0, **_fields(at))
 
 
 def problem_u2() -> ManufacturedProblem:
     """Smooth in time, corner-singular in space."""
     tau = lambda t: t * np.exp(-t)
     dtau = lambda t: (1.0 - t) * np.exp(-t)
-    return _lshape_problem("u2", tau, dtau, temporal_singularity=False)
+    return _lshape_problem("u2", tau, dtau)
 
 
 def problem_u3() -> ManufacturedProblem:
@@ -243,7 +244,7 @@ def problem_u3() -> ManufacturedProblem:
             raise ValueError("time derivative is singular at t = 0")
         return np.exp(-t) * (0.6 * t ** (-0.4) - t**0.6)
 
-    return _lshape_problem("u3", tau, dtau, temporal_singularity=True)
+    return _lshape_problem("u3", tau, dtau)
 
 
 PROBLEMS = {"u1": problem_u1, "u2": problem_u2, "u3": problem_u3}

@@ -88,8 +88,7 @@ def project_rhs(prob, basis: TemporalBasis, tm: TemporalMatrices, sx: SpatialSys
     moments int g phi_l psi_i."""
     mesh = basis.mesh
     quad = SpatialQuadrature(sx.mesh)
-    first = "power" if prob.temporal_singularity else None
-    t, w, elements = temporal_rule(mesh, mesh.degrees + LOAD_EXTRA, first)
+    t, w, elements = temporal_rule(mesh, mesh.degrees + LOAD_EXTRA)
     phi_w = basis_matrix(basis, t, elements) * w[:, None]
     g = prob.at(quad.points).g
     R = np.zeros((basis.num_dofs_full, sx.mesh.num_vertices))

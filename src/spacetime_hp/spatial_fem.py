@@ -118,18 +118,6 @@ class SpatialMesh2D:
         mask[(bnd_edges % _EDGE_SHIFT).astype(np.int64)] = True
         return mask
 
-    def min_angle(self):
-        p = self.vertices[self.triangles]
-        angles = []
-        for i in range(3):
-            a = p[:, (i + 1) % 3] - p[:, i]
-            b = p[:, (i + 2) % 3] - p[:, i]
-            cosang = np.sum(a * b, axis=1) / (
-                np.linalg.norm(a, axis=1) * np.linalg.norm(b, axis=1)
-            )
-            angles.append(np.arccos(np.clip(cosang, -1, 1)))
-        return float(np.min(angles))
-
 
 def lshape_mesh() -> SpatialMesh2D:
     """Coarse conforming triangulation of (-1,1)^2 minus the closed first
@@ -236,7 +224,7 @@ def refine_graded(mesh: SpatialMesh2D, target_hx, beta, radius) -> SpatialMesh2D
     origin (plain target_hx beyond the grading radius)."""
     if not 0.0 < beta <= 1.0:
         raise ValueError(f"grading parameter beta must lie in (0,1], got {beta}")
-    if radius <= 0:
+    if not radius > 0:
         raise ValueError(f"grading radius must be positive, got {radius}")
     current = mesh
     for _ in range(200):

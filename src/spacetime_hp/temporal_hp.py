@@ -35,11 +35,11 @@ class TemporalMeshSpec:
             raise ValueError(f"final time must be positive, got T={self.T}")
         if not 0.0 < self.sigma < 1.0:
             raise ValueError(f"grading parameter sigma must lie in (0,1), got {self.sigma}")
-        if self.m1 <= 2:
+        if not self.m1 > 2:
             raise ValueError(f"m1 must be an integer > 2, got {self.m1}")
-        if self.mu_hp < 1.0:
+        if not self.mu_hp >= 1.0:
             raise ValueError(f"slope parameter mu_hp must be >= 1, got {self.mu_hp}")
-        if self.m2 < 0:
+        if not self.m2 >= 0:
             raise ValueError(f"m2 must be >= 0, got {self.m2}")
         if self.T <= 1.0 and self.m2 != 0:
             object.__setattr__(self, "m2", 0)
@@ -195,16 +195,6 @@ class TemporalBasis:
     def num_dofs_full(self):
         return self.mesh.num_dofs + 1
 
-    def eval_element(self, j, t, derivative=0):
-        """All local shape values (or t-derivatives) of element j at times t."""
-        t = np.atleast_1d(np.asarray(t, dtype=float))
-        a, b = self.mesh.breakpoints[j], self.mesh.breakpoints[j + 1]
-        xi = 2.0 * (t - a) / (b - a) - 1.0
-        vals, ders = lobatto_shapes(self.mesh.degrees[j], xi)
-        if derivative:
-            return ders * (2.0 / (b - a))
-        return vals
-
 
 def make_basis(mesh: TemporalMesh) -> TemporalBasis:
     return TemporalBasis(mesh)
@@ -217,46 +207,39 @@ def element_gauss(mesh: TemporalMesh, j, n):
     return 0.5 * (a + b) + 0.5 * (b - a) * rule.nodes, 0.5 * (b - a) * rule.weights
 
 
-def element_gauss_power(mesh: TemporalMesh, j, n, power=5):
-    """Gauss rule on element j under the substitution t = a + k*tau^power,
+# substitution exponent of the first element's rule: t = t_1 tau^5
+FIRST_POWER = 5
+# least number of points of the first element's rule
+FIRST_MIN_POINTS = 32
+
+
+def element_gauss_power(mesh: TemporalMesh, j, n):
+    """Gauss rule on element j under the substitution t = a + k*tau^5,
     absorbing algebraic endpoint singularities at the left endpoint."""
     a, b = mesh.breakpoints[j], mesh.breakpoints[j + 1]
     k = b - a
     rule = gauss_legendre(n)
     tau = 0.5 * (rule.nodes + 1.0)
-    t = a + k * tau**power
-    w = 0.5 * rule.weights * k * power * tau ** (power - 1)
+    t = a + k * tau**FIRST_POWER
+    w = 0.5 * rule.weights * k * FIRST_POWER * tau ** (FIRST_POWER - 1)
     return t, w
 
 
-def temporal_rule(mesh: TemporalMesh, orders, first=None):
+def temporal_rule(mesh: TemporalMesh, orders):
     """Quadrature rule of the whole mesh: nodes, weights and the element of
     each node, in time order.
 
-    Element j gets an orders[j]-point Gauss rule. `first` adapts the first
-    element to a solution that is not smooth at t = 0: "power" uses the
-    t = k*tau^5 substitution with at least 32 points (algebraic
-    singularities), "geometric" a composite rule on 8 pieces graded by the
-    ratio 4 towards t = 0 (stiff series).
+    Element j > 0 gets an orders[j]-point Gauss rule. The solutions are
+    analytic on (0, T] and non-smooth only at t = 0, so the first element
+    always gets the t = t_1 tau^5 substitution, with max(32, orders[0],
+    5 p_1 + 3) points: the last keeps every product of two first-element
+    shapes (degree 10 p_1 + 4 in tau) exact.
     """
-    if first not in (None, "power", "geometric"):
-        raise ValueError(f"unknown first-element rule {first!r}")
-    nodes, weights = [], []
-    for j in range(mesh.m):
-        n = int(orders[j])
-        if j == 0 and first == "power":
-            t, w = element_gauss_power(mesh, 0, max(32, n))
-        elif j == 0 and first == "geometric":
-            edges = np.concatenate([[0.0], mesh.breakpoints[1] * 4.0 ** np.arange(-7, 1, dtype=float)])
-            rule = gauss_legendre(n)
-            mid = 0.5 * (edges[:-1] + edges[1:])
-            half = 0.5 * np.diff(edges)
-            t = (mid[:, None] + half[:, None] * rule.nodes[None, :]).ravel()
-            w = (half[:, None] * rule.weights[None, :]).ravel()
-        else:
-            t, w = element_gauss(mesh, j, n)
-        nodes.append(t)
-        weights.append(w)
+    p1 = int(mesh.degrees[0])
+    n1 = max(FIRST_MIN_POINTS, int(orders[0]), FIRST_POWER * p1 + 3)
+    parts = [element_gauss_power(mesh, 0, n1)]
+    parts += [element_gauss(mesh, j, int(orders[j])) for j in range(1, mesh.m)]
+    nodes, weights = zip(*parts)
     elements = np.repeat(np.arange(mesh.m), [len(t) for t in nodes])
     return np.concatenate(nodes), np.concatenate(weights), elements
 
@@ -264,12 +247,18 @@ def temporal_rule(mesh: TemporalMesh, orders, first=None):
 def basis_matrix(basis: TemporalBasis, t, elements, derivative=0):
     """Values (derivative=1: t-derivatives) of all basis functions of the
     unconstrained space at the nodes t, as a (nodes x dofs) array whose
-    column 0 is the vertex at t=0; elements[i] is the element of t[i]."""
+    column 0 is the vertex at t=0; elements[i] is the element of t[i].
+
+    The shapes are hierarchical, so one table of the p_max + 1 shapes at all
+    nodes serves every element, which reads its first p_j + 1 rows."""
+    bp, p = basis.mesh.breakpoints, basis.mesh.degrees
+    a, b = bp[elements], bp[elements + 1]
+    vals, ders = lobatto_shapes(int(p.max()), 2.0 * (t - a) / (b - a) - 1.0)
+    shapes = ders * (2.0 / (b - a)) if derivative else vals
+    cols = basis.dofs[elements]  # (nodes, p_max + 1), -1 beyond the degree
+    keep = cols >= 0
     out = np.zeros((len(t), basis.num_dofs_full))
-    for j in np.unique(elements):
-        rows = np.nonzero(elements == j)[0]
-        cols = basis.dofs[j, : basis.mesh.degrees[j] + 1]
-        out[np.ix_(rows, cols)] = basis.eval_element(j, t[rows], derivative).T
+    out[np.nonzero(keep)[0], cols[keep]] = shapes.T[keep]
     return out
 
 
@@ -312,8 +301,9 @@ def quasi_interpolant(basis: TemporalBasis, v, dv):
 
 def temporal_mass(basis: TemporalBasis):
     """Plain temporal mass matrix (no Hilbert transform) of the unconstrained
-    space: the Gram matrix of basis_matrix on p_j + 1 Gauss points per
-    element, exact for the degree-2p_j products."""
+    space: the Gram matrix of basis_matrix on temporal_rule with p_j + 1
+    Gauss points on element j > 0, exact for the degree-2p_j products; the
+    first element's substituted rule is exact for them as well."""
     t, w, elements = temporal_rule(basis.mesh, basis.mesh.degrees + 1)
     B = basis_matrix(basis, t, elements)
     return (B.T * w) @ B

@@ -17,6 +17,8 @@ import numpy as np
 from spacetime_hp.quadrature import gauss_legendre
 from spacetime_hp.temporal_hp import TemporalBasis
 
+from oracles import eval_element
+
 
 @dataclass(frozen=True)
 class FourierExpansion:
@@ -269,8 +271,8 @@ def basis_mode_moments(basis: TemporalBasis, K, pts_per_wavelength=12):
         half = 0.5 * np.diff(edges)
         t = (mid[:, None] + half[:, None] * rule.nodes[None, :]).ravel()
         w = (half[:, None] * rule.weights[None, :]).ravel()
-        vals = (basis.eval_element(j, t) * w).T
-        ders = (basis.eval_element(j, t, derivative=1) * w).T
+        vals = (eval_element(basis, j, t) * w).T
+        ders = (eval_element(basis, j, t, derivative=1) * w).T
         gids = basis.dofs[j, : mesh.degrees[j] + 1] - 1
         keep = gids >= 0
         for lo in range(0, K, 256):

@@ -8,7 +8,7 @@ import numpy as np
 
 from spacetime_hp.metrics import TEMPORAL_EXTRA, functional_from_parts
 from spacetime_hp.quadrature import QuadratureRule
-from spacetime_hp.temporal_hp import TemporalBasis, basis_matrix, temporal_rule
+from spacetime_hp.temporal_hp import TemporalBasis, basis_matrix, lobatto_shapes, temporal_rule
 
 
 def integrate_1d(rule: QuadratureRule, f, interval) -> float:
@@ -35,6 +35,30 @@ def kernel(s, t, T):
     )
 
 
+def min_angle(mesh) -> float:
+    """Smallest interior angle of a triangulation, in radians."""
+    p = mesh.vertices[mesh.triangles]
+    angles = []
+    for i in range(3):
+        a = p[:, (i + 1) % 3] - p[:, i]
+        b = p[:, (i + 2) % 3] - p[:, i]
+        cosang = np.sum(a * b, axis=1) / (np.linalg.norm(a, axis=1) * np.linalg.norm(b, axis=1))
+        angles.append(np.arccos(np.clip(cosang, -1, 1)))
+    return float(np.min(angles))
+
+
+def eval_element(basis: TemporalBasis, j, t, derivative=0):
+    """All local shape values (or t-derivatives) of element j at times t, as
+    a (p_j + 1) x len(t) array."""
+    t = np.atleast_1d(np.asarray(t, dtype=float))
+    a, b = basis.mesh.breakpoints[j], basis.mesh.breakpoints[j + 1]
+    xi = 2.0 * (t - a) / (b - a) - 1.0
+    vals, ders = lobatto_shapes(basis.mesh.degrees[j], xi)
+    if derivative:
+        return ders * (2.0 / (b - a))
+    return vals
+
+
 def element_of(basis: TemporalBasis, t):
     """Index of the element containing t (right-continuous at breakpoints)."""
     bp = basis.mesh.breakpoints
@@ -47,7 +71,7 @@ def eval_all(basis: TemporalBasis, t, derivative=0):
     0: the vertex at t=0) at scalar time t."""
     out = np.zeros(basis.num_dofs_full)
     j = element_of(basis, t)
-    loc = basis.eval_element(j, t, derivative)[:, 0]
+    loc = eval_element(basis, j, t, derivative)[:, 0]
     for k, g in enumerate(basis.dofs[j]):
         if g >= 0:
             out[g] = loc[k]
@@ -69,7 +93,7 @@ def eval_basis(basis: TemporalBasis, global_dof: int, t, derivative=0):
                 (t_arr >= a) & (t_arr < b)
             )
             if np.any(inside):
-                out[inside] = basis.eval_element(j, t_arr[inside], derivative)[local[0]]
+                out[inside] = eval_element(basis, j, t_arr[inside], derivative)[local[0]]
     return out if np.ndim(t) else float(out[0])
 
 
@@ -91,12 +115,11 @@ def nodal_at_time(sol, t, derivative=0):
     return nodal
 
 
-def temporal_error_functional(basis, coeffs, u, du, singular_first=False):
+def temporal_error_functional(basis, coeffs, u, du):
     """The error surrogate sqrt(||e|| ||d_t e||) for purely temporal
     functions (scalar IVP), on the error metric's temporal rule."""
     mesh = basis.mesh
-    first = "power" if singular_first else None
-    t, w, elements = temporal_rule(mesh, mesh.degrees + TEMPORAL_EXTRA, first)
+    t, w, elements = temporal_rule(mesh, mesh.degrees + TEMPORAL_EXTRA)
     ev = basis_matrix(basis, t, elements)[:, 1:] @ coeffs - u(t)
     ed = basis_matrix(basis, t, elements, derivative=1)[:, 1:] @ coeffs - du(t)
     return functional_from_parts(w @ (ev * ev), w @ (ed * ed))

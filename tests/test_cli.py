@@ -121,6 +121,32 @@ def test_main_exit_codes(tmp_path):
     assert main([str(tmp_path / "missing.cfg")]) == 1
 
 
+@pytest.mark.parametrize(
+    "section, key, value",
+    [
+        ("temporal", "mu_hp", "nan"),
+        ("temporal", "p", "0"),
+        ("temporal", "m0", "0"),
+        ("temporal", "m", "0"),
+        ("temporal", "m2", "-1"),
+        ("temporal", "m1_factor", "0"),
+        ("temporal", "m1_factor", "nan"),
+        ("spatial", "initial_elements", "1"),
+        ("spatial", "initial_level", "-3"),
+        ("spatial", "radius", "-1"),
+        ("spatial", "radius", "nan"),
+    ],
+)
+def test_main_rejects_out_of_range_values(tmp_path, capsys, section, key, value):
+    # every bad value is a config error (exit 1), not a failure of each level
+    lines = [line for line in U1_SMALL.splitlines() if not line.startswith(f"{key} =")]
+    at = lines.index(f"[{section}]") + 1
+    cfg_path = tmp_path / "study.cfg"
+    cfg_path.write_text("\n".join(lines[:at] + [f"{key} = {value}"] + lines[at:]))
+    assert main([str(cfg_path), "--levels", "1"]) == 1
+    assert f"[{section}] {key}" in capsys.readouterr().err
+
+
 def test_main_partial_exit_code(tmp_path):
     text = U1_SMALL.replace(
         "scheme = uniform\np = 1\nm0 = 4",

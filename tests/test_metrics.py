@@ -13,7 +13,6 @@ from spacetime_hp.metrics import (
 )
 from spacetime_hp import spatial_fem
 from spacetime_hp.problems import ManufacturedProblem, problem_u1, problem_u3
-from spacetime_hp.quadrature import gauss_legendre
 from spacetime_hp.solver import solve, solve_heat
 from spacetime_hp.spatial_fem import (
     SpatialQuadrature,
@@ -176,7 +175,6 @@ def test_temporal_error_functional_singular_first_element():
         coeffs,
         u=lambda t: np.asarray(t) ** 0.6,
         du=lambda t: 0.6 * np.asarray(t) ** (-0.4),
-        singular_first=True,
     )
     l2_sq = 1.0 / (2 * 0.6 + 1)
     h1_sq = 0.36 / (2 * 0.6 - 1)
@@ -273,16 +271,12 @@ def test_emit_records_format():
     assert lines[2].split("\t")[6] != "-"
 
 
-def _element_rule(mesh, j, n, prob):
-    """Temporal rule on element j, written out node by node for the oracle."""
-    if j == 0 and prob.temporal_singularity:
-        return element_gauss_power(mesh, 0, max(32, n))
-    if j == 0 and prob.series_truncation is not None:
-        edges = [0.0] + [mesh.breakpoints[1] * 4.0**i for i in range(-7, 1)]
-        rule = gauss_legendre(n)
-        t = [0.5 * (a + b) + 0.5 * (b - a) * x for a, b in zip(edges, edges[1:]) for x in rule.nodes]
-        w = [0.5 * (b - a) * x for a, b in zip(edges, edges[1:]) for x in rule.weights]
-        return np.array(t), np.array(w)
+def _element_rule(mesh, j, n):
+    """Temporal rule on element j, for the oracle: the tau^5 substitution
+    with max(32, n, 5 p_1 + 3) points on the first element, n-point Gauss on
+    the others."""
+    if j == 0:
+        return element_gauss_power(mesh, 0, max(32, n, 5 * int(mesh.degrees[0]) + 3))
     return element_gauss(mesh, j, n)
 
 
@@ -291,7 +285,7 @@ def _error_parts_node_by_node(sol, prob):
     quad = SpatialQuadrature(sol.spatial.mesh, degree=6)
     val, der = np.zeros(mesh.m), np.zeros(mesh.m)
     for j in range(mesh.m):
-        for t, wt in zip(*_element_rule(mesh, j, int(mesh.degrees[j]) + 12, prob)):
+        for t, wt in zip(*_element_rule(mesh, j, int(mesh.degrees[j]) + 12)):
             ev = quad.fe_values(nodal_at_time(sol, t)) - prob.u_exact(t, quad.points)
             ed = quad.fe_values(nodal_at_time(sol, t, derivative=1)) - prob.du_dt_exact(t, quad.points)
             val[j] += wt * quad.l2_norm_sq(ev)

@@ -1,7 +1,9 @@
-"""Every top-level function, class and constant of the package has a caller
-inside the package: code that only tests use belongs under tests/."""
+"""Every top-level function, class and constant of the package, and every
+method and property of its classes, has a caller inside the package: code
+that only tests use belongs under tests/."""
 
 import ast
+from collections import Counter
 from pathlib import Path
 
 import spacetime_hp
@@ -16,6 +18,7 @@ ALLOWED = {
     "temporal_hp.hp_condition_report": "the level report of ROADMAP item 1 will carry its warnings",
     "metrics.error_functional": "the error surrogate of one solution, used by criterion 9",
     "solver.solve_parametric_ivp": "the scalar model problem of criterion 5",
+    "solver.GlobalOperator.materialize": "dense reference of the solver tests and criterion 8",
 }
 
 
@@ -29,40 +32,42 @@ def _defined(stmt):
     return []
 
 
-def _used(node):
-    """Names read anywhere below node, as plain names or attributes."""
-    names = set()
+def _definitions():
+    """(qualified name, node) of each top-level definition of the package and
+    of each method and property of its classes, dunders excepted."""
+    for path in sorted(SRC.glob("*.py")):
+        for stmt in ast.parse(path.read_text()).body:
+            for name in _defined(stmt):
+                yield f"{path.stem}.{name}", stmt
+            if isinstance(stmt, ast.ClassDef):
+                for sub in stmt.body:
+                    if isinstance(sub, ast.FunctionDef) and not (
+                        sub.name.startswith("__") and sub.name.endswith("__")
+                    ):
+                        yield f"{path.stem}.{stmt.name}.{sub.name}", sub
+
+
+def _reads(node):
+    """How often each name is read below node, as a plain name or attribute."""
+    names = Counter()
     for sub in ast.walk(node):
         if isinstance(sub, ast.Name) and isinstance(sub.ctx, ast.Load):
-            names.add(sub.id)
+            names[sub.id] += 1
         elif isinstance(sub, ast.Attribute):
-            names.add(sub.attr)
+            names[sub.attr] += 1
     return names
 
 
 def test_every_definition_has_a_caller():
-    statements = [
-        (path.stem, stmt)
-        for path in sorted(SRC.glob("*.py"))
-        for stmt in ast.parse(path.read_text()).body
-    ]
+    reads = sum((_reads(ast.parse(path.read_text())) for path in SRC.glob("*.py")), Counter())
     unused = []
-    for module, stmt in statements:
-        # a definition counts as called if any other top-level statement reads it
-        others = set().union(*(_used(other) for _, other in statements if other is not stmt))
-        unused += [
-            f"{module}.{name}"
-            for name in _defined(stmt)
-            if name not in others and f"{module}.{name}" not in ALLOWED
-        ]
+    for qualified, node in _definitions():
+        # a definition counts as called if its name is read outside its own code
+        name = qualified.rsplit(".", 1)[1]
+        if reads[name] == _reads(node)[name] and qualified not in ALLOWED:
+            unused.append(qualified)
     assert unused == []
 
 
 def test_allowlist_is_current():
-    defined = {
-        f"{path.stem}.{name}"
-        for path in SRC.glob("*.py")
-        for stmt in ast.parse(path.read_text()).body
-        for name in _defined(stmt)
-    }
-    assert set(ALLOWED) <= defined
+    assert set(ALLOWED) <= {qualified for qualified, _ in _definitions()}

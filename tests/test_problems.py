@@ -38,10 +38,19 @@ def _interior_points(rng, n=20):
     return np.array(pts)
 
 
+def _u1_partial_sum(terms, t, x):
+    """The first `terms` odd-mode terms of the u1 series, one at a time."""
+    u = np.zeros_like(x)
+    for eta in range(1, terms + 1):
+        m = 2 * eta - 1
+        u += 4.0 / (np.pi**3 * m**3) * (1.0 - np.exp(-(np.pi**2) * m**2 * t)) * np.sin(np.pi * m * x)
+    return u
+
+
 def test_u1_initial_value_and_truncation_default():
     prob = problem_u1()
-    assert prob.series_truncation == 1000
     x = np.linspace(0, 1, 50)
+    assert prob.u_exact(0.3, x) == pytest.approx(_u1_partial_sum(1000, 0.3, x), rel=1e-12, abs=1e-15)
     assert np.abs(prob.u_exact(0.0, x)).max() == 0.0
 
 
@@ -168,7 +177,9 @@ def test_u3_derivative_singular_at_zero():
 
 
 def test_registry():
-    assert get_problem("u1", truncation=10).series_truncation == 10
+    x = np.linspace(0, 1, 50)
+    u = get_problem("u1", truncation=10).u_exact(0.01, x)
+    assert u == pytest.approx(_u1_partial_sum(10, 0.01, x), rel=1e-12, abs=1e-15)
     assert get_problem("u2").dimension == 2
     with pytest.raises(KeyError):
         get_problem("nope")

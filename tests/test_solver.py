@@ -243,8 +243,8 @@ def _moments_node_by_node(prob, basis, sx):
     R = np.zeros((basis.num_dofs_full, sx.mesh.num_vertices))
     for j in range(mesh.m):
         n = int(mesh.degrees[j]) + 8
-        if j == 0 and prob.temporal_singularity:
-            rule = element_gauss_power(mesh, 0, max(32, n))
+        if j == 0:
+            rule = element_gauss_power(mesh, 0, max(32, n, 5 * int(mesh.degrees[0]) + 3))
         else:
             rule = element_gauss(mesh, j, n)
         for t, wt in zip(*rule):

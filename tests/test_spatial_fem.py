@@ -17,6 +17,7 @@ from spacetime_hp.spatial_fem import (
 )
 
 from fits import power_fit
+from oracles import min_angle
 
 
 def test_uniform_interval_mesh():
@@ -44,7 +45,7 @@ def test_lshape_mesh_basics():
     assert mesh.areas.sum() == pytest.approx(3.0)
     # entire boundary is Dirichlet: every coarse vertex lies on the boundary
     assert mesh.boundary_mask.all()
-    assert np.degrees(mesh.min_angle()) == pytest.approx(45.0)
+    assert np.degrees(min_angle(mesh)) == pytest.approx(45.0)
 
 
 def test_refine_uniform_quarters():
@@ -54,7 +55,7 @@ def test_refine_uniform_quarters():
     assert fine.areas.sum() == pytest.approx(3.0)
     assert fine.h_x == pytest.approx(mesh.h_x / 2)
     # right-isosceles NVB preserves the minimum angle exactly
-    assert np.degrees(fine.min_angle()) == pytest.approx(45.0)
+    assert np.degrees(min_angle(fine)) == pytest.approx(45.0)
 
 
 def test_nvb_closure_conformity():
@@ -80,7 +81,7 @@ def test_refine_graded_sizing_law():
     c = at_origin.max() / h ** (1.0 / beta)
     assert c < 2.0
     assert g.h_x <= h * 1.0000001
-    assert np.degrees(g.min_angle()) == pytest.approx(45.0)
+    assert np.degrees(min_angle(g)) == pytest.approx(45.0)
 
 
 def test_refine_graded_beta_one_is_uniform_sizing():
@@ -205,7 +206,7 @@ def test_random_marking_keeps_conformity_and_angles(seed):
     assert set(counts.tolist()) <= {1, 2}
     assert mesh.areas.sum() == pytest.approx(3.0)
     # NVB shape regularity: at least half the coarse minimum angle
-    assert mesh.min_angle() >= 0.5 * lshape_mesh().min_angle() - 1e-12
+    assert min_angle(mesh) >= 0.5 * min_angle(lshape_mesh()) - 1e-12
 
 
 def _poisson_l2_error(mesh):

@@ -266,35 +266,30 @@ def test_hp_condition_report_study_parameters():
 
 
 def test_temporal_rule_reproduces_element_rules():
-    mesh = build_mesh(TemporalMeshSpec(T=2, sigma=0.31, mu_hp=2.0, m1=4, m2=1))
-    orders = mesh.degrees + 3
-    t, w, elements = temporal_rule(mesh, orders)
-    parts = [element_gauss(mesh, j, int(orders[j])) for j in range(mesh.m)]
-    assert np.array_equal(t, np.concatenate([p[0] for p in parts]))
-    assert np.array_equal(w, np.concatenate([p[1] for p in parts]))
-    assert np.array_equal(elements, np.repeat(np.arange(mesh.m), orders))
-    # power substitution on the first element, with at least 32 points
-    t, w, elements = temporal_rule(mesh, orders, "power")
-    t0, w0 = element_gauss_power(mesh, 0, 32)
-    assert np.array_equal(t[:32], t0) and np.array_equal(w[:32], w0)
-    assert np.array_equal(t[32:], np.concatenate([p[0] for p in parts[1:]]))
-    assert np.count_nonzero(elements == 0) == 32
+    # Gauss on every element but the first, which gets the tau^5 substitution
+    # with max(32, n, 5 p_1 + 3) points: 32 (hp, n = 4), n (hp, n = 41) and
+    # 5 p_1 + 3 (p_1 = 8, n = 11)
+    hp = build_mesh(TemporalMeshSpec(T=2, sigma=0.31, mu_hp=2.0, m1=4, m2=1))
+    for mesh, extra, n1 in [(hp, 3, 32), (hp, 40, 41), (uniform_mesh(2.0, 3, 8), 3, 43)]:
+        orders = mesh.degrees + extra
+        t, w, elements = temporal_rule(mesh, orders)
+        t0, w0 = element_gauss_power(mesh, 0, n1)
+        assert np.array_equal(t[:n1], t0) and np.array_equal(w[:n1], w0)
+        parts = [element_gauss(mesh, j, int(orders[j])) for j in range(1, mesh.m)]
+        assert np.array_equal(t[n1:], np.concatenate([p[0] for p in parts]))
+        assert np.array_equal(w[n1:], np.concatenate([p[1] for p in parts]))
+        assert np.array_equal(elements, np.repeat(np.arange(mesh.m), [n1, *orders[1:]]))
 
 
-def test_temporal_rule_geometric_first_element():
-    mesh = uniform_mesh(2.0, 4, 2)
-    n = 5
-    t, w, elements = temporal_rule(mesh, np.full(mesh.m, n), "geometric")
-    first = elements == 0
-    assert np.count_nonzero(first) == 8 * n
-    # 8 Gauss pieces, each 4 times longer than its left neighbour
-    edges = np.concatenate([[0.0], 0.5 * 4.0 ** np.arange(-7.0, 1.0)])
-    assert w[first].reshape(8, n).sum(axis=1) == pytest.approx(np.diff(edges), rel=1e-14)
-    assert np.all((t[first].reshape(8, n).T > edges[:-1]) & (t[first].reshape(8, n).T < edges[1:]))
-    # exact for polynomials of degree 2n-1 on the whole element
-    assert np.dot(w[first], t[first] ** 9) == pytest.approx(0.5**10 / 10, rel=1e-13)
-    with pytest.raises(ValueError, match="first-element"):
-        temporal_rule(mesh, np.full(mesh.m, n), "log")
+@pytest.mark.parametrize("p1", [1, 6, 12])
+def test_temporal_mass_is_exact_gram_matrix(p1):
+    # reference: plain Gauss with p + 1 points per element, exact for the
+    # degree-2p products of two shapes
+    basis = make_basis(uniform_mesh(2.0, 2, p1))
+    t, w = (np.concatenate(v) for v in zip(*(element_gauss(basis.mesh, j, p1 + 1) for j in range(2))))
+    B = basis_matrix(basis, t, np.repeat(np.arange(2), p1 + 1))
+    ref = (B.T * w) @ B
+    assert np.abs(temporal_mass(basis) - ref).max() <= 1e-13 * np.abs(ref).max()
 
 
 @pytest.mark.parametrize("constrained", [True, False])
