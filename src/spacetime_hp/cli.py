@@ -42,6 +42,29 @@ class ConfigError(Exception):
     pass
 
 
+# (section, key) -> (StudyConfig field, type, lower bound or None); a bound
+# is (value, bound allowed); absent keys keep the field default
+_KEYS = {
+    ("study", "problem"): ("problem", str, None),
+    ("study", "levels"): ("levels", int, (1, True)),
+    ("study", "out"): ("out", str, None),
+    ("temporal", "scheme"): ("temporal_scheme", str, None),
+    ("temporal", "p"): ("temporal_p", int, (1, True)),
+    ("temporal", "m0"): ("temporal_m0", int, (1, True)),
+    ("temporal", "m"): ("temporal_m", int, (1, True)),
+    ("temporal", "sigma"): ("sigma", float, None),
+    ("temporal", "mu_hp"): ("mu_hp", float, (1.0, True)),
+    ("temporal", "m1_factor"): ("m1_factor", float, (0.0, False)),
+    ("temporal", "m2"): ("m2", int, (0, True)),
+    ("spatial", "scheme"): ("spatial_scheme", str, None),
+    ("spatial", "initial_elements"): ("initial_elements", int, (2, True)),
+    ("spatial", "initial_level"): ("initial_level", int, (0, True)),
+    ("spatial", "beta"): ("beta", float, None),
+    ("spatial", "radius"): ("radius", float, (0.0, False)),
+    ("spatial", "export_meshes"): ("export_meshes", bool, None),
+}
+
+
 @dataclass(frozen=True)
 class StudyConfig:
     problem: str
@@ -67,12 +90,15 @@ class StudyConfig:
             raise ConfigError(
                 f"[study] problem: unknown problem {self.problem!r}; choose from {sorted(PROBLEMS)}"
             )
-        for name, (bound, inclusive) in _LOWER_BOUNDS.items():
+        for (section, key), (name, _, lower) in _KEYS.items():
+            if lower is None:
+                continue
+            bound, inclusive = lower
             value = getattr(self, name)
             # NaN fails both comparisons
             if not (value >= bound if inclusive else value > bound):
                 raise ConfigError(
-                    f"{_KEY_OF[name]}: must be {'>=' if inclusive else '>'} {bound}, got {value}"
+                    f"[{section}] {key}: must be {'>=' if inclusive else '>'} {bound}, got {value}"
                 )
         if self.temporal_scheme not in ("uniform", "p", "hp"):
             raise ConfigError(
@@ -90,44 +116,6 @@ class StudyConfig:
             raise ConfigError(
                 f"[spatial] beta: grading parameter must satisfy beta in (0,1], got {self.beta}"
             )
-
-
-# (section, key) -> (StudyConfig field, type); absent keys keep the field default
-_KEYS = {
-    ("study", "problem"): ("problem", str),
-    ("study", "levels"): ("levels", int),
-    ("study", "out"): ("out", str),
-    ("temporal", "scheme"): ("temporal_scheme", str),
-    ("temporal", "p"): ("temporal_p", int),
-    ("temporal", "m0"): ("temporal_m0", int),
-    ("temporal", "m"): ("temporal_m", int),
-    ("temporal", "sigma"): ("sigma", float),
-    ("temporal", "mu_hp"): ("mu_hp", float),
-    ("temporal", "m1_factor"): ("m1_factor", float),
-    ("temporal", "m2"): ("m2", int),
-    ("spatial", "scheme"): ("spatial_scheme", str),
-    ("spatial", "initial_elements"): ("initial_elements", int),
-    ("spatial", "initial_level"): ("initial_level", int),
-    ("spatial", "beta"): ("beta", float),
-    ("spatial", "radius"): ("radius", float),
-    ("spatial", "export_meshes"): ("export_meshes", bool),
-}
-
-_KEY_OF = {name: f"[{section}] {key}" for (section, key), (name, _) in _KEYS.items()}
-
-# (lower bound, bound allowed) of the numeric StudyConfig fields
-_LOWER_BOUNDS = {
-    "levels": (1, True),
-    "temporal_p": (1, True),
-    "temporal_m0": (1, True),
-    "temporal_m": (1, True),
-    "mu_hp": (1.0, True),
-    "m1_factor": (0.0, False),
-    "m2": (0, True),
-    "initial_elements": (2, True),
-    "initial_level": (0, True),
-    "radius": (0.0, False),
-}
 
 
 def _cast(section, key, raw, cast):
@@ -150,7 +138,7 @@ def parse_config(text) -> StudyConfig:
         for key, raw in parser.items(section):
             if (section, key) not in _KEYS:
                 raise ConfigError(f"[{section}] {key}: unknown key")
-            name, cast = _KEYS[section, key]
+            name, cast, _ = _KEYS[section, key]
             fields[name] = _cast(section, key, raw, cast)
     if "problem" not in fields:
         raise ConfigError("[study] problem: required field missing")
@@ -238,7 +226,7 @@ def run_study(cfg: StudyConfig, log=print):
                 val_sq_elements=tuple(val_sq.tolist()),
                 der_sq_elements=tuple(der_sq.tolist()),
             )
-            if cfg.export_meshes and prob.dimension == 2 and cfg.out:
+            if cfg.export_meshes and cfg.out:
                 out = Path(cfg.out)
                 out.mkdir(parents=True, exist_ok=True)
                 export_mesh(mesh_x, out / f"mesh_level{level}.txt")

@@ -103,14 +103,18 @@ def solve(tm: TemporalMatrices, sx: SpatialSystem, G, basis: TemporalBasis | Non
     With A_t symmetric positive definite, the system reads U M_x + C U A_x =
     A_t^{-1} G for C = A_t^{-1} M_t = Q T Q^H; V = Q^H U is swept from the
     last row up, since row i of T couples V_i only to the rows below it."""
-    M_x, A_x = sx.M_x, sx.A_x
+    # M_x and A_x share one sparsity pattern, so M_x + T_ii A_x is formed on it
+    M_x, A_x = sx.M_x.tocsc(), sx.A_x.tocsc()
+    if not (np.array_equal(M_x.indptr, A_x.indptr) and np.array_equal(M_x.indices, A_x.indices)):
+        raise ValueError("M_x and A_x must share one sparsity pattern")
     cho = la.cho_factor(0.5 * (tm.A_ht + tm.A_ht.T))
     T, Q = la.schur(la.cho_solve(cho, tm.M_ht), output="complex")
     V = Q.conj().T @ la.cho_solve(cho, G)  # overwritten row by row with the solution
     W = np.zeros_like(V)  # rows A_x V_j of the rows already solved
     for i in reversed(range(len(T))):
         rhs = V[i] - T[i, i + 1 :] @ W[i + 1 :]
-        V[i] = spla.splu(sp.csc_matrix(M_x + T[i, i] * A_x)).solve(rhs)
+        shifted = (M_x.data + T[i, i] * A_x.data, M_x.indices, M_x.indptr)
+        V[i] = spla.splu(sp.csc_matrix(shifted, shape=M_x.shape)).solve(rhs)
         W[i] = A_x @ V[i]
     U = Q.real @ V.real - Q.imag @ V.imag
     gnorm = np.linalg.norm(G)

@@ -1,4 +1,6 @@
-"""P1 Lagrangian finite elements in one and two space dimensions.
+"""P1 Lagrangian finite elements on simplicial meshes in one and two space
+dimensions: intervals (d = 1) and triangles (d = 2) share one mesh type, one
+assembly and one quadrature map from the reference simplex.
 
 2D meshes are triangulations refined by newest-vertex bisection (NVB): a
 triangle (v0, v1, v2) carries its refinement edge as (v0, v1) with newest
@@ -10,49 +12,18 @@ size law until none is left.
 
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import combinations
+from math import factorial
 
 import numpy as np
 import scipy.sparse as sp
 
-from .quadrature import gauss_legendre, triangle_rule
+from .quadrature import gauss_legendre_01, triangle_rule
 
 _EDGE_SHIFT = np.int64(1) << 32
 # entries of one (time nodes x quadrature points) stack in the space-time
 # quadrature; bounds the memory of problem data evaluated in a batch
 _CHUNK_ENTRIES = 2**16
-
-
-@dataclass(frozen=True)
-class SpatialMesh1D:
-    vertices: np.ndarray
-
-    def __post_init__(self):
-        v = np.asarray(self.vertices, dtype=float)
-        if np.any(np.diff(v) <= 0):
-            raise ValueError("vertices must be strictly increasing")
-        v.setflags(write=False)
-        object.__setattr__(self, "vertices", v)
-
-    @property
-    def num_vertices(self):
-        return len(self.vertices)
-
-    @property
-    def h_x(self):
-        return float(np.diff(self.vertices).max())
-
-    @property
-    def boundary_mask(self):
-        mask = np.zeros(self.num_vertices, dtype=bool)
-        mask[0] = mask[-1] = True
-        return mask
-
-
-def uniform_interval_mesh(domain, n_elements) -> SpatialMesh1D:
-    if n_elements < 2:
-        raise ValueError("need at least 2 elements")
-    x0, x1 = domain
-    return SpatialMesh1D(np.linspace(x0, x1, n_elements + 1))
 
 
 def _edge_key(a, b):
@@ -62,44 +33,49 @@ def _edge_key(a, b):
 
 
 @dataclass(frozen=True)
-class SpatialMesh2D:
+class SpatialMesh:
+    """Simplicial mesh: vertices (n, d) and cells (n_c, d + 1) of vertex
+    indices, for d = 1 (intervals) and d = 2 (triangles)."""
+
     vertices: np.ndarray
-    triangles: np.ndarray
+    cells: np.ndarray
 
     def __post_init__(self):
         v = np.ascontiguousarray(self.vertices, dtype=float)
-        t = np.ascontiguousarray(self.triangles, dtype=np.int64)
+        c = np.ascontiguousarray(self.cells, dtype=np.int64)
         v.setflags(write=False)
-        t.setflags(write=False)
+        c.setflags(write=False)
         object.__setattr__(self, "vertices", v)
-        object.__setattr__(self, "triangles", t)
+        object.__setattr__(self, "cells", c)
+
+    @property
+    def dim(self):
+        return self.vertices.shape[1]
 
     @property
     def num_vertices(self):
         return len(self.vertices)
 
     @property
-    def num_triangles(self):
-        return len(self.triangles)
+    def num_cells(self):
+        return len(self.cells)
 
     @cached_property
-    def areas(self):
-        p = self.vertices[self.triangles]
-        e1 = p[:, 1] - p[:, 0]
-        e2 = p[:, 2] - p[:, 0]
-        return 0.5 * np.abs(e1[:, 0] * e2[:, 1] - e1[:, 1] * e2[:, 0])
+    def jacobians(self):
+        """(n_c, d, d) maps of the reference simplex; column k is the edge
+        from vertex 0 to vertex k + 1."""
+        p = self.vertices[self.cells]
+        return (p[:, 1:] - p[:, :1]).transpose(0, 2, 1)
 
     @cached_property
-    def edge_lengths(self):
-        p = self.vertices[self.triangles]
-        out = np.empty((self.num_triangles, 3))
-        for k, (a, b) in enumerate(((0, 1), (1, 2), (2, 0))):
-            out[:, k] = np.linalg.norm(p[:, a] - p[:, b], axis=1)
-        return out
+    def volumes(self):
+        return np.abs(np.linalg.det(self.jacobians)) / factorial(self.dim)
 
-    @property
+    @cached_property
     def diameters(self):
-        return self.edge_lengths.max(axis=1)
+        p = self.vertices[self.cells]
+        pairs = combinations(range(self.dim + 1), 2)
+        return np.max([np.linalg.norm(p[:, a] - p[:, b], axis=1) for a, b in pairs], axis=0)
 
     @property
     def h_x(self):
@@ -107,19 +83,29 @@ class SpatialMesh2D:
 
     @cached_property
     def boundary_mask(self):
-        t = self.triangles
-        keys = np.concatenate(
-            [_edge_key(t[:, 0], t[:, 1]), _edge_key(t[:, 1], t[:, 2]), _edge_key(t[:, 2], t[:, 0])]
-        )
+        """Vertices of the facets that belong to one cell only. A facet is
+        keyed by the first and last of its sorted vertices: its one vertex
+        for d = 1, its two for d = 2."""
+        c = np.sort(self.cells, axis=1)
+        facets = [np.delete(c, k, axis=1) for k in range(self.dim + 1)]
+        keys = np.concatenate([_edge_key(f[:, 0], f[:, -1]) for f in facets])
         uniq, counts = np.unique(keys, return_counts=True)
-        bnd_edges = uniq[counts == 1]
+        bnd_facets = uniq[counts == 1]
         mask = np.zeros(self.num_vertices, dtype=bool)
-        mask[(bnd_edges // _EDGE_SHIFT).astype(np.int64)] = True
-        mask[(bnd_edges % _EDGE_SHIFT).astype(np.int64)] = True
+        mask[(bnd_facets // _EDGE_SHIFT).astype(np.int64)] = True
+        mask[(bnd_facets % _EDGE_SHIFT).astype(np.int64)] = True
         return mask
 
 
-def lshape_mesh() -> SpatialMesh2D:
+def uniform_interval_mesh(domain, n_elements) -> SpatialMesh:
+    if n_elements < 2:
+        raise ValueError("need at least 2 elements")
+    x0, x1 = domain
+    left = np.arange(n_elements)
+    return SpatialMesh(np.linspace(x0, x1, n_elements + 1)[:, None], np.column_stack([left, left + 1]))
+
+
+def lshape_mesh() -> SpatialMesh:
     """Coarse conforming triangulation of (-1,1)^2 minus the closed first
     quadrant square, reentrant corner at the origin; refinement edges are the
     square diagonals pointing at the origin."""
@@ -135,7 +121,7 @@ def lshape_mesh() -> SpatialMesh2D:
             [0.0, 1.0],
         ]
     )
-    triangles = np.array(
+    cells = np.array(
         [
             [0, 4, 1],
             [0, 4, 5],
@@ -146,13 +132,13 @@ def lshape_mesh() -> SpatialMesh2D:
         ],
         dtype=np.int64,
     )
-    return SpatialMesh2D(vertices, triangles)
+    return SpatialMesh(vertices, cells)
 
 
-def refine_edges(mesh: SpatialMesh2D, marked) -> SpatialMesh2D:
+def refine_edges(mesh: SpatialMesh, marked) -> SpatialMesh:
     """Bisect the refinement edges of the marked triangles; NVB closure keeps
     the triangulation conforming. Vertex numbering is deterministic."""
-    tris = mesh.triangles.copy()
+    tris = mesh.cells.copy()
     coords = list(mesh.vertices)
     midpoint = {}
     marked = np.atleast_1d(np.asarray(marked, dtype=np.int64))
@@ -199,14 +185,14 @@ def refine_edges(mesh: SpatialMesh2D, marked) -> SpatialMesh2D:
             ]
         )
         split &= set(keys.tolist())
-    return SpatialMesh2D(np.asarray(coords), tris)
+    return SpatialMesh(np.asarray(coords), tris)
 
 
-def refine_uniform(mesh: SpatialMesh2D) -> SpatialMesh2D:
+def refine_uniform(mesh: SpatialMesh) -> SpatialMesh:
     """Uniform refinement as two NVB generations: every triangle is split
     into four children and the mesh width halves."""
-    once = refine_edges(mesh, np.arange(mesh.num_triangles))
-    return refine_edges(once, np.arange(once.num_triangles))
+    once = refine_edges(mesh, np.arange(mesh.num_cells))
+    return refine_edges(once, np.arange(once.num_cells))
 
 
 def _grading_limit(dist, target_hx, beta, radius):
@@ -218,7 +204,7 @@ def _grading_limit(dist, target_hx, beta, radius):
     return limit
 
 
-def refine_graded(mesh: SpatialMesh2D, target_hx, beta, radius) -> SpatialMesh2D:
+def refine_graded(mesh: SpatialMesh, target_hx, beta, radius) -> SpatialMesh:
     """NVB refinement until every triangle satisfies the corner grading law
     diam <= target_hx * max(dist, target_hx^(1/beta))^(1-beta) near the
     origin (plain target_hx beyond the grading radius)."""
@@ -228,7 +214,7 @@ def refine_graded(mesh: SpatialMesh2D, target_hx, beta, radius) -> SpatialMesh2D
         raise ValueError(f"grading radius must be positive, got {radius}")
     current = mesh
     for _ in range(200):
-        dist = np.linalg.norm(current.vertices[current.triangles], axis=2).min(axis=1)
+        dist = np.linalg.norm(current.vertices[current.cells], axis=2).min(axis=1)
         limit = _grading_limit(dist, target_hx, beta, radius)
         bad = current.diameters > limit
         if not bad.any():
@@ -239,15 +225,11 @@ def refine_graded(mesh: SpatialMesh2D, target_hx, beta, radius) -> SpatialMesh2D
 
 @dataclass(frozen=True)
 class SpatialSystem:
-    """Mass/stiffness matrices on the constrained space (interior vertices)
-    plus their unconstrained counterparts on all vertices, which the tests
-    read."""
+    """Mass/stiffness matrices on the constrained space (interior vertices)."""
 
-    mesh: object
+    mesh: SpatialMesh
     M_x: sp.csr_matrix
     A_x: sp.csr_matrix
-    M_full: sp.csr_matrix
-    A_full: sp.csr_matrix
     interior: np.ndarray
 
     @property
@@ -259,127 +241,69 @@ class SpatialSystem:
         return self.mesh.h_x
 
 
-def _assemble_1d(mesh: SpatialMesh1D, coefficient):
-    v = mesh.vertices
-    n = len(v) - 1
-    h = np.diff(v)
-    if coefficient is None:
-        a_vals = np.ones(n)
-    else:
-        a_vals = np.asarray(coefficient(0.5 * (v[:-1] + v[1:])), dtype=float)
-    rows, cols, mdata, adata = [], [], [], []
-    for loc_a in range(2):
-        for loc_b in range(2):
-            rows.append(np.arange(n) + loc_a)
-            cols.append(np.arange(n) + loc_b)
-            mdata.append(h / 6.0 * (2.0 if loc_a == loc_b else 1.0))
-            adata.append(a_vals / h * (1.0 if loc_a == loc_b else -1.0))
-    rows = np.concatenate(rows)
-    cols = np.concatenate(cols)
-    nv = len(v)
-    M = sp.coo_matrix((np.concatenate(mdata), (rows, cols)), shape=(nv, nv)).tocsr()
-    A = sp.coo_matrix((np.concatenate(adata), (rows, cols)), shape=(nv, nv)).tocsr()
+def p1_matrices(mesh: SpatialMesh):
+    """P1 mass and stiffness matrices on all vertices, in CSR with one
+    sparsity pattern. The barycentric gradients of a cell are [-1^T; I] J^-1,
+    its stiffness |K| G G^T and its mass |K| (1 + delta) / ((d+1)(d+2))."""
+    d = mesh.dim
+    vol = mesh.volumes
+    if np.any(vol <= 1e-15):
+        bad = int(np.argmin(vol))
+        raise ValueError(f"degenerate cell {bad} with volume {vol[bad]}")
+    G = np.vstack([-np.ones(d), np.eye(d)]) @ np.linalg.inv(mesh.jacobians)  # (n_c, d+1, d)
+    K = vol[:, None, None] * (G @ G.transpose(0, 2, 1))
+    Mloc = vol[:, None, None] * ((1.0 + np.eye(d + 1)) / ((d + 1) * (d + 2)))
+    rows = np.repeat(mesh.cells, d + 1, axis=1).ravel()
+    cols = np.tile(mesh.cells, (1, d + 1)).ravel()
+    shape = (mesh.num_vertices, mesh.num_vertices)
+    M = sp.coo_matrix((Mloc.ravel(), (rows, cols)), shape=shape).tocsr()
+    A = sp.coo_matrix((K.ravel(), (rows, cols)), shape=shape).tocsr()
     return M, A
 
 
-def _assemble_2d(mesh: SpatialMesh2D, coefficient):
-    t = mesh.triangles
-    p = mesh.vertices[t]
-    nt = len(t)
-    e1 = p[:, 1] - p[:, 0]
-    e2 = p[:, 2] - p[:, 0]
-    det = e1[:, 0] * e2[:, 1] - e1[:, 1] * e2[:, 0]
-    area = 0.5 * np.abs(det)
-    if np.any(area <= 1e-15):
-        bad = int(np.argmin(area))
-        raise ValueError(f"degenerate triangle {bad} with area {area[bad]}")
-    # gradients of the barycentric shape functions
-    inv = np.empty((nt, 2, 2))
-    inv[:, 0, 0] = e2[:, 1] / det
-    inv[:, 0, 1] = -e2[:, 0] / det
-    inv[:, 1, 0] = -e1[:, 1] / det
-    inv[:, 1, 1] = e1[:, 0] / det
-    gref = np.array([[-1.0, -1.0], [1.0, 0.0], [0.0, 1.0]])
-    grads = np.einsum("ld,ndk->nlk", gref, inv)
-    if coefficient is None:
-        flux = grads
-    else:
-        centroids = p.mean(axis=1)
-        C = np.asarray([np.atleast_2d(coefficient(c)) for c in centroids], dtype=float)
-        if C.shape[1:] == (1, 1):
-            C = C[:, 0, 0][:, None, None] * np.eye(2)[None]
-        flux = np.einsum("nkj,nlj->nlk", C, grads)
-    K = np.einsum("nlk,nmk,n->nlm", flux, grads, area)
-    Mloc = (area[:, None, None] / 12.0) * (np.ones((3, 3)) + np.eye(3))[None]
-    rows = np.repeat(t, 3, axis=1).ravel()
-    cols = np.tile(t, (1, 3)).ravel()
-    nv = mesh.num_vertices
-    A = sp.coo_matrix((K.transpose(0, 2, 1).ravel(), (rows, cols)), shape=(nv, nv)).tocsr()
-    M = sp.coo_matrix((Mloc.transpose(0, 2, 1).ravel(), (rows, cols)), shape=(nv, nv)).tocsr()
-    return M, A
-
-
-def assemble_spatial(mesh, coefficient=None, dirichlet="all") -> SpatialSystem:
-    """Mass and stiffness matrices with homogeneous Dirichlet DOF elimination.
-
-    dirichlet="all" constrains every boundary vertex (the shipped problems
-    use the full Dirichlet boundary); a boolean mask per vertex is accepted
-    for anything else.
-    """
-    if isinstance(mesh, SpatialMesh1D):
-        M, A = _assemble_1d(mesh, coefficient)
-    else:
-        M, A = _assemble_2d(mesh, coefficient)
-    if isinstance(dirichlet, str):
-        if dirichlet != "all":
-            raise ValueError(f"unknown dirichlet spec {dirichlet!r}")
-        mask = mesh.boundary_mask
-    else:
-        mask = np.asarray(dirichlet, dtype=bool)
-    interior = np.nonzero(~mask)[0]
+def assemble_spatial(mesh: SpatialMesh) -> SpatialSystem:
+    """Mass and stiffness matrices with every boundary vertex eliminated
+    (homogeneous Dirichlet conditions on the whole boundary)."""
+    M, A = p1_matrices(mesh)
+    interior = np.nonzero(~mesh.boundary_mask)[0]
     M_c = M[interior][:, interior].tocsr()
     A_c = A[interior][:, interior].tocsr()
     M_c.sort_indices()
     A_c.sort_indices()
-    return SpatialSystem(mesh=mesh, M_x=M_c, A_x=A_c, M_full=M, A_full=A, interior=interior)
+    return SpatialSystem(mesh=mesh, M_x=M_c, A_x=A_c, interior=interior)
 
 
 class SpatialQuadrature:
     """Fixed quadrature point set over a spatial mesh with helpers for L2
     integrals, P1 nodal moments, and FE evaluation at the points.
 
-    On triangles this is the collapsed tensor rule triangle_rule(degree + 1),
-    exact to total degree 2 * degree: the default degree=6 puts 49 points on
-    every triangle, exact to degree 12. On intervals it is a per-element
-    Gauss rule. P is the sparse (points x vertices) matrix of P1 shape
-    values; the helpers act on the last axis, so a stack of fields (one per
-    row) is handled at once.
+    One reference-simplex rule is mapped onto every cell through the shape
+    functions [1 - sum(xi), xi]. On triangles the rule is the collapsed
+    tensor rule triangle_rule(degree + 1), exact to total degree 2 * degree:
+    the default degree=6 puts 49 points on every triangle, exact to degree
+    12. On intervals it is a Gauss rule. P is the sparse (points x vertices)
+    matrix of P1 shape values; the helpers act on the last axis, so a stack
+    of fields (one per row) is handled at once.
     """
 
-    def __init__(self, mesh, degree=6):
+    def __init__(self, mesh: SpatialMesh, degree=6):
         self.mesh = mesh
-        if isinstance(mesh, SpatialMesh1D):
-            v = mesh.vertices
-            rule = gauss_legendre(max(2, (degree + 3) // 2 + 2))
-            mid = 0.5 * (v[:-1] + v[1:])
-            half = 0.5 * np.diff(v)
-            self.points = (mid[:, None] + half[:, None] * rule.nodes[None, :]).ravel()
-            self.weights = (half[:, None] * rule.weights[None, :]).ravel()
-            xi = 0.5 * (rule.nodes + 1.0)
-            shape = np.column_stack([1.0 - xi, xi])  # (q, 2)
-            cells = np.column_stack([np.arange(len(v) - 1), np.arange(1, len(v))])
+        d = mesh.dim
+        if d == 1:
+            xi, w = gauss_legendre_01(max(2, (degree + 3) // 2 + 2))
         else:
             rule = triangle_rule(degree + 1)
-            x, y = rule.nodes[:, 0], rule.nodes[:, 1]
-            shape = np.column_stack([1.0 - x - y, x, y])  # (q, 3)
-            p = mesh.vertices[mesh.triangles]  # (nt, 3, 2)
-            self.points = np.einsum("qk,nkd->nqd", shape, p).reshape(-1, 2)
-            self.weights = (2.0 * mesh.areas[:, None] * rule.weights[None, :]).ravel()
-            cells = mesh.triangles
-        # point e*q + i of element e carries shape[i, k] at vertex cells[e, k]
-        cols = np.broadcast_to(cells[:, None, :], (len(cells),) + shape.shape)
+            xi, w = rule.nodes, rule.weights
+        xi = xi.reshape(len(w), d)
+        shape = np.column_stack([1.0 - xi.sum(axis=1), xi])  # (q, d + 1)
+        points = np.einsum("qk,nkd->nqd", shape, mesh.vertices[mesh.cells]).reshape(-1, d)
+        # 1D problem data take plain x arrays
+        self.points = points[:, 0] if d == 1 else points
+        self.weights = ((factorial(d) * mesh.volumes)[:, None] * w[None, :]).ravel()
+        # point e*q + i of cell e carries shape[i, k] at vertex cells[e, k]
+        cols = np.broadcast_to(mesh.cells[:, None, :], (mesh.num_cells,) + shape.shape)
         data = np.broadcast_to(shape, cols.shape)
-        rows = np.repeat(np.arange(len(self.weights)), shape.shape[1])
+        rows = np.repeat(np.arange(len(self.weights)), d + 1)
         self.P = sp.csr_matrix(
             (data.ravel(), (rows, cols.ravel())), shape=(len(self.weights), mesh.num_vertices)
         )
@@ -405,14 +329,12 @@ class SpatialQuadrature:
         return (self.P @ np.asarray(nodal).T).T
 
 
-def export_mesh(mesh: SpatialMesh2D, path):
+def export_mesh(mesh: SpatialMesh, path):
     """Plain-text mesh dump: vertex coordinates with boundary flags, then
-    triangle connectivity; deterministic ordering."""
-    bnd = mesh.boundary_mask
+    cell connectivity; deterministic ordering."""
     with open(path, "w") as f:
         f.write(f"# vertices {mesh.num_vertices}\n")
-        for (x, y), b in zip(mesh.vertices, bnd):
-            f.write(f"{x:.17g} {y:.17g} {int(b)}\n")
-        f.write(f"# triangles {mesh.num_triangles}\n")
-        for a, b_, c in mesh.triangles:
-            f.write(f"{a} {b_} {c}\n")
+        flagged = np.column_stack([mesh.vertices, mesh.boundary_mask])
+        np.savetxt(f, flagged, fmt=["%.17g"] * mesh.dim + ["%d"])
+        f.write(f"# cells {mesh.num_cells}\n")
+        np.savetxt(f, mesh.cells, fmt="%d")

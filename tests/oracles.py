@@ -37,7 +37,7 @@ def kernel(s, t, T):
 
 def min_angle(mesh) -> float:
     """Smallest interior angle of a triangulation, in radians."""
-    p = mesh.vertices[mesh.triangles]
+    p = mesh.vertices[mesh.cells]
     angles = []
     for i in range(3):
         a = p[:, (i + 1) % 3] - p[:, i]

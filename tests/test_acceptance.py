@@ -22,9 +22,10 @@ from spacetime_hp.metrics import eoc, error_functional, functional_from_parts
 from spacetime_hp.quadrature import gauss_legendre, log_weighted_rule, triangle_rule
 from spacetime_hp.solver import GlobalOperator, solve, solve_parametric_ivp
 from spacetime_hp.spatial_fem import (
-    SpatialMesh2D,
+    SpatialMesh,
     assemble_spatial,
     lshape_mesh,
+    p1_matrices,
     refine_edges,
     refine_uniform,
     uniform_interval_mesh,
@@ -388,19 +389,19 @@ def test_criterion_9_property_suites(tmp_path):
     )
     checks["triangle measure"] = abs(triangle_rule(7).weights.sum() - 0.5) < 1e-13
     # element goldens
-    tri = SpatialMesh2D(np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]]), np.array([[0, 1, 2]]))
-    sys_tri = assemble_spatial(tri, dirichlet=np.zeros(3, dtype=bool))
+    tri = SpatialMesh(np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]]), np.array([[0, 1, 2]]))
+    M_tri, A_tri = p1_matrices(tri)
     checks["element goldens"] = np.allclose(
-        sys_tri.A_x.toarray(), [[1, -0.5, -0.5], [-0.5, 0.5, 0], [-0.5, 0, 0.5]]
-    ) and np.allclose(sys_tri.M_x.toarray(), (np.ones((3, 3)) + np.eye(3)) / 24.0)
+        A_tri.toarray(), [[1, -0.5, -0.5], [-0.5, 0.5, 0], [-0.5, 0, 0.5]]
+    ) and np.allclose(M_tri.toarray(), (np.ones((3, 3)) + np.eye(3)) / 24.0)
     # patch test
     mesh = refine_uniform(lshape_mesh())
     sys2 = assemble_spatial(mesh)
     lin = 0.3 * mesh.vertices[:, 0] - 0.7 * mesh.vertices[:, 1]
-    checks["patch test"] = np.abs((sys2.A_full @ lin)[sys2.interior]).max() < 1e-12
+    checks["patch test"] = np.abs((p1_matrices(mesh)[1] @ lin)[sys2.interior]).max() < 1e-12
     # NVB conformity and shape regularity
-    ref = refine_edges(mesh, np.arange(0, mesh.num_triangles, 3))
-    t = ref.triangles
+    ref = refine_edges(mesh, np.arange(0, mesh.num_cells, 3))
+    t = ref.cells
     edges = np.sort(np.vstack([t[:, [0, 1]], t[:, [1, 2]], t[:, [2, 0]]]), axis=1)
     _, counts = np.unique(edges, axis=0, return_counts=True)
     checks["nvb conformity"] = set(counts.tolist()) <= {1, 2}

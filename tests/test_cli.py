@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 
 from spacetime_hp.cli import (
@@ -217,6 +218,17 @@ def test_mesh_export_option(tmp_path):
     records, failures = run_study(cfg, log=lambda *a, **k: None)
     assert failures == []
     assert (tmp_path / "meshes" / "mesh_level0.txt").exists()
+
+
+def test_mesh_export_option_1d(tmp_path):
+    out = tmp_path / "meshes"
+    cfg = parse_config(U1_SMALL.replace("levels = 2", f"levels = 1\nout = {out}") + "export_meshes = true\n")
+    records, failures = run_study(cfg, log=lambda *a, **k: None)
+    assert failures == []
+    # vertex rows (x, boundary flag), then interval rows; both have 2 columns
+    rows = np.loadtxt(out / "mesh_level0.txt")
+    assert rows.shape == (5 + 4, 2)
+    assert rows[:5, 1].tolist() == [1, 0, 0, 0, 1]
 
 
 def test_failed_mesh_export_fails_the_level(tmp_path):

@@ -16,6 +16,7 @@ from spacetime_hp.spatial_fem import (
     SpatialQuadrature,
     assemble_spatial,
     lshape_mesh,
+    p1_matrices,
     refine_graded,
     refine_uniform,
     uniform_interval_mesh,
@@ -57,7 +58,7 @@ def small_setup():
 def _tensor_load(tm, sx, ct, cx):
     """Load of the tensor function with temporal coefficients ct (t=0 vertex
     included) and spatial nodal values cx, tested with (H phi_k) psi_i."""
-    return np.outer(tm.M_cross @ ct, (sx.M_full @ cx)[sx.interior])
+    return np.outer(tm.M_cross @ ct, (p1_matrices(sx.mesh)[0] @ cx)[sx.interior])
 
 
 def _assert_load(G, ref, tol):
@@ -76,7 +77,7 @@ def test_projection_exact_for_low_order_polynomials(small_setup):
     g = lambda t, x: (1.0 + 2.0 * t) * (3.0 - x)
     G = project_rhs(_forcing(g), basis, tm, sx)
     ct = 1.0 + 2.0 * basis.mesh.breakpoints  # P1 in time, P1 in space: Pi g = g
-    _assert_load(G, _tensor_load(tm, sx, ct, 3.0 - sx.mesh.vertices), 1e-11)
+    _assert_load(G, _tensor_load(tm, sx, ct, 3.0 - sx.mesh.vertices[:, 0]), 1e-11)
 
 
 def test_projection_preserves_mean_lshape():
@@ -164,7 +165,7 @@ def test_manufactured_polynomial_exactness():
     rule = gauss_legendre(20)
     t_nodes = rule.nodes + 1.0
     worst = 0.0
-    xs = sx.mesh.vertices[sx.interior]
+    xs = sx.mesh.vertices[sx.interior, 0]
     for t, wt in zip(t_nodes, rule.weights):
         vals = nodal_at_time(sol, t)[sx.interior]
         worst = max(worst, np.abs(vals - u(t, xs)).max())
@@ -272,7 +273,7 @@ def test_projection_matches_node_by_node_loop(case, chunk_entries, monkeypatch):
     R = _moments_node_by_node(prob, basis, sx)
     # two steps: project onto the unconstrained tensor space, then test with
     # (H phi_k) psi_i; the load skips the spatial projection that cancels
-    M_full = sx.M_full.toarray()
+    M_full = p1_matrices(mesh_x)[0].toarray()
     ghat = la.solve(M_full, la.solve(temporal_mass(basis), R).T).T
     ref = tm.M_cross @ ghat @ M_full[:, sx.interior]
     assert np.abs(G - ref).max() <= 1e-12 * np.abs(ref).max()

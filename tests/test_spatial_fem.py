@@ -5,11 +5,12 @@ from hypothesis import given, settings, strategies as st
 
 from spacetime_hp.problems import _laplacian_cutoff_times_singular, corner_singular, cutoff
 from spacetime_hp.spatial_fem import (
-    SpatialMesh2D,
+    SpatialMesh,
     SpatialQuadrature,
     assemble_spatial,
     export_mesh,
     lshape_mesh,
+    p1_matrices,
     refine_edges,
     refine_graded,
     refine_uniform,
@@ -22,7 +23,7 @@ from oracles import min_angle
 
 def test_uniform_interval_mesh():
     mesh = uniform_interval_mesh((0, 1), 4)
-    assert mesh.vertices == pytest.approx([0, 0.25, 0.5, 0.75, 1.0])
+    assert mesh.vertices[:, 0] == pytest.approx([0, 0.25, 0.5, 0.75, 1.0])
     assert mesh.h_x == pytest.approx(0.25)
     sys = assemble_spatial(mesh)
     assert sys.N == 3
@@ -32,9 +33,7 @@ def test_uniform_interval_mesh():
 
 def test_interval_local_matrices():
     mesh = uniform_interval_mesh((0, 2), 2)  # h = 1
-    sys = assemble_spatial(mesh, dirichlet=np.zeros(3, dtype=bool))
-    A = sys.A_x.toarray()
-    M = sys.M_x.toarray()
+    M, A = (m.toarray() for m in p1_matrices(mesh))
     np.testing.assert_allclose(A, [[1, -1, 0], [-1, 2, -1], [0, -1, 1]], atol=1e-14)
     np.testing.assert_allclose(M, np.array([[2, 1, 0], [1, 4, 1], [0, 1, 2]]) / 6.0, atol=1e-14)
 
@@ -42,7 +41,7 @@ def test_interval_local_matrices():
 def test_lshape_mesh_basics():
     mesh = lshape_mesh()
     assert any((mesh.vertices == [0.0, 0.0]).all(axis=1))
-    assert mesh.areas.sum() == pytest.approx(3.0)
+    assert mesh.volumes.sum() == pytest.approx(3.0)
     # entire boundary is Dirichlet: every coarse vertex lies on the boundary
     assert mesh.boundary_mask.all()
     assert np.degrees(min_angle(mesh)) == pytest.approx(45.0)
@@ -51,8 +50,8 @@ def test_lshape_mesh_basics():
 def test_refine_uniform_quarters():
     mesh = lshape_mesh()
     fine = refine_uniform(mesh)
-    assert fine.num_triangles == 4 * mesh.num_triangles
-    assert fine.areas.sum() == pytest.approx(3.0)
+    assert fine.num_cells == 4 * mesh.num_cells
+    assert fine.volumes.sum() == pytest.approx(3.0)
     assert fine.h_x == pytest.approx(mesh.h_x / 2)
     # right-isosceles NVB preserves the minimum angle exactly
     assert np.degrees(min_angle(fine)) == pytest.approx(45.0)
@@ -62,20 +61,20 @@ def test_nvb_closure_conformity():
     mesh = refine_uniform(lshape_mesh())
     ref = refine_edges(mesh, np.array([0]))
     # conforming: every interior edge shared by exactly two triangles
-    t = ref.triangles
+    t = ref.cells
     edges = np.sort(
         np.vstack([t[:, [0, 1]], t[:, [1, 2]], t[:, [2, 0]]]), axis=1
     )
     _, counts = np.unique(edges, axis=0, return_counts=True)
     assert set(counts.tolist()) <= {1, 2}
-    assert ref.areas.sum() == pytest.approx(3.0)
+    assert ref.volumes.sum() == pytest.approx(3.0)
 
 
 def test_refine_graded_sizing_law():
     beta, R = 0.6, 0.25
     h = 0.25
     g = refine_graded(lshape_mesh(), h, beta, R)
-    dist = np.linalg.norm(g.vertices[g.triangles], axis=2).min(axis=1)
+    dist = np.linalg.norm(g.vertices[g.cells], axis=2).min(axis=1)
     at_origin = g.diameters[dist == 0.0]
     # elements touching the origin scale like h^(1/beta)
     c = at_origin.max() / h ** (1.0 / beta)
@@ -88,7 +87,7 @@ def test_refine_graded_beta_one_is_uniform_sizing():
     g = refine_graded(lshape_mesh(), 0.5, 1.0, 0.25)
     assert g.h_x <= 0.5 * 1.0000001
     # exponent 1 - beta = 0 puts no extra refinement at the corner
-    dist = np.linalg.norm(g.vertices[g.triangles], axis=2).min(axis=1)
+    dist = np.linalg.norm(g.vertices[g.cells], axis=2).min(axis=1)
     assert g.diameters[dist == 0.0].max() > 0.2
 
 
@@ -109,22 +108,71 @@ def test_invalid_grading_parameters():
 
 
 def test_unit_right_triangle_local_matrices():
-    tri = SpatialMesh2D(np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]]), np.array([[0, 1, 2]]))
-    sys = assemble_spatial(tri, dirichlet=np.zeros(3, dtype=bool))
+    tri = SpatialMesh(np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]]), np.array([[0, 1, 2]]))
+    M, A = p1_matrices(tri)
     np.testing.assert_allclose(
-        sys.A_x.toarray(), [[1.0, -0.5, -0.5], [-0.5, 0.5, 0.0], [-0.5, 0.0, 0.5]], atol=1e-14
+        A.toarray(), [[1.0, -0.5, -0.5], [-0.5, 0.5, 0.0], [-0.5, 0.0, 0.5]], atol=1e-14
     )
     np.testing.assert_allclose(
-        sys.M_x.toarray(), (np.ones((3, 3)) + np.eye(3)) / 24.0, atol=1e-15
+        M.toarray(), (np.ones((3, 3)) + np.eye(3)) / 24.0, atol=1e-15
     )
 
 
 def test_degenerate_triangle_rejected():
-    tri = SpatialMesh2D(
+    tri = SpatialMesh(
         np.array([[0.0, 0.0], [1.0, 0.0], [2.0, 0.0]]), np.array([[0, 1, 2]])
     )
     with pytest.raises(ValueError, match="degenerate"):
-        assemble_spatial(tri, dirichlet=np.zeros(3, dtype=bool))
+        p1_matrices(tri)
+
+
+def _on_lshape_edges(v):
+    x, y = v.T
+    return (
+        (x == -1) | (y == -1) | ((x == 1) & (y <= 0)) | ((y == 0) & (x >= 0))
+        | ((x == 0) & (y >= 0)) | ((y == 1) & (x <= 0))
+    )
+
+
+# per dimension: (mass, stiffness) on the reference simplex, a mesh with the
+# indicator of its boundary vertices, and a mesh whose cell 0 is degenerate
+SIMPLEX_CASES = {
+    1: (
+        ([[1 / 3, 1 / 6], [1 / 6, 1 / 3]], [[1, -1], [-1, 1]]),
+        (uniform_interval_mesh((0, 1), 5), lambda v: (v[:, 0] == 0) | (v[:, 0] == 1)),
+        SpatialMesh(np.array([[0.0], [0.0], [1.0]]), np.array([[0, 1], [1, 2]])),
+    ),
+    2: (
+        ((np.ones((3, 3)) + np.eye(3)) / 24.0, [[1, -0.5, -0.5], [-0.5, 0.5, 0], [-0.5, 0, 0.5]]),
+        (refine_uniform(lshape_mesh()), _on_lshape_edges),
+        SpatialMesh(np.array([[0.0, 0.0], [1.0, 0.0], [2.0, 0.0]]), np.array([[0, 1, 2]])),
+    ),
+}
+
+
+@pytest.mark.parametrize("d", [1, 2])
+def test_simplex_p1_layer(d):
+    (M_ref, A_ref), (mesh, on_boundary), degenerate = SIMPLEX_CASES[d]
+    reference = SpatialMesh(np.vstack([np.zeros(d), np.eye(d)]), np.arange(d + 1)[None])
+    M, A = p1_matrices(reference)
+    np.testing.assert_allclose(M.toarray(), M_ref, atol=1e-15)
+    np.testing.assert_allclose(A.toarray(), A_ref, atol=1e-14)
+    assert np.array_equal(mesh.boundary_mask, on_boundary(mesh.vertices))
+    with pytest.raises(ValueError, match="degenerate"):
+        p1_matrices(degenerate)
+
+
+@pytest.mark.parametrize(
+    "mesh",
+    [uniform_interval_mesh((0, 1), 9), refine_graded(lshape_mesh(), 0.5**1.5, 0.6, 0.25)],
+    ids=["interval", "graded-lshape"],
+)
+def test_mass_and_stiffness_share_one_pattern(mesh):
+    # the solver forms M_x + s A_x on the common pattern
+    sys = assemble_spatial(mesh)
+    for M, A in (p1_matrices(mesh), (sys.M_x, sys.A_x)):
+        assert np.array_equal(M.indptr, A.indptr)
+        assert np.array_equal(M.indices, A.indices)
 
 
 def test_matrices_symmetric_positive_definite():
@@ -142,7 +190,7 @@ def test_patch_test_linear_function():
     mesh = refine_uniform(refine_uniform(lshape_mesh()))
     sys = assemble_spatial(mesh)
     lin = 0.4 * mesh.vertices[:, 0] - 1.3 * mesh.vertices[:, 1] + 0.2
-    resid = sys.A_full @ lin
+    resid = p1_matrices(mesh)[1] @ lin
     assert np.abs(resid[sys.interior]).max() < 1e-12
 
 
@@ -156,26 +204,11 @@ def test_galerkin_eigenfunction_solve():
     # solve A u = M f with f the first Laplace eigenfunction: u = f / pi^2
     mesh = uniform_interval_mesh((0, 1), 64)
     sys = assemble_spatial(mesh)
-    x = mesh.vertices[sys.interior]
+    x = mesh.vertices[sys.interior, 0]
     f = np.sin(np.pi * x)
     u = spla.spsolve(sys.A_x.tocsc(), sys.M_x @ f)
     err = np.abs(u - f / np.pi**2).max()
     assert err < 2.0 * mesh.h_x**2
-
-
-def test_coefficient_field_scalar():
-    # piecewise-constant coefficient doubles the stiffness
-    mesh = uniform_interval_mesh((0, 1), 8)
-    base = assemble_spatial(mesh)
-    double = assemble_spatial(mesh, coefficient=lambda x: 2.0 * np.ones_like(x))
-    assert (double.A_x - 2 * base.A_x).toarray() == pytest.approx(0.0, abs=1e-14)
-
-
-def test_coefficient_field_2d_matrix():
-    mesh = refine_uniform(lshape_mesh())
-    base = assemble_spatial(mesh)
-    matcoef = assemble_spatial(mesh, coefficient=lambda c: 3.0 * np.eye(2))
-    assert abs(matcoef.A_x - 3 * base.A_x).max() < 1e-13
 
 
 def test_mesh_export_roundtrip(tmp_path):
@@ -187,7 +220,7 @@ def test_mesh_export_roundtrip(tmp_path):
     nv = mesh.num_vertices
     assert np.array_equal(rows[:nv, :2], mesh.vertices)
     assert np.array_equal(rows[:nv, 2], mesh.boundary_mask)
-    assert np.array_equal(rows[nv:].astype(np.int64), mesh.triangles)
+    assert np.array_equal(rows[nv:].astype(np.int64), mesh.cells)
 
 
 @settings(max_examples=10, deadline=None)
@@ -196,15 +229,15 @@ def test_random_marking_keeps_conformity_and_angles(seed):
     rng = np.random.default_rng(seed)
     mesh = refine_uniform(lshape_mesh())
     for _ in range(2):
-        marked = np.nonzero(rng.random(mesh.num_triangles) < 0.3)[0]
+        marked = np.nonzero(rng.random(mesh.num_cells) < 0.3)[0]
         if len(marked) == 0:
             continue
         mesh = refine_edges(mesh, marked)
-    t = mesh.triangles
+    t = mesh.cells
     edges = np.sort(np.vstack([t[:, [0, 1]], t[:, [1, 2]], t[:, [2, 0]]]), axis=1)
     _, counts = np.unique(edges, axis=0, return_counts=True)
     assert set(counts.tolist()) <= {1, 2}
-    assert mesh.areas.sum() == pytest.approx(3.0)
+    assert mesh.volumes.sum() == pytest.approx(3.0)
     # NVB shape regularity: at least half the coarse minimum angle
     assert min_angle(mesh) >= 0.5 * min_angle(lshape_mesh()) - 1e-12
 
@@ -251,11 +284,9 @@ def test_quadrature_interpolation_matrix(mesh):
     quad = SpatialQuadrature(mesh, degree=4)
     assert quad.P.shape == (len(quad.weights), mesh.num_vertices)
     # P1 reproduces linear functions at the points; its rows sum to one
-    if mesh.vertices.ndim == 1:
-        lin, at_points = 1.0 + 2.0 * mesh.vertices, 1.0 + 2.0 * quad.points
-    else:
-        lin = 1.0 + 2.0 * mesh.vertices[:, 0] - mesh.vertices[:, 1]
-        at_points = 1.0 + 2.0 * quad.points[:, 0] - quad.points[:, 1]
+    coef = np.array([2.0, -1.0])[: mesh.dim]
+    lin = 1.0 + mesh.vertices @ coef
+    at_points = 1.0 + quad.points.reshape(len(quad.weights), mesh.dim) @ coef
     assert quad.fe_values(lin) == pytest.approx(at_points, abs=1e-13)
     assert quad.moments(np.ones(len(quad.weights))).sum() == pytest.approx(quad.weights.sum(), rel=1e-14)
     # a stack of fields is handled row by row
