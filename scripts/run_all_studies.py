@@ -1,6 +1,7 @@
 #!/usr/bin/env python3
 """Run every shipped study config; writes tables and plot data under
-results/. Budget a couple of hours for the full set at the default levels."""
+results/. The full set at the default levels takes about a minute (56 s
+with 1 BLAS thread on a 2-core x86-64 host)."""
 
 import sys
 import time

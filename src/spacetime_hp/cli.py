@@ -14,7 +14,7 @@ import configparser
 import sys
 import time
 from dataclasses import dataclass, replace
-from math import floor, log
+from math import floor, isfinite, log
 from pathlib import Path
 
 import numpy as np
@@ -28,7 +28,6 @@ from .spatial_fem import (
     export_mesh,
     lshape_mesh,
     refine_graded,
-    refine_uniform,
     uniform_interval_mesh,
 )
 from .temporal_hp import TemporalMeshSpec, build_mesh, make_basis, uniform_mesh
@@ -122,9 +121,12 @@ def _cast(section, key, raw, cast):
     try:
         if cast is bool:
             return configparser.ConfigParser.BOOLEAN_STATES[raw.lower()]
-        return cast(raw)
+        value = cast(raw)
     except (KeyError, ValueError):
         raise ConfigError(f"[{section}] {key}: cannot parse {raw!r} as {cast.__name__}") from None
+    if cast is float and not isfinite(value):
+        raise ConfigError(f"[{section}] {key}: must be finite, got {raw!r}")
+    return value
 
 
 def parse_config(text) -> StudyConfig:
@@ -150,13 +152,9 @@ def _spatial_for_level(cfg: StudyConfig, prob, level):
         n = cfg.initial_elements * 2**level
         return uniform_interval_mesh(prob.domain_interval(), n)
     steps = cfg.initial_level + level
-    if cfg.spatial_scheme == "uniform":
-        mesh = lshape_mesh()
-        for _ in range(steps):
-            mesh = refine_uniform(mesh)
-        return mesh
-    target = np.sqrt(2.0) * 0.5**steps
-    return refine_graded(lshape_mesh(), target, cfg.beta, cfg.radius)
+    # beta = 1 is uniform refinement: the coarse triangles are congruent, so each round bisects all
+    beta = 1.0 if cfg.spatial_scheme == "uniform" else cfg.beta
+    return refine_graded(lshape_mesh(), np.sqrt(2.0) * 0.5**steps, beta, cfg.radius)
 
 
 def _temporal_for_level(cfg: StudyConfig, prob, level, N):

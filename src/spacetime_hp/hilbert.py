@@ -82,7 +82,6 @@ class TemporalMatrices:
     M_ht: np.ndarray
     A_ht: np.ndarray
     M_cross: np.ndarray
-    mesh: TemporalMesh
 
 
 def _near_log_order(h, delta, pdeg, multiplier):
@@ -116,20 +115,20 @@ def _corner_duffy_pieces(c1, c2, pdeg, multiplier):
     F polynomial of total degree <= pdeg; returns tuples (u, y, w)."""
     n_log = _scaled(pdeg // 2 + LOG_EXTRA, multiplier)
     n_ang = _scaled(max(pdeg // 2 + LOG_EXTRA, ANGULAR_SMOOTH_MIN), multiplier)
-    lr = log_weighted_rule(n_log)
+    lr_x, lr_w = log_weighted_rule(n_log)
     g_ang, w_ang = gauss_legendre_01(n_ang)
     g_rad, w_rad = gauss_legendre_01(n_log + 2)
     pieces = []
     # region y <= u, y = u*v: ln = ln u + ln(c1 + c2 v)
-    U, V = np.meshgrid(lr.nodes, g_ang, indexing="ij")
-    W = np.outer(lr.weights, w_ang) * U
+    U, V = np.meshgrid(lr_x, g_ang, indexing="ij")
+    W = np.outer(lr_w, w_ang) * U
     pieces.append((U.ravel(), (U * V).ravel(), W.ravel()))
     U, V = np.meshgrid(g_rad, g_ang, indexing="ij")
     W = np.outer(w_rad, w_ang) * U * np.log(c1 + c2 * V)
     pieces.append((U.ravel(), (U * V).ravel(), W.ravel()))
     # region u < y, u = y*v: ln = ln y + ln(c2 + c1 v)
-    Y, V = np.meshgrid(lr.nodes, g_ang, indexing="ij")
-    W = np.outer(lr.weights, w_ang) * Y
+    Y, V = np.meshgrid(lr_x, g_ang, indexing="ij")
+    W = np.outer(lr_w, w_ang) * Y
     pieces.append(((Y * V).ravel(), Y.ravel(), W.ravel()))
     Y, V = np.meshgrid(g_rad, g_ang, indexing="ij")
     W = np.outer(w_rad, w_ang) * Y * np.log(c2 + c1 * V)
@@ -141,23 +140,23 @@ def _diagonal_duffy_pieces(pdeg, multiplier):
     """Pieces for int int F(x,y) ln|y - x| dx dy over the unit square,
     exact for polynomial F of degree <= pdeg per variable."""
     n_log = n_ang = _scaled(pdeg // 2 + LOG_EXTRA, multiplier)
-    lr = log_weighted_rule(n_log)
+    lr_x, lr_w = log_weighted_rule(n_log)
     g_ang, w_ang = gauss_legendre_01(n_ang)
     g_rad, w_rad = gauss_legendre_01(n_log + 2)
     pieces = []
     # triangle x < y, x = y*v: ln(y - x) = ln y + ln(1 - v)
-    Y, V = np.meshgrid(lr.nodes, g_ang, indexing="ij")
-    W = np.outer(lr.weights, w_ang) * Y
+    Y, V = np.meshgrid(lr_x, g_ang, indexing="ij")
+    W = np.outer(lr_w, w_ang) * Y
     pieces.append(((Y * V).ravel(), Y.ravel(), W.ravel()))
-    Y, VH = np.meshgrid(g_rad, lr.nodes, indexing="ij")  # ln(1-v): v = 1 - vhat
-    W = np.outer(w_rad, lr.weights) * Y
+    Y, VH = np.meshgrid(g_rad, lr_x, indexing="ij")  # ln(1-v): v = 1 - vhat
+    W = np.outer(w_rad, lr_w) * Y
     pieces.append(((Y * (1.0 - VH)).ravel(), Y.ravel(), W.ravel()))
     # triangle y < x, y = x*v
-    X, V = np.meshgrid(lr.nodes, g_ang, indexing="ij")
-    W = np.outer(lr.weights, w_ang) * X
+    X, V = np.meshgrid(lr_x, g_ang, indexing="ij")
+    W = np.outer(lr_w, w_ang) * X
     pieces.append((X.ravel(), (X * V).ravel(), W.ravel()))
-    X, VH = np.meshgrid(g_rad, lr.nodes, indexing="ij")
-    W = np.outer(w_rad, lr.weights) * X
+    X, VH = np.meshgrid(g_rad, lr_x, indexing="ij")
+    W = np.outer(w_rad, lr_w) * X
     pieces.append((X.ravel(), (X * (1.0 - VH)).ravel(), W.ravel()))
     return pieces
 
@@ -267,5 +266,4 @@ def assemble(basis: TemporalBasis, multiplier=1.0) -> TemporalMatrices:
         M_ht=M_cross[:, 1:].copy(),
         A_ht=A_cross[:, 1:].copy(),
         M_cross=M_cross,
-        mesh=mesh,
     )

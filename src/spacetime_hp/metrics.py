@@ -43,12 +43,6 @@ def l2q_error_element_parts(sol, prob, quad_mult=1.0):
     return np.bincount(elements, w * val, mesh.m), np.bincount(elements, w * der, mesh.m)
 
 
-def error_functional(sol, prob, quad_mult=1.0):
-    """[u - u_MN] = sqrt(||e||_L2(Q) ||d_t e||_L2(Q))."""
-    val_sq, der_sq = l2q_error_element_parts(sol, prob, quad_mult)
-    return functional_from_parts(val_sq.sum(), der_sq.sum())
-
-
 def functional_from_parts(val_sq, der_sq):
     """The surrogate from the squared norms: (||e||^2 ||d_t e||^2)^(1/4)."""
     return float((val_sq * der_sq) ** 0.25)

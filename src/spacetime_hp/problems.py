@@ -250,9 +250,9 @@ def problem_u3() -> ManufacturedProblem:
 PROBLEMS = {"u1": problem_u1, "u2": problem_u2, "u3": problem_u3}
 
 
-def get_problem(name, **kwargs) -> ManufacturedProblem:
+def get_problem(name) -> ManufacturedProblem:
     try:
         factory = PROBLEMS[name]
     except KeyError:
         raise KeyError(f"unknown problem {name!r}; available: {sorted(PROBLEMS)}") from None
-    return factory(**kwargs)
+    return factory()

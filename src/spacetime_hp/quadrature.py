@@ -1,39 +1,16 @@
 """Gauss-type quadrature rules: Gauss-Legendre, a collapsed tensor rule on
 triangles, and rules exact for integrands with a logarithmic weight on (0,1).
 
-All rules are immutable after construction and cached per point count.
+Every rule is a (nodes, weights) pair of read-only arrays, cached per point
+count.
 """
 
-from dataclasses import dataclass
 from functools import lru_cache
 from math import comb
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
 from scipy.linalg import eigh_tridiagonal
-
-
-@dataclass(frozen=True)
-class QuadratureRule:
-    """Plain quadrature rule on a reference domain.
-
-    nodes has shape (n,) on [-1,1] or (n,2) on the reference triangle
-    {x,y >= 0, x+y <= 1}; weights sum to the measure of the domain.
-    """
-
-    nodes: np.ndarray
-    weights: np.ndarray
-    degree_exactness: int
-
-
-@dataclass(frozen=True)
-class LogWeightedRule:
-    """Rule on (0,1) exact for integrals of q(x)*ln(x) against polynomials q
-    with deg q <= max_poly_degree."""
-
-    nodes: np.ndarray
-    weights: np.ndarray
-    max_poly_degree: int
 
 
 def _freeze(a):
@@ -55,18 +32,18 @@ def legendre_values(pmax, x):
 
 
 @lru_cache(maxsize=None)
-def gauss_legendre(n: int) -> QuadratureRule:
+def gauss_legendre(n: int):
     """n-point Gauss-Legendre rule on [-1,1], degree of exactness 2n-1."""
     if n < 1:
         raise ValueError(f"gauss_legendre requires n >= 1, got {n}")
     x, w = leggauss(n)
-    return QuadratureRule(_freeze(x), _freeze(w), 2 * n - 1)
+    return _freeze(x), _freeze(w)
 
 
 def gauss_legendre_01(n):
     """Nodes/weights of the n-point Gauss-Legendre rule mapped to (0,1)."""
-    rule = gauss_legendre(n)
-    return 0.5 * (rule.nodes + 1.0), 0.5 * rule.weights
+    x, w = gauss_legendre(n)
+    return 0.5 * (x + 1.0), 0.5 * w
 
 
 # Modified moments of ln(1/x) on (0,1) against monic shifted Legendre
@@ -106,7 +83,7 @@ def _chebyshev_modified(nmom_pairs, mom, a_aux, b_aux):
 
 
 @lru_cache(maxsize=None)
-def log_weighted_rule(n: int) -> LogWeightedRule:
+def log_weighted_rule(n: int):
     """n-point Gauss rule for the weight ln(x) on (0,1), exact for polynomials
     up to degree 2n-1.
 
@@ -133,11 +110,11 @@ def log_weighted_rule(n: int) -> LogWeightedRule:
     if np.any(nodes <= 0.0) or np.any(nodes >= 1.0):
         raise RuntimeError(f"log-weighted rule construction failed for n={n}")
     # rule for ln(x) = -ln(1/x)
-    return LogWeightedRule(_freeze(nodes), _freeze(-weights), 2 * n - 1)
+    return _freeze(nodes), _freeze(-weights)
 
 
 @lru_cache(maxsize=None)
-def triangle_rule(n: int) -> QuadratureRule:
+def triangle_rule(n: int):
     """Collapsed tensor Gauss rule on the reference triangle {x,y>=0, x+y<=1}.
 
     Duffy map (u,v) -> (u, v(1-u)) of the tensor rule on (0,1)^2; n^2 points,
@@ -151,4 +128,4 @@ def triangle_rule(n: int) -> QuadratureRule:
     Y = V * (1.0 - U)
     W = np.outer(wu, wv) * (1.0 - U)
     nodes = np.column_stack([X.ravel(), Y.ravel()])
-    return QuadratureRule(_freeze(nodes), _freeze(W.ravel()), 2 * n - 2)
+    return _freeze(nodes), _freeze(W.ravel())

@@ -14,8 +14,7 @@ The solver is a Bartels-Stewart sweep (Bartels & Stewart, CACM 1972) over
 the complex Schur form Q T Q^H of A_t^{-1} M_t: one sparse complex solve with
 M_x + T_ii A_x per diagonal entry, in one backward sweep. Full
 diagonalisation is avoided because the eigenvector matrix of the temporal
-pencil is badly conditioned on geometric hp meshes. Dense LU on the
-materialized Kronecker sum is kept only as a reference for tests.
+pencil is badly conditioned on geometric hp meshes.
 """
 
 from dataclasses import dataclass
@@ -29,7 +28,6 @@ from .hilbert import TemporalMatrices
 from .spatial_fem import SpatialQuadrature, SpatialSystem
 from .temporal_hp import TemporalBasis, basis_matrix, temporal_mass, temporal_rule
 
-DENSE_LIMIT = 20_000
 # Gauss points per temporal element beyond its degree for the load moments
 LOAD_EXTRA = 8
 
@@ -40,33 +38,6 @@ class SpaceTimeSolution:
     basis: TemporalBasis
     spatial: SpatialSystem
     residual: float
-
-
-@dataclass(frozen=True)
-class GlobalOperator:
-    """Matrix-free application of the Kronecker-sum system matrix."""
-
-    tm: TemporalMatrices
-    sx: SpatialSystem
-
-    @property
-    def shape(self):
-        M = self.tm.A_ht.shape[0]
-        return (M, self.sx.N)
-
-    def apply(self, U):
-        # (A_t (x) M_x + M_t (x) A_x) vec(U) row-major = A_t U M_x + M_t U A_x
-        return self.tm.A_ht @ (self.sx.M_x @ U.T).T + self.tm.M_ht @ (self.sx.A_x @ U.T).T
-
-    def materialize(self):
-        M, N = self.shape
-        if M * N > DENSE_LIMIT:
-            raise ValueError(
-                f"dense materialization refused for M*N = {M*N} > {DENSE_LIMIT}"
-            )
-        return np.kron(self.tm.A_ht, self.sx.M_x.toarray()) + np.kron(
-            self.tm.M_ht, self.sx.A_x.toarray()
-        )
 
 
 def _temporal_projection(basis: TemporalBasis, R):
@@ -97,7 +68,7 @@ def project_rhs(prob, basis: TemporalBasis, tm: TemporalMatrices, sx: SpatialSys
     return tm.M_cross @ _temporal_projection(basis, R[:, sx.interior])
 
 
-def solve(tm: TemporalMatrices, sx: SpatialSystem, G, basis: TemporalBasis | None = None) -> SpaceTimeSolution:
+def solve(tm: TemporalMatrices, sx: SpatialSystem, G, basis: TemporalBasis) -> SpaceTimeSolution:
     """Solve the space-time system for the load array G (shape M x N).
 
     With A_t symmetric positive definite, the system reads U M_x + C U A_x =
@@ -117,24 +88,13 @@ def solve(tm: TemporalMatrices, sx: SpatialSystem, G, basis: TemporalBasis | Non
         V[i] = spla.splu(sp.csc_matrix(shifted, shape=M_x.shape)).solve(rhs)
         W[i] = A_x @ V[i]
     U = Q.real @ V.real - Q.imag @ V.imag
+    # (A_t (x) M_x + M_t (x) A_x) vec(U), row-major, is A_t U M_x + M_t U A_x
+    BU = tm.A_ht @ (sx.M_x @ U.T).T + tm.M_ht @ (sx.A_x @ U.T).T
     gnorm = np.linalg.norm(G)
-    residual = np.linalg.norm(GlobalOperator(tm, sx).apply(U) - G) / (gnorm if gnorm > 0 else 1.0)
+    residual = np.linalg.norm(BU - G) / (gnorm if gnorm > 0 else 1.0)
     return SpaceTimeSolution(coefficients=U, basis=basis, spatial=sx, residual=residual)
 
 
 def solve_heat(prob, basis: TemporalBasis, tm: TemporalMatrices, sx: SpatialSystem):
     """Full pipeline for a manufactured problem: build the load, solve."""
     return solve(tm, sx, project_rhs(prob, basis, tm, sx), basis=basis)
-
-
-def solve_parametric_ivp(mu, f, basis: TemporalBasis, tm: TemporalMatrices):
-    """Scalar initial value problem d_t u + mu u = f, u(0) = 0, discretized
-    with transformed test functions; the load uses the temporal L2 projection
-    of f."""
-    if mu < 0:
-        raise ValueError(f"parameter mu must be >= 0, got {mu}")
-    mesh = basis.mesh
-    t, w, elements = temporal_rule(mesh, mesh.degrees + LOAD_EXTRA)
-    mom = (np.asarray(f(t), dtype=float) * w) @ basis_matrix(basis, t, elements)
-    fhat = _temporal_projection(basis, mom[:, None])[:, 0]
-    return la.solve(tm.A_ht + mu * tm.M_ht, tm.M_cross @ fhat)

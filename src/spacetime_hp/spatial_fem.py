@@ -5,9 +5,9 @@ assembly and one quadrature map from the reference simplex.
 2D meshes are triangulations refined by newest-vertex bisection (NVB): a
 triangle (v0, v1, v2) carries its refinement edge as (v0, v1) with newest
 vertex v2, and bisection produces (v2, v0, w) and (v1, v2, w) for the edge
-midpoint w. Conformity is restored by closure rounds. Corner-graded meshes
-are produced by repeatedly bisecting every triangle violating the grading
-size law until none is left.
+midpoint w. Conformity is restored by closure rounds. Corner-graded meshes,
+and with grading exponent beta = 1 uniform ones, are produced by repeatedly
+bisecting every triangle violating the grading size law until none is left.
 """
 
 from dataclasses import dataclass
@@ -188,13 +188,6 @@ def refine_edges(mesh: SpatialMesh, marked) -> SpatialMesh:
     return SpatialMesh(np.asarray(coords), tris)
 
 
-def refine_uniform(mesh: SpatialMesh) -> SpatialMesh:
-    """Uniform refinement as two NVB generations: every triangle is split
-    into four children and the mesh width halves."""
-    once = refine_edges(mesh, np.arange(mesh.num_cells))
-    return refine_edges(once, np.arange(once.num_cells))
-
-
 def _grading_limit(dist, target_hx, beta, radius):
     limit = np.where(
         dist > radius,
@@ -235,10 +228,6 @@ class SpatialSystem:
     @property
     def N(self):
         return len(self.interior)
-
-    @property
-    def h_x(self):
-        return self.mesh.h_x
 
 
 def p1_matrices(mesh: SpatialMesh):
@@ -292,8 +281,7 @@ class SpatialQuadrature:
         if d == 1:
             xi, w = gauss_legendre_01(max(2, (degree + 3) // 2 + 2))
         else:
-            rule = triangle_rule(degree + 1)
-            xi, w = rule.nodes, rule.weights
+            xi, w = triangle_rule(degree + 1)
         xi = xi.reshape(len(w), d)
         shape = np.column_stack([1.0 - xi.sum(axis=1), xi])  # (q, d + 1)
         points = np.einsum("qk,nkd->nqd", shape, mesh.vertices[mesh.cells]).reshape(-1, d)

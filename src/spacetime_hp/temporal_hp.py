@@ -203,8 +203,8 @@ def make_basis(mesh: TemporalMesh) -> TemporalBasis:
 def element_gauss(mesh: TemporalMesh, j, n):
     """Gauss points/weights on element j."""
     a, b = mesh.breakpoints[j], mesh.breakpoints[j + 1]
-    rule = gauss_legendre(n)
-    return 0.5 * (a + b) + 0.5 * (b - a) * rule.nodes, 0.5 * (b - a) * rule.weights
+    x, w = gauss_legendre(n)
+    return 0.5 * (a + b) + 0.5 * (b - a) * x, 0.5 * (b - a) * w
 
 
 # substitution exponent of the first element's rule: t = t_1 tau^5
@@ -218,11 +218,9 @@ def element_gauss_power(mesh: TemporalMesh, j, n):
     absorbing algebraic endpoint singularities at the left endpoint."""
     a, b = mesh.breakpoints[j], mesh.breakpoints[j + 1]
     k = b - a
-    rule = gauss_legendre(n)
-    tau = 0.5 * (rule.nodes + 1.0)
-    t = a + k * tau**FIRST_POWER
-    w = 0.5 * rule.weights * k * FIRST_POWER * tau ** (FIRST_POWER - 1)
-    return t, w
+    x, w = gauss_legendre(n)
+    tau = 0.5 * (x + 1.0)
+    return a + k * tau**FIRST_POWER, 0.5 * w * k * FIRST_POWER * tau ** (FIRST_POWER - 1)
 
 
 def temporal_rule(mesh: TemporalMesh, orders):
@@ -287,14 +285,13 @@ def quasi_interpolant(basis: TemporalBasis, v, dv):
         if p < 2:
             continue
         a, b = mesh.breakpoints[j], mesh.breakpoints[j + 1]
-        rule = gauss_legendre(2 * p + 8)
-        xi = rule.nodes
+        xi, w = gauss_legendre(2 * p + 8)
         t = 0.5 * (a + b) + 0.5 * (b - a) * xi
         dv_ref = np.asarray(dv(t), dtype=float) * (0.5 * (b - a))  # derivative in xi units
         L = legendre_values(p - 1, xi)
         for ell in range(3, p + 2):
             k = ell - 2
-            c = (2 * k + 1) / 2.0 * np.dot(rule.weights, dv_ref * L[k])
+            c = (2 * k + 1) / 2.0 * np.dot(w, dv_ref * L[k])
             coeffs[basis.dofs[j, ell - 1] - 1] = c
     return coeffs
 

@@ -63,11 +63,11 @@ def _composite_segments(interval, K, pts_per_segment=12):
     a, b = interval
     nseg = max(8, ceil((K + 0.5) / 2.0))
     edges = np.linspace(a, b, nseg + 1)
-    rule = gauss_legendre(pts_per_segment)
+    nodes, weights = gauss_legendre(pts_per_segment)
     mid = 0.5 * (edges[:-1] + edges[1:])
     half = 0.5 * np.diff(edges)
-    t = (mid[:, None] + half[:, None] * rule.nodes[None, :]).ravel()
-    w = (half[:, None] * rule.weights[None, :]).ravel()
+    t = (mid[:, None] + half[:, None] * nodes[None, :]).ravel()
+    w = (half[:, None] * weights[None, :]).ravel()
     return t, w
 
 
@@ -179,11 +179,11 @@ def slobodetskii_seminorm(v, interval, quad_n=48):
     """Squared Slobodetskii seminorm by tensor quadrature; the diagonal of the
     double integral is flattened with the split s = t + (b-t)*xi."""
     a, b = interval
-    rule = gauss_legendre(quad_n)
-    t = 0.5 * (a + b) + 0.5 * (b - a) * rule.nodes
-    wt = 0.5 * (b - a) * rule.weights
-    xi = 0.5 * (rule.nodes + 1.0)
-    wxi = 0.5 * rule.weights
+    nodes, weights = gauss_legendre(quad_n)
+    t = 0.5 * (a + b) + 0.5 * (b - a) * nodes
+    wt = 0.5 * (b - a) * weights
+    xi = 0.5 * (nodes + 1.0)
+    wxi = 0.5 * weights
     TT, XX = np.meshgrid(t, xi, indexing="ij")
     S = TT + (b - TT) * XX
     vt = np.asarray(v(t), dtype=float)
@@ -212,9 +212,9 @@ def slobodetskii_triple_norm(v, interval, quad_n=48):
     v0 = float(np.atleast_1d(np.asarray(v(np.array([a]))))[0])
     if abs(v0) > 1e-9:
         raise ValueError(f"weighted term diverges: v(a) = {v0} != 0")
-    rule = gauss_legendre(quad_n)
-    t = 0.5 * (a + b) + 0.5 * (b - a) * rule.nodes
-    w = 0.5 * (b - a) * rule.weights
+    nodes, weights = gauss_legendre(quad_n)
+    t = 0.5 * (a + b) + 0.5 * (b - a) * nodes
+    w = 0.5 * (b - a) * weights
     vt = np.asarray(v(t), dtype=float)
     l2sq = float(np.dot(w, vt**2))
     weighted = float(np.dot(w, vt**2 / (t - a)))
@@ -228,11 +228,11 @@ def localization_gap(v, interval, tau, quad_n=48):
     integrals are finite (v(tau) = 0 keeps them finite)."""
     a, b = interval
     lhs = slobodetskii_seminorm(v, (a, b), quad_n)
-    rule = gauss_legendre(quad_n)
+    nodes, weights = gauss_legendre(quad_n)
 
     def weighted(c, d, sing):
-        t = 0.5 * (c + d) + 0.5 * (d - c) * rule.nodes
-        w = 0.5 * (d - c) * rule.weights
+        t = 0.5 * (c + d) + 0.5 * (d - c) * nodes
+        w = 0.5 * (d - c) * weights
         vt = np.asarray(v(t), dtype=float)
         return float(np.dot(w, vt**2 / np.abs(t - sing)))
 
@@ -262,15 +262,15 @@ def basis_mode_moments(basis: TemporalBasis, K, pts_per_wavelength=12):
     S = np.zeros((K, M))
     C = np.zeros((K, M))
     Cd = np.zeros((K, M))
-    rule = gauss_legendre(pts_per_wavelength)
+    nodes, weights = gauss_legendre(pts_per_wavelength)
     for j in range(mesh.m):
         a, b = mesh.breakpoints[j], mesh.breakpoints[j + 1]
         nseg = int(np.ceil((b - a) * (2 * K + 1) / (4 * T))) + 2  # one segment per period
         edges = np.linspace(a, b, nseg + 1)
         mid = 0.5 * (edges[:-1] + edges[1:])
         half = 0.5 * np.diff(edges)
-        t = (mid[:, None] + half[:, None] * rule.nodes[None, :]).ravel()
-        w = (half[:, None] * rule.weights[None, :]).ravel()
+        t = (mid[:, None] + half[:, None] * nodes[None, :]).ravel()
+        w = (half[:, None] * weights[None, :]).ravel()
         vals = (eval_element(basis, j, t) * w).T
         ders = (eval_element(basis, j, t, derivative=1) * w).T
         gids = basis.dofs[j, : mesh.degrees[j] + 1] - 1

@@ -1,23 +1,66 @@
 """Reference implementations the tests compare the package against.
 
-Each evaluates one quantity the direct way: one point, one basis function or
-one time at a time, where the package works on whole batches.
+Most evaluate one quantity the direct way: one point, one basis function or
+one time at a time, where the package works on whole batches. The others are
+paths the study pipeline does not take: the dense system matrix, the scalar
+model IVP, the error surrogate of one solution and uniform refinement.
 """
 
 import numpy as np
+import scipy.linalg as la
 
-from spacetime_hp.metrics import TEMPORAL_EXTRA, functional_from_parts
-from spacetime_hp.quadrature import QuadratureRule
+from spacetime_hp.metrics import TEMPORAL_EXTRA, functional_from_parts, l2q_error_element_parts
+from spacetime_hp.solver import LOAD_EXTRA, _temporal_projection
+from spacetime_hp.spatial_fem import refine_edges
 from spacetime_hp.temporal_hp import TemporalBasis, basis_matrix, lobatto_shapes, temporal_rule
 
+# largest M * N the dense Kronecker matrix is built for
+DENSE_LIMIT = 20_000
 
-def integrate_1d(rule: QuadratureRule, f, interval) -> float:
-    """Integrate f over (a,b) with an affinely mapped reference rule."""
+
+def integrate_1d(rule, f, interval) -> float:
+    """Integrate f over (a,b) with an affinely mapped reference rule (nodes,
+    weights) on [-1,1]."""
+    nodes, weights = rule
     a, b = interval
     if not a < b:
         raise ValueError(f"empty interval ({a}, {b})")
-    x = 0.5 * (a + b) + 0.5 * (b - a) * rule.nodes
-    return 0.5 * (b - a) * float(np.dot(rule.weights, f(x)))
+    x = 0.5 * (a + b) + 0.5 * (b - a) * nodes
+    return 0.5 * (b - a) * float(np.dot(weights, f(x)))
+
+
+def materialize(tm, sx):
+    """Dense matrix A_t (x) M_x + M_t (x) A_x of the space-time system, in the
+    row-major order of the coefficient array."""
+    M, N = tm.A_ht.shape[0], sx.N
+    if M * N > DENSE_LIMIT:
+        raise ValueError(f"dense materialization refused for M*N = {M*N} > {DENSE_LIMIT}")
+    return np.kron(tm.A_ht, sx.M_x.toarray()) + np.kron(tm.M_ht, sx.A_x.toarray())
+
+
+def solve_parametric_ivp(mu, f, basis: TemporalBasis, tm):
+    """Scalar initial value problem d_t u + mu u = f, u(0) = 0, discretized
+    with transformed test functions; the load uses the temporal L2 projection
+    of f."""
+    if mu < 0:
+        raise ValueError(f"parameter mu must be >= 0, got {mu}")
+    mesh = basis.mesh
+    t, w, elements = temporal_rule(mesh, mesh.degrees + LOAD_EXTRA)
+    mom = (np.asarray(f(t), dtype=float) * w) @ basis_matrix(basis, t, elements)
+    fhat = _temporal_projection(basis, mom[:, None])[:, 0]
+    return la.solve(tm.A_ht + mu * tm.M_ht, tm.M_cross @ fhat)
+
+
+def error_functional(sol, prob, quad_mult=1.0):
+    """[u - u_MN] = sqrt(||e||_L2(Q) ||d_t e||_L2(Q)) of a space-time solution."""
+    return functional_from_parts(*(p.sum() for p in l2q_error_element_parts(sol, prob, quad_mult)))
+
+
+def refine_uniform(mesh):
+    """Uniform refinement as two NVB generations: every triangle is split
+    into four children and the mesh width halves."""
+    once = refine_edges(mesh, np.arange(mesh.num_cells))
+    return refine_edges(once, np.arange(once.num_cells))
 
 
 def kernel(s, t, T):

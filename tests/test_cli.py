@@ -4,6 +4,7 @@ import pytest
 from spacetime_hp.cli import (
     ConfigError,
     StudyConfig,
+    _spatial_for_level,
     emit_table,
     main,
     parse_config,
@@ -11,6 +12,10 @@ from spacetime_hp.cli import (
     write_outputs,
 )
 from spacetime_hp.metrics import StudyRecord, functional_from_parts
+from spacetime_hp.problems import problem_u3
+from spacetime_hp.spatial_fem import lshape_mesh
+
+from oracles import refine_uniform
 
 U1_SMALL = """
 [study]
@@ -126,12 +131,14 @@ def test_main_exit_codes(tmp_path):
     "section, key, value",
     [
         ("temporal", "mu_hp", "nan"),
+        ("temporal", "mu_hp", "inf"),
         ("temporal", "p", "0"),
         ("temporal", "m0", "0"),
         ("temporal", "m", "0"),
         ("temporal", "m2", "-1"),
         ("temporal", "m1_factor", "0"),
         ("temporal", "m1_factor", "nan"),
+        ("temporal", "m1_factor", "inf"),
         ("spatial", "initial_elements", "1"),
         ("spatial", "initial_level", "-3"),
         ("spatial", "radius", "-1"),
@@ -146,6 +153,18 @@ def test_main_rejects_out_of_range_values(tmp_path, capsys, section, key, value)
     cfg_path.write_text("\n".join(lines[:at] + [f"{key} = {value}"] + lines[at:]))
     assert main([str(cfg_path), "--levels", "1"]) == 1
     assert f"[{section}] {key}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("initial_level, level", [(0, 0), (0, 1), (2, 0), (2, 1), (2, 2), (2, 3)])
+def test_uniform_spatial_scheme_is_uniform_refinement(initial_level, level):
+    # steps = initial_level + level rounds of refine_uniform, node for node
+    cfg = StudyConfig(problem="u3", spatial_scheme="uniform", initial_level=initial_level)
+    mesh = _spatial_for_level(cfg, problem_u3(), level)
+    ref = lshape_mesh()
+    for _ in range(initial_level + level):
+        ref = refine_uniform(ref)
+    assert np.array_equal(mesh.vertices, ref.vertices)
+    assert np.array_equal(mesh.cells, ref.cells)
 
 
 def test_main_partial_exit_code(tmp_path):

@@ -7,7 +7,6 @@ from spacetime_hp.metrics import (
     StudyRecord,
     emit_records,
     eoc,
-    error_functional,
     l2q_error_element_parts,
     rates,
 )
@@ -32,7 +31,7 @@ from spacetime_hp.temporal_hp import (
 
 from fits import exp_fit, power_fit
 from fractional_norms import FourierExpansion, h12_norm_fourier
-from oracles import nodal_at_time, temporal_error_functional
+from oracles import error_functional, nodal_at_time, temporal_error_functional
 
 
 def _zero_solution(basis, sx):

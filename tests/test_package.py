@@ -16,9 +16,6 @@ ALLOWED = {
     "__init__.__version__": "the package version",
     "temporal_hp.quasi_interpolant": "the H^1/2 error diagnostic of ROADMAP item 4 will call it",
     "temporal_hp.hp_condition_report": "the level report of ROADMAP item 1 will carry its warnings",
-    "metrics.error_functional": "the error surrogate of one solution, used by criterion 9",
-    "solver.solve_parametric_ivp": "the scalar model problem of criterion 5",
-    "solver.GlobalOperator.materialize": "dense reference of the solver tests and criterion 8",
 }
 
 

@@ -178,7 +178,7 @@ def test_u3_derivative_singular_at_zero():
 
 def test_registry():
     x = np.linspace(0, 1, 50)
-    u = get_problem("u1", truncation=10).u_exact(0.01, x)
+    u = problem_u1(truncation=10).u_exact(0.01, x)
     assert u == pytest.approx(_u1_partial_sum(10, 0.01, x), rel=1e-12, abs=1e-15)
     assert get_problem("u2").dimension == 2
     with pytest.raises(KeyError):

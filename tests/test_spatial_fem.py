@@ -13,12 +13,11 @@ from spacetime_hp.spatial_fem import (
     p1_matrices,
     refine_edges,
     refine_graded,
-    refine_uniform,
     uniform_interval_mesh,
 )
 
 from fits import power_fit
-from oracles import min_angle
+from oracles import min_angle, refine_uniform
 
 
 def test_uniform_interval_mesh():

@@ -228,9 +228,9 @@ def test_hp_projection_error_decays_exponentially():
     for p in (4, 8, 12, 16, 20):
         basis = make_basis(uniform_mesh(1.0, 1, p))
         c = quasi_interpolant(basis, lambda t: np.exp(t) - 1, np.exp)
-        r = gauss_legendre(40)
-        t = 0.5 * (r.nodes + 1)
-        w = 0.5 * r.weights
+        x, w = gauss_legendre(40)
+        t = 0.5 * (x + 1)
+        w = 0.5 * w
         d = eval_coefficients(basis, c, t, derivative=1) - np.exp(t)
         errs[p] = np.sqrt(np.dot(w, d * d))
     assert errs[20] < 1e-10
