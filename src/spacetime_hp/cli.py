@@ -54,7 +54,7 @@ _KEYS = {
     ("temporal", "sigma"): ("sigma", float, None),
     ("temporal", "mu_hp"): ("mu_hp", float, (1.0, True)),
     ("temporal", "m1_factor"): ("m1_factor", float, (0.0, False)),
-    ("temporal", "m2"): ("m2", int, (0, True)),
+    ("temporal", "m2"): ("m2", int, (1, True)),
     ("spatial", "scheme"): ("spatial_scheme", str, None),
     ("spatial", "initial_elements"): ("initial_elements", int, (2, True)),
     ("spatial", "initial_level"): ("initial_level", int, (0, True)),
@@ -89,12 +89,13 @@ class StudyConfig:
             raise ConfigError(
                 f"[study] problem: unknown problem {self.problem!r}; choose from {sorted(PROBLEMS)}"
             )
-        for (section, key), (name, _, lower) in _KEYS.items():
+        for (section, key), (name, cast, lower) in _KEYS.items():
+            value = getattr(self, name)
+            if cast is float and not isfinite(value):
+                raise ConfigError(f"[{section}] {key}: must be finite, got {value}")
             if lower is None:
                 continue
             bound, inclusive = lower
-            value = getattr(self, name)
-            # NaN fails both comparisons
             if not (value >= bound if inclusive else value > bound):
                 raise ConfigError(
                     f"[{section}] {key}: must be {'>=' if inclusive else '>'} {bound}, got {value}"
@@ -121,12 +122,9 @@ def _cast(section, key, raw, cast):
     try:
         if cast is bool:
             return configparser.ConfigParser.BOOLEAN_STATES[raw.lower()]
-        value = cast(raw)
+        return cast(raw)
     except (KeyError, ValueError):
         raise ConfigError(f"[{section}] {key}: cannot parse {raw!r} as {cast.__name__}") from None
-    if cast is float and not isfinite(value):
-        raise ConfigError(f"[{section}] {key}: must be finite, got {raw!r}")
-    return value
 
 
 def parse_config(text) -> StudyConfig:

@@ -25,21 +25,18 @@ def l2q_error_element_parts(sol, prob, quad_mult=1.0):
     (t_{j-1}, t_j) x D, as two arrays with one entry per temporal element."""
     basis = sol.basis
     mesh = basis.mesh
-    quad = SpatialQuadrature(sol.spatial.mesh)
+    quad = SpatialQuadrature(sol.spatial)
     orders = np.maximum(2, ((mesh.degrees + TEMPORAL_EXTRA) * quad_mult).astype(int))
     t, w, elements = temporal_rule(mesh, orders)
-    # full nodal coefficients, with a zero row for the vertex at t=0
-    U = np.zeros((basis.num_dofs_full, sol.spatial.mesh.num_vertices))
-    U[1:, sol.spatial.interior] = sol.coefficients
-    phi = basis_matrix(basis, t, elements)
-    dphi = basis_matrix(basis, t, elements, derivative=1)
+    # the constrained space drops column 0, the vertex at t=0
+    phi, dphi = basis_matrix(basis, t, elements)[:, :, 1:]
     ev = prob.at(quad.points)
     val = np.empty(len(t))
     der = np.empty(len(t))
     for c in quad.time_chunks(len(t)):
         tc = t[c, None]
-        val[c] = quad.l2_norm_sq(quad.fe_values(phi[c] @ U) - ev.u(tc))
-        der[c] = quad.l2_norm_sq(quad.fe_values(dphi[c] @ U) - ev.du_dt(tc))
+        val[c] = quad.l2_norm_sq(quad.fe_values(phi[c] @ sol.coefficients) - ev.u(tc))
+        der[c] = quad.l2_norm_sq(quad.fe_values(dphi[c] @ sol.coefficients) - ev.du_dt(tc))
     return np.bincount(elements, w * val, mesh.m), np.bincount(elements, w * der, mesh.m)
 
 

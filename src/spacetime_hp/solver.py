@@ -26,7 +26,7 @@ import scipy.sparse.linalg as spla
 
 from .hilbert import TemporalMatrices
 from .spatial_fem import SpatialQuadrature, SpatialSystem
-from .temporal_hp import TemporalBasis, basis_matrix, temporal_mass, temporal_rule
+from .temporal_hp import TemporalBasis, basis_matrix, temporal_rule
 
 # Gauss points per temporal element beyond its degree for the load moments
 LOAD_EXTRA = 8
@@ -40,14 +40,13 @@ class SpaceTimeSolution:
     residual: float
 
 
-def _temporal_projection(basis: TemporalBasis, R):
+def _temporal_projection(gram, R):
     """Coefficients in the unconstrained temporal space of the L2 projection
-    with moments R (one row per basis function, any number of columns)."""
-    Mt_full = temporal_mass(basis)
+    with mass matrix gram and moments R (one row per basis function)."""
     # geometric meshes span many orders of magnitude in element size; solve
     # the Jacobi-scaled system to keep the mass solve well conditioned
-    d = 1.0 / np.sqrt(np.diag(Mt_full))
-    return d[:, None] * la.solve(d[:, None] * Mt_full * d[None, :], d[:, None] * R, assume_a="pos")
+    d = 1.0 / np.sqrt(np.diag(gram))
+    return d[:, None] * la.solve(d[:, None] * gram * d[None, :], d[:, None] * R, assume_a="pos")
 
 
 def project_rhs(prob, basis: TemporalBasis, tm: TemporalMatrices, sx: SpatialSystem):
@@ -56,16 +55,18 @@ def project_rhs(prob, basis: TemporalBasis, tm: TemporalMatrices, sx: SpatialSys
 
     Testing with the interior P1 functions psi_i cancels the spatial half of
     Pi, so the load is M_cross applied to the temporal projection of the
-    moments int g phi_l psi_i."""
+    moments int g phi_l psi_i. Its mass matrix is the Gram matrix of the
+    load's basis table: with LOAD_EXTRA >= 1 the rule is exact for it."""
     mesh = basis.mesh
-    quad = SpatialQuadrature(sx.mesh)
+    quad = SpatialQuadrature(sx)
     t, w, elements = temporal_rule(mesh, mesh.degrees + LOAD_EXTRA)
-    phi_w = basis_matrix(basis, t, elements) * w[:, None]
+    phi = basis_matrix(basis, t, elements)[0]
+    phi_w = phi * w[:, None]
     g = prob.at(quad.points).g
-    R = np.zeros((basis.num_dofs_full, sx.mesh.num_vertices))
+    R = np.zeros((basis.num_dofs_full, sx.N))
     for c in quad.time_chunks(len(t)):
         R += phi_w[c].T @ quad.moments(g(t[c, None]))
-    return tm.M_cross @ _temporal_projection(basis, R[:, sx.interior])
+    return tm.M_cross @ _temporal_projection(phi_w.T @ phi, R)
 
 
 def solve(tm: TemporalMatrices, sx: SpatialSystem, G, basis: TemporalBasis) -> SpaceTimeSolution:

@@ -263,38 +263,36 @@ def assemble_spatial(mesh: SpatialMesh) -> SpatialSystem:
 
 
 class SpatialQuadrature:
-    """Fixed quadrature point set over a spatial mesh with helpers for L2
-    integrals, P1 nodal moments, and FE evaluation at the points.
+    """Fixed quadrature point set over the mesh of a spatial system, with
+    helpers for L2 integrals, P1 nodal moments, and FE evaluation at the
+    points, all on the interior vertices (the unknowns).
 
     One reference-simplex rule is mapped onto every cell through the shape
-    functions [1 - sum(xi), xi]. On triangles the rule is the collapsed
-    tensor rule triangle_rule(degree + 1), exact to total degree 2 * degree:
-    the default degree=6 puts 49 points on every triangle, exact to degree
-    12. On intervals it is a Gauss rule. P is the sparse (points x vertices)
-    matrix of P1 shape values; the helpers act on the last axis, so a stack
-    of fields (one per row) is handled at once.
+    functions [1 - sum(xi), xi]: 6 Gauss points on intervals, and on
+    triangles the collapsed tensor rule triangle_rule(7), 49 points exact to
+    total degree 12. P is the sparse (points x interior vertices) matrix of
+    P1 shape values; the helpers act on the last axis, so a stack of fields
+    (one per row) is handled at once.
     """
 
-    def __init__(self, mesh: SpatialMesh, degree=6):
-        self.mesh = mesh
-        d = mesh.dim
-        if d == 1:
-            xi, w = gauss_legendre_01(max(2, (degree + 3) // 2 + 2))
-        else:
-            xi, w = triangle_rule(degree + 1)
+    def __init__(self, sx: SpatialSystem):
+        mesh, d = sx.mesh, sx.mesh.dim
+        xi, w = gauss_legendre_01(6) if d == 1 else triangle_rule(7)
         xi = xi.reshape(len(w), d)
         shape = np.column_stack([1.0 - xi.sum(axis=1), xi])  # (q, d + 1)
         points = np.einsum("qk,nkd->nqd", shape, mesh.vertices[mesh.cells]).reshape(-1, d)
         # 1D problem data take plain x arrays
         self.points = points[:, 0] if d == 1 else points
         self.weights = ((factorial(d) * mesh.volumes)[:, None] * w[None, :]).ravel()
-        # point e*q + i of cell e carries shape[i, k] at vertex cells[e, k]
-        cols = np.broadcast_to(mesh.cells[:, None, :], (mesh.num_cells,) + shape.shape)
-        data = np.broadcast_to(shape, cols.shape)
-        rows = np.repeat(np.arange(len(self.weights)), d + 1)
-        self.P = sp.csr_matrix(
-            (data.ravel(), (rows, cols.ravel())), shape=(len(self.weights), mesh.num_vertices)
-        )
+        # point e*q + i of cell e carries shape[i, k] at vertex cells[e, k],
+        # in column column[cells[e, k]]; boundary vertices have none (-1)
+        column = np.full(mesh.num_vertices, -1)
+        column[sx.interior] = np.arange(sx.N)
+        cols = np.broadcast_to(column[mesh.cells][:, None, :], (mesh.num_cells,) + shape.shape)
+        keep = cols >= 0
+        data = np.broadcast_to(shape, cols.shape)[keep]
+        rows = np.repeat(np.arange(len(self.weights)), d + 1)[keep.ravel()]
+        self.P = sp.csr_matrix((data, (rows, cols[keep])), shape=(len(self.weights), sx.N))
 
     def time_chunks(self, n_times):
         """Slices of n_times time nodes, each small enough that a (times x
@@ -308,12 +306,13 @@ class SpatialQuadrature:
         return sq if sq.ndim else float(sq)
 
     def moments(self, values):
-        """Nodal moments int f psi_i = P^T (w f) from point values of f."""
+        """Moments int f psi_i = P^T (w f) against the interior P1 functions,
+        from point values of f."""
         return (self.P.T @ (np.asarray(values) * self.weights).T).T
 
     def fe_values(self, nodal):
-        """Values P nodal of the P1 function with the given nodal vector at
-        the quadrature points."""
+        """Values P nodal at the quadrature points of the P1 function with
+        the given interior nodal vector (zero on the boundary)."""
         return (self.P @ np.asarray(nodal).T).T
 
 

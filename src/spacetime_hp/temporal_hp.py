@@ -242,22 +242,22 @@ def temporal_rule(mesh: TemporalMesh, orders):
     return np.concatenate(nodes), np.concatenate(weights), elements
 
 
-def basis_matrix(basis: TemporalBasis, t, elements, derivative=0):
-    """Values (derivative=1: t-derivatives) of all basis functions of the
-    unconstrained space at the nodes t, as a (nodes x dofs) array whose
-    column 0 is the vertex at t=0; elements[i] is the element of t[i].
+def basis_matrix(basis: TemporalBasis, t, elements):
+    """Values and t-derivatives of all basis functions of the unconstrained
+    space at the nodes t, stacked as two (nodes x dofs) tables whose column 0
+    is the vertex at t=0; elements[i] is the element of t[i].
 
     The shapes are hierarchical, so one table of the p_max + 1 shapes at all
     nodes serves every element, which reads its first p_j + 1 rows."""
     bp, p = basis.mesh.breakpoints, basis.mesh.degrees
     a, b = bp[elements], bp[elements + 1]
     vals, ders = lobatto_shapes(int(p.max()), 2.0 * (t - a) / (b - a) - 1.0)
-    shapes = ders * (2.0 / (b - a)) if derivative else vals
     cols = basis.dofs[elements]  # (nodes, p_max + 1), -1 beyond the degree
     keep = cols >= 0
-    out = np.zeros((len(t), basis.num_dofs_full))
-    out[np.nonzero(keep)[0], cols[keep]] = shapes.T[keep]
-    return out
+    tables = np.zeros((2, len(t), basis.num_dofs_full))
+    for table, shapes in zip(tables, (vals, ders * (2.0 / (b - a)))):
+        table[np.nonzero(keep)[0], cols[keep]] = shapes.T[keep]
+    return tables
 
 
 def quasi_interpolant(basis: TemporalBasis, v, dv):
@@ -294,13 +294,3 @@ def quasi_interpolant(basis: TemporalBasis, v, dv):
             c = (2 * k + 1) / 2.0 * np.dot(w, dv_ref * L[k])
             coeffs[basis.dofs[j, ell - 1] - 1] = c
     return coeffs
-
-
-def temporal_mass(basis: TemporalBasis):
-    """Plain temporal mass matrix (no Hilbert transform) of the unconstrained
-    space: the Gram matrix of basis_matrix on temporal_rule with p_j + 1
-    Gauss points on element j > 0, exact for the degree-2p_j products; the
-    first element's substituted rule is exact for them as well."""
-    t, w, elements = temporal_rule(basis.mesh, basis.mesh.degrees + 1)
-    B = basis_matrix(basis, t, elements)
-    return (B.T * w) @ B

@@ -3,7 +3,8 @@
 Most evaluate one quantity the direct way: one point, one basis function or
 one time at a time, where the package works on whole batches. The others are
 paths the study pipeline does not take: the dense system matrix, the scalar
-model IVP, the error surrogate of one solution and uniform refinement.
+model IVP, the error surrogate of one solution, uniform refinement and the
+temporal mass matrix on its own minimal rule.
 """
 
 import numpy as np
@@ -46,8 +47,10 @@ def solve_parametric_ivp(mu, f, basis: TemporalBasis, tm):
         raise ValueError(f"parameter mu must be >= 0, got {mu}")
     mesh = basis.mesh
     t, w, elements = temporal_rule(mesh, mesh.degrees + LOAD_EXTRA)
-    mom = (np.asarray(f(t), dtype=float) * w) @ basis_matrix(basis, t, elements)
-    fhat = _temporal_projection(basis, mom[:, None])[:, 0]
+    phi, _ = basis_matrix(basis, t, elements)
+    phi_w = phi * w[:, None]
+    mom = np.asarray(f(t), dtype=float) @ phi_w
+    fhat = _temporal_projection(phi_w.T @ phi, mom[:, None])[:, 0]
     return la.solve(tm.A_ht + mu * tm.M_ht, tm.M_cross @ fhat)
 
 
@@ -146,16 +149,14 @@ def eval_coefficients(basis: TemporalBasis, coeffs, t, derivative=0):
     t_arr = np.atleast_1d(np.asarray(t, dtype=float))
     bp = basis.mesh.breakpoints
     elements = np.clip(np.searchsorted(bp, t_arr, side="right") - 1, 0, basis.mesh.m - 1)
-    out = basis_matrix(basis, t_arr, elements, derivative)[:, 1:] @ coeffs
+    out = basis_matrix(basis, t_arr, elements)[derivative][:, 1:] @ coeffs
     return out if np.ndim(t) else float(out[0])
 
 
 def nodal_at_time(sol, t, derivative=0):
-    """Full spatial nodal vector (Dirichlet zeros included) of a space-time
-    solution (derivative=1: of its time derivative) at time t."""
-    nodal = np.zeros(sol.spatial.mesh.num_vertices)
-    nodal[sol.spatial.interior] = eval_all(sol.basis, t, derivative)[1:] @ sol.coefficients
-    return nodal
+    """Interior nodal vector of a space-time solution (derivative=1: of its
+    time derivative) at time t."""
+    return eval_all(sol.basis, t, derivative)[1:] @ sol.coefficients
 
 
 def temporal_error_functional(basis, coeffs, u, du):
@@ -163,6 +164,17 @@ def temporal_error_functional(basis, coeffs, u, du):
     functions (scalar IVP), on the error metric's temporal rule."""
     mesh = basis.mesh
     t, w, elements = temporal_rule(mesh, mesh.degrees + TEMPORAL_EXTRA)
-    ev = basis_matrix(basis, t, elements)[:, 1:] @ coeffs - u(t)
-    ed = basis_matrix(basis, t, elements, derivative=1)[:, 1:] @ coeffs - du(t)
+    phi, dphi = basis_matrix(basis, t, elements)
+    ev = phi[:, 1:] @ coeffs - u(t)
+    ed = dphi[:, 1:] @ coeffs - du(t)
     return functional_from_parts(w @ (ev * ev), w @ (ed * ed))
+
+
+def temporal_mass(basis: TemporalBasis):
+    """Plain temporal mass matrix (no Hilbert transform) of the unconstrained
+    space: the Gram matrix of basis_matrix on temporal_rule with p_j + 1
+    Gauss points on element j > 0, exact for the degree-2p_j products; the
+    first element's substituted rule is exact for them as well."""
+    t, w, elements = temporal_rule(basis.mesh, basis.mesh.degrees + 1)
+    B, _ = basis_matrix(basis, t, elements)
+    return (B.T * w) @ B

@@ -65,6 +65,12 @@ def test_parse_rejects_unknown_problem():
         parse_config(U1_SMALL.replace("problem = u1", "problem = u9"))
 
 
+def test_constructed_config_rejects_infinite_floats():
+    # a config built in code, not parsed, gets the same finiteness check
+    with pytest.raises(ConfigError, match=r"\[temporal\] mu_hp: must be finite"):
+        StudyConfig(problem="u1", levels=1, temporal_scheme="hp", mu_hp=float("inf"), initial_elements=64)
+
+
 def test_parse_rejects_bad_numbers():
     with pytest.raises(ConfigError, match="levels"):
         parse_config(U1_SMALL.replace("levels = 2", "levels = two"))
@@ -136,6 +142,7 @@ def test_main_exit_codes(tmp_path):
         ("temporal", "m0", "0"),
         ("temporal", "m", "0"),
         ("temporal", "m2", "-1"),
+        ("temporal", "m2", "0"),
         ("temporal", "m1_factor", "0"),
         ("temporal", "m1_factor", "nan"),
         ("temporal", "m1_factor", "inf"),

@@ -281,7 +281,7 @@ def _element_rule(mesh, j, n):
 
 def _error_parts_node_by_node(sol, prob):
     mesh = sol.basis.mesh
-    quad = SpatialQuadrature(sol.spatial.mesh, degree=6)
+    quad = SpatialQuadrature(sol.spatial)
     val, der = np.zeros(mesh.m), np.zeros(mesh.m)
     for j in range(mesh.m):
         for t, wt in zip(*_element_rule(mesh, j, int(mesh.degrees[j]) + 12)):

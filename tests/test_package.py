@@ -1,6 +1,7 @@
 """Every top-level function, class and constant of the package, and every
 method and property of its classes, has a caller inside the package: code
-that only tests use belongs under tests/."""
+that only tests use belongs under tests/. Every function parameter with a
+default (a knob a caller may turn or leave alone) is listed with its reason."""
 
 import ast
 from collections import Counter
@@ -16,6 +17,19 @@ ALLOWED = {
     "__init__.__version__": "the package version",
     "temporal_hp.quasi_interpolant": "the H^1/2 error diagnostic of ROADMAP item 4 will call it",
     "temporal_hp.hp_condition_report": "the level report of ROADMAP item 1 will carry its warnings",
+}
+
+# function parameters with a default, each with its reason
+DEFAULTED = {
+    "cli.run_study.log": "tests silence the per-level progress lines",
+    "cli.main.argv": "None reads sys.argv; tests pass the arguments",
+    "hilbert.assemble.multiplier": "the order-doubling checks of the transform matrices",
+    "metrics.l2q_error_element_parts.quad_mult": "the order-doubling checks of the error",
+    "problems.problem_u1.truncation": "the term-by-term test; goes with the closed-form u1 (ROADMAP item 2)",
+    "problems._Regular.du_dt.E": "the forcing passes the decay factor it has already computed",
+    "problems._Regular.laplace.E": "the forcing passes the decay factor it has already computed",
+    "temporal_hp.hp_condition_report.delta": "a constant of the slope condition; tests vary it",
+    "temporal_hp.hp_condition_report.eps": "a constant of the slope condition; tests vary it",
 }
 
 
@@ -68,3 +82,24 @@ def test_every_definition_has_a_caller():
 
 def test_allowlist_is_current():
     assert set(ALLOWED) <= {qualified for qualified, _ in _definitions()}
+
+
+def _defaulted(node, prefix):
+    """Qualified names of the parameters with a default of every function
+    below node."""
+    for child in ast.iter_child_nodes(node):
+        name = getattr(child, "name", None)
+        qualified = f"{prefix}.{name or '<lambda>'}"
+        if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            args = child.args
+            positional = args.posonlyargs + args.args
+            yield from (f"{qualified}.{a.arg}" for a in positional[len(positional) - len(args.defaults) :])
+            kw = zip(args.kwonlyargs, args.kw_defaults)
+            yield from (f"{qualified}.{a.arg}" for a, default in kw if default is not None)
+        yield from _defaulted(child, qualified if name else prefix)
+
+
+def test_every_defaulted_parameter_is_listed():
+    # a new default needs an entry, and an entry whose parameter is gone goes
+    found = [q for path in sorted(SRC.glob("*.py")) for q in _defaulted(ast.parse(path.read_text()), path.stem)]
+    assert sorted(found) == sorted(DEFAULTED)

@@ -9,6 +9,7 @@ from spacetime_hp.quadrature import gauss_legendre
 from spacetime_hp.solver import project_rhs, solve, solve_heat
 from spacetime_hp.spatial_fem import (
     SpatialQuadrature,
+    SpatialSystem,
     assemble_spatial,
     lshape_mesh,
     p1_matrices,
@@ -17,11 +18,12 @@ from spacetime_hp.spatial_fem import (
 )
 from spacetime_hp.temporal_hp import (
     TemporalMeshSpec,
+    basis_matrix,
     build_mesh,
     element_gauss,
     element_gauss_power,
     make_basis,
-    temporal_mass,
+    temporal_rule,
     uniform_mesh,
 )
 
@@ -32,6 +34,7 @@ from oracles import (
     nodal_at_time,
     refine_uniform,
     solve_parametric_ivp,
+    temporal_mass,
 )
 
 
@@ -172,7 +175,7 @@ def test_manufactured_polynomial_exactness():
     worst = 0.0
     xs = sx.mesh.vertices[sx.interior, 0]
     for t, wt in zip(t_nodes, w):
-        vals = nodal_at_time(sol, t)[sx.interior]
+        vals = nodal_at_time(sol, t)
         worst = max(worst, np.abs(vals - u(t, xs)).max())
     assert worst < 1e-3
 
@@ -242,11 +245,13 @@ def test_bartels_stewart_handles_complex_schur_blocks():
     assert np.abs(a - b.coefficients).max() < 1e-8 * np.abs(a).max()
 
 
-def _moments_node_by_node(prob, basis, sx):
-    """sum over temporal nodes of w phi_l(t) int g(t) psi_i, one node at a time."""
+def _moments_node_by_node(prob, basis, mesh_x):
+    """sum over temporal nodes of w phi_l(t) int g(t) psi_i, one node at a
+    time, against every P1 function psi_i of mesh_x, boundary included: the
+    quadrature of a system that counts every vertex as interior."""
     mesh = basis.mesh
-    quad = SpatialQuadrature(sx.mesh, degree=6)
-    R = np.zeros((basis.num_dofs_full, sx.mesh.num_vertices))
+    quad = SpatialQuadrature(SpatialSystem(mesh_x, *p1_matrices(mesh_x), np.arange(mesh_x.num_vertices)))
+    R = np.zeros((basis.num_dofs_full, mesh_x.num_vertices))
     for j in range(mesh.m):
         n = int(mesh.degrees[j]) + 8
         if j == 0:
@@ -275,10 +280,25 @@ def test_projection_matches_node_by_node_loop(case, chunk_entries, monkeypatch):
     sx = assemble_spatial(mesh_x)
     monkeypatch.setattr(spatial_fem, "_CHUNK_ENTRIES", chunk_entries)
     G = project_rhs(prob, basis, tm, sx)
-    R = _moments_node_by_node(prob, basis, sx)
+    R = _moments_node_by_node(prob, basis, mesh_x)
     # two steps: project onto the unconstrained tensor space, then test with
     # (H phi_k) psi_i; the load skips the spatial projection that cancels
     M_full = p1_matrices(mesh_x)[0].toarray()
     ghat = la.solve(M_full, la.solve(temporal_mass(basis), R).T).T
     ref = tm.M_cross @ ghat @ M_full[:, sx.interior]
     assert np.abs(G - ref).max() <= 1e-12 * np.abs(ref).max()
+
+
+@pytest.mark.parametrize(
+    "mesh_t",
+    [build_mesh(TemporalMeshSpec(T=2, sigma=0.31, mu_hp=2.0, m1=4, m2=1)), uniform_mesh(2.0, 3, 12)],
+    ids=["hp", "p12"],
+)
+def test_load_rule_gram_is_temporal_mass(mesh_t):
+    # the load's temporal rule integrates every product of two basis
+    # functions exactly, so project_rhs takes its Gram matrix as the mass matrix
+    basis = make_basis(mesh_t)
+    t, w, elements = temporal_rule(mesh_t, mesh_t.degrees + solver.LOAD_EXTRA)
+    phi, _ = basis_matrix(basis, t, elements)
+    ref = temporal_mass(basis)
+    assert np.abs((phi.T * w) @ phi - ref).max() <= 1e-13 * np.abs(ref).max()

@@ -4,6 +4,7 @@ import scipy.sparse.linalg as spla
 from hypothesis import given, settings, strategies as st
 
 from spacetime_hp.problems import _laplacian_cutoff_times_singular, corner_singular, cutoff
+from spacetime_hp.quadrature import gauss_legendre_01, triangle_rule
 from spacetime_hp.spatial_fem import (
     SpatialMesh,
     SpatialQuadrature,
@@ -243,15 +244,12 @@ def test_random_marking_keeps_conformity_and_angles(seed):
 
 def _poisson_l2_error(mesh):
     sys = assemble_spatial(mesh)
-    quad = SpatialQuadrature(mesh, degree=6)
+    quad = SpatialQuadrature(sys)
     f_vals = -_laplacian_cutoff_times_singular(quad.points)
-    rhs = quad.moments(f_vals)[sys.interior]
-    u = spla.spsolve(sys.A_x.tocsc(), rhs)
-    nodal = np.zeros(mesh.num_vertices)
-    nodal[sys.interior] = u
+    u = spla.spsolve(sys.A_x.tocsc(), quad.moments(f_vals))
     r = np.hypot(quad.points[:, 0], quad.points[:, 1])
     exact = cutoff(r) * corner_singular(quad.points)
-    err = quad.fe_values(nodal) - exact
+    err = quad.fe_values(u) - exact
     return np.sqrt(quad.l2_norm_sq(err)), sys.N
 
 
@@ -280,17 +278,29 @@ def test_graded_mesh_rate_recovery():
 
 @pytest.mark.parametrize("mesh", [uniform_interval_mesh((0, 1), 7), refine_uniform(lshape_mesh())], ids=["1d", "2d"])
 def test_quadrature_interpolation_matrix(mesh):
-    quad = SpatialQuadrature(mesh, degree=4)
-    assert quad.P.shape == (len(quad.weights), mesh.num_vertices)
-    # P1 reproduces linear functions at the points; its rows sum to one
+    sx = assemble_spatial(mesh)
+    quad = SpatialQuadrature(sx)
+    assert quad.P.shape == (len(quad.weights), sx.N)
+    # the full P1 interpolation matrix from the cells and the shape values
+    # [1 - sum(xi), xi] of the reference rule: 6 Gauss points or triangle_rule(7)
+    xi = (gauss_legendre_01(6) if mesh.dim == 1 else triangle_rule(7))[0].reshape(-1, mesh.dim)
+    shape = np.column_stack([1.0 - xi.sum(axis=1), xi])
+    assert len(quad.weights) == mesh.num_cells * len(shape)
+    full = np.zeros((len(quad.weights), mesh.num_vertices))
+    for e, cell in enumerate(mesh.cells):
+        full[e * len(shape) : (e + 1) * len(shape), cell] = shape
+    assert quad.P.toarray() == pytest.approx(full[:, sx.interior], abs=1e-15)
+    # the full matrix reproduces linear functions at the points, so they are
+    # the mapped rule; its rows sum to one
     coef = np.array([2.0, -1.0])[: mesh.dim]
     lin = 1.0 + mesh.vertices @ coef
     at_points = 1.0 + quad.points.reshape(len(quad.weights), mesh.dim) @ coef
-    assert quad.fe_values(lin) == pytest.approx(at_points, abs=1e-13)
-    assert quad.moments(np.ones(len(quad.weights))).sum() == pytest.approx(quad.weights.sum(), rel=1e-14)
+    assert full @ lin == pytest.approx(at_points, abs=1e-13)
+    assert (full.T @ quad.weights).sum() == pytest.approx(quad.weights.sum(), rel=1e-14)
+    assert quad.moments(np.ones(len(quad.weights))) == pytest.approx(full[:, sx.interior].T @ quad.weights, rel=1e-14)
     # a stack of fields is handled row by row
     rng = np.random.default_rng(5)
-    nodal = rng.standard_normal((3, mesh.num_vertices))
+    nodal = rng.standard_normal((3, sx.N))
     values = rng.standard_normal((3, len(quad.weights)))
     assert quad.fe_values(nodal) == pytest.approx(np.array([quad.fe_values(v) for v in nodal]), abs=1e-14)
     assert quad.moments(values) == pytest.approx(np.array([quad.moments(v) for v in values]), abs=1e-14)
