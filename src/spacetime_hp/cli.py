@@ -35,6 +35,17 @@ from .temporal_hp import TemporalMeshSpec, build_mesh, make_basis, uniform_mesh
 MEMORY_GUARD = 20_000_000
 # relative residual ||B u - G|| / ||G|| above which a level counts as failed
 RESIDUAL_GATE = 1e-8
+# temporal elements of the uniform scheme at level 0 and of the p scheme's fixed mesh
+TEMPORAL_ELEMENTS = 4
+# degree of the uniform temporal scheme: the P1 baseline the hp and p schemes are compared with
+UNIFORM_DEGREE = 1
+# uniform hp tail elements on (1, T): one suffices, as every problem has T = 2
+TAIL_ELEMENTS = 1
+# bisection rounds of the coarse L-shape before level 0 (h_x = sqrt(2)/4)
+LSHAPE_LEVELS = 2
+# corner grading of the graded spatial scheme: h ~ h_x r^(1 - beta) within r < GRADING_RADIUS
+GRADING_BETA = 0.6
+GRADING_RADIUS = 0.25
 
 
 class ConfigError(Exception):
@@ -48,18 +59,11 @@ _KEYS = {
     ("study", "levels"): ("levels", int, (1, True)),
     ("study", "out"): ("out", str, None),
     ("temporal", "scheme"): ("temporal_scheme", str, None),
-    ("temporal", "p"): ("temporal_p", int, (1, True)),
-    ("temporal", "m0"): ("temporal_m0", int, (1, True)),
-    ("temporal", "m"): ("temporal_m", int, (1, True)),
     ("temporal", "sigma"): ("sigma", float, None),
     ("temporal", "mu_hp"): ("mu_hp", float, (1.0, True)),
     ("temporal", "m1_factor"): ("m1_factor", float, (0.0, False)),
-    ("temporal", "m2"): ("m2", int, (1, True)),
     ("spatial", "scheme"): ("spatial_scheme", str, None),
     ("spatial", "initial_elements"): ("initial_elements", int, (2, True)),
-    ("spatial", "initial_level"): ("initial_level", int, (0, True)),
-    ("spatial", "beta"): ("beta", float, None),
-    ("spatial", "radius"): ("radius", float, (0.0, False)),
     ("spatial", "export_meshes"): ("export_meshes", bool, None),
 }
 
@@ -70,18 +74,11 @@ class StudyConfig:
     levels: int = 4
     out: str | None = None
     temporal_scheme: str = "uniform"
-    temporal_p: int = 1
-    temporal_m0: int = 4
-    temporal_m: int = 4
     sigma: float = 0.31
     mu_hp: float = 2.0
     m1_factor: float = 1.4
-    m2: int = 1
     spatial_scheme: str = "uniform"
     initial_elements: int = 4
-    initial_level: int = 1
-    beta: float = 0.6
-    radius: float = 0.25
     export_meshes: bool = False
 
     def __post_init__(self):
@@ -112,10 +109,8 @@ class StudyConfig:
             raise ConfigError(
                 f"[spatial] scheme: unknown scheme {self.spatial_scheme!r} (uniform|graded)"
             )
-        if self.spatial_scheme == "graded" and not 0.0 < self.beta <= 1.0:
-            raise ConfigError(
-                f"[spatial] beta: grading parameter must satisfy beta in (0,1], got {self.beta}"
-            )
+        if self.spatial_scheme == "graded" and get_problem(self.problem).dimension == 1:
+            raise ConfigError("[spatial] scheme: graded meshes need a 2D problem; use uniform")
 
 
 def _cast(section, key, raw, cast):
@@ -149,25 +144,23 @@ def _spatial_for_level(cfg: StudyConfig, prob, level):
     if prob.dimension == 1:
         n = cfg.initial_elements * 2**level
         return uniform_interval_mesh(prob.domain_interval(), n)
-    steps = cfg.initial_level + level
     # beta = 1 is uniform refinement: the coarse triangles are congruent, so each round bisects all
-    beta = 1.0 if cfg.spatial_scheme == "uniform" else cfg.beta
-    return refine_graded(lshape_mesh(), np.sqrt(2.0) * 0.5**steps, beta, cfg.radius)
+    beta = 1.0 if cfg.spatial_scheme == "uniform" else GRADING_BETA
+    return refine_graded(lshape_mesh(), np.sqrt(2.0) * 0.5 ** (LSHAPE_LEVELS + level), beta, GRADING_RADIUS)
 
 
 def _temporal_for_level(cfg: StudyConfig, prob, level, N):
     T = prob.T
     if cfg.temporal_scheme == "uniform":
-        return uniform_mesh(T, cfg.temporal_m0 * 2**level, cfg.temporal_p)
+        return uniform_mesh(T, TEMPORAL_ELEMENTS * 2**level, UNIFORM_DEGREE)
     if cfg.temporal_scheme == "p":
-        p = max(1, floor(log(N) / 2.0))
-        return uniform_mesh(T, cfg.temporal_m, p)
+        return uniform_mesh(T, TEMPORAL_ELEMENTS, max(1, floor(log(N) / 2.0)))
     m1 = floor(cfg.m1_factor * log(N))
     if m1 < 3:
         raise ValueError(
             f"temporal hp rule gives m1 = {m1} < 3 at N = {N}; start from a finer spatial level"
         )
-    spec = TemporalMeshSpec(T=T, sigma=cfg.sigma, mu_hp=cfg.mu_hp, m1=m1, m2=cfg.m2)
+    spec = TemporalMeshSpec(T=T, sigma=cfg.sigma, mu_hp=cfg.mu_hp, m1=m1, m2=TAIL_ELEMENTS)
     return build_mesh(spec)
 
 

@@ -195,12 +195,10 @@ class _Regular:
     def u(self, t):
         return t * self.s * self.decay(t)
 
-    def du_dt(self, t, E=None):
-        E = self.decay(t) if E is None else E
+    def du_dt(self, t, E):
         return self.s * E * (1.0 - t * self.q_sq)
 
-    def laplace(self, t, E=None):
-        E = self.decay(t) if E is None else E
+    def laplace(self, t, E):
         return E * (t * (self.a0 + t * (self.a1 + t * self.a2)))
 
     def forcing(self, t):
@@ -218,7 +216,7 @@ def _lshape_problem(name, tau, dtau):
         lap_sing = _laplacian_cutoff_times_singular(xy)
         return Evaluator(
             u=lambda t: reg.u(t) + tau(t) * sing,
-            du_dt=lambda t: reg.du_dt(t) + dtau(t) * sing,
+            du_dt=lambda t: reg.du_dt(t, reg.decay(t)) + dtau(t) * sing,
             g=lambda t: reg.forcing(t) + (dtau(t) * sing - tau(t) * lap_sing),
         )
 

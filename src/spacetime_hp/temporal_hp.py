@@ -43,10 +43,18 @@ class TemporalMeshSpec:
             raise ValueError(f"m2 must be >= 0, got {self.m2}")
         if self.T <= 1.0 and self.m2 != 0:
             object.__setattr__(self, "m2", 0)
-        if self.T > 1.0 and self.m2 == 0:
+        tail = np.diff(_tail_breakpoints(self.T, self.m2), prepend=1.0)
+        if self.T > 1.0 and (self.m2 == 0 or np.any(tail <= 0)):
             raise ValueError(
-                f"mesh would end at T1=1 != T={self.T}; m2 >= 1 is required for T > 1"
+                f"the tail (T1, T) = (1, {self.T}) needs m2 >= 1 elements of positive length; "
+                f"got m2={self.m2} at T - T1 = {self.T - 1.0:.3g}"
             )
+
+
+def _tail_breakpoints(T, m2):
+    """Breakpoints T1 + (T - T1) k / m2, k = 1..m2, with T1 = min(1, T)."""
+    T1 = min(1.0, T)
+    return T1 + (T - T1) * np.arange(1, m2 + 1) / m2
 
 
 @dataclass(frozen=True)
@@ -97,8 +105,7 @@ def build_mesh(spec: TemporalMeshSpec) -> TemporalMesh:
     t = np.zeros(spec.m1 + spec.m2 + 1)
     for j in range(1, spec.m1 + 1):
         t[j] = T1 * spec.sigma ** (spec.m1 - j)
-    for j in range(spec.m1 + 1, spec.m1 + spec.m2 + 1):
-        t[j] = T1 + (spec.T - T1) * (j - spec.m1) / spec.m2
+    t[spec.m1 + 1 :] = _tail_breakpoints(spec.T, spec.m2)
     p = np.empty(spec.m1 + spec.m2, dtype=int)
     p[0] = 1
     for j in range(2, spec.m1 + 1):

@@ -16,7 +16,7 @@ import numpy as np
 import pytest
 import scipy.linalg as la
 
-from spacetime_hp.cli import StudyConfig, parse_config, run_study, write_outputs
+from spacetime_hp.cli import TAIL_ELEMENTS, StudyConfig, parse_config, run_study, write_outputs
 from spacetime_hp.hilbert import assemble
 from spacetime_hp.metrics import eoc, functional_from_parts
 from spacetime_hp.quadrature import gauss_legendre, log_weighted_rule, triangle_rule
@@ -72,8 +72,7 @@ def _below(x):
 @pytest.fixture(scope="module")
 def u1_uniform_records():
     cfg = StudyConfig(problem="u1", levels=7, temporal_scheme="uniform",
-                      temporal_p=1, temporal_m0=4, spatial_scheme="uniform",
-                      initial_elements=4)
+                      spatial_scheme="uniform", initial_elements=4)
     records, failures = run_study(cfg, log=lambda *a, **k: None)
     assert failures == []
     return records
@@ -82,7 +81,7 @@ def u1_uniform_records():
 @pytest.fixture(scope="module")
 def u1_hp_records():
     cfg = StudyConfig(problem="u1", levels=6, temporal_scheme="hp",
-                      sigma=0.31, mu_hp=2.0, m1_factor=1.4, m2=1,
+                      sigma=0.31, mu_hp=2.0, m1_factor=1.4,
                       spatial_scheme="uniform", initial_elements=16)
     records, failures = run_study(cfg, log=lambda *a, **k: None)
     assert failures == []
@@ -243,9 +242,6 @@ def _study_rate(problem, temporal_scheme, spatial_scheme, **kw):
         levels=4,
         temporal_scheme=temporal_scheme,
         spatial_scheme=spatial_scheme,
-        initial_level=2,
-        beta=0.6,
-        radius=0.25,
         **kw,
     )
     records, failures = run_study(cfg, log=lambda *a, **k: None)
@@ -256,8 +252,8 @@ def _study_rate(problem, temporal_scheme, spatial_scheme, **kw):
 
 def test_criterion_6_u2_graded_mesh_rates():
     t0 = time.perf_counter()
-    rate_graded, _ = _study_rate("u2", "p", "graded", temporal_m=4)
-    rate_uniform, _ = _study_rate("u2", "uniform", "uniform", temporal_p=1, temporal_m0=4)
+    rate_graded, _ = _study_rate("u2", "p", "graded")
+    rate_uniform, _ = _study_rate("u2", "uniform", "uniform")
     passed = rate_graded >= 0.60 and rate_uniform <= 0.55
     _report(
         6,
@@ -270,7 +266,7 @@ def test_criterion_6_u2_graded_mesh_rates():
     assert rate_uniform <= 0.55
 
 
-U3_HP = dict(sigma=0.17, mu_hp=1.0, m1_factor=2.2, m2=1)
+U3_HP = dict(sigma=0.17, mu_hp=1.0, m1_factor=2.2)
 
 
 def _criterion_7_checks(hp_records, uniform_records):
@@ -283,7 +279,7 @@ def _criterion_7_checks(hp_records, uniform_records):
     n_rate_hp, _ = power_fit([r.N for r in hp_records], [r.error for r in hp_records])
     log_n = np.log([r.N for r in hp_records])
     m1_max = U3_HP["m1_factor"] * log_n
-    m_bound = U3_HP["mu_hp"] * (m1_max * (m1_max + 1) / 2 + U3_HP["m2"] * m1_max)
+    m_bound = U3_HP["mu_hp"] * (m1_max * (m1_max + 1) / 2 + TAIL_ELEMENTS * m1_max)
     m_hp = np.array([r.M for r in hp_records])
     first_slab = [
         functional_from_parts(r.val_sq_elements[0], r.der_sq_elements[0])
@@ -336,7 +332,7 @@ def test_criterion_7_u3_hp_rates():
     #   asymptotic rate of the total error, which is the claim of this arm.
     t0 = time.perf_counter()
     _, hp_records = _study_rate("u3", "hp", "graded", **U3_HP)
-    _, uniform_records = _study_rate("u3", "uniform", "graded", temporal_p=1, temporal_m0=4)
+    _, uniform_records = _study_rate("u3", "uniform", "graded")
     checks, detail = _criterion_7_checks(hp_records, uniform_records)
     passed = all(checks.values())
     failing = [k for k, v in checks.items() if not v]
@@ -429,7 +425,7 @@ def test_criterion_9_property_suites(tmp_path):
     )
     # CLI determinism: identical config -> bit-identical table and plot data
     cfg = parse_config(
-        "[study]\nproblem = u1\nlevels = 2\n\n[temporal]\nscheme = uniform\np = 1\nm0 = 4\n"
+        "[study]\nproblem = u1\nlevels = 2\n\n[temporal]\nscheme = uniform\n"
         "\n[spatial]\nscheme = uniform\ninitial_elements = 4\n"
     )
     from dataclasses import replace

@@ -1,3 +1,5 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -5,6 +7,7 @@ from spacetime_hp.cli import (
     ConfigError,
     StudyConfig,
     _spatial_for_level,
+    _temporal_for_level,
     emit_table,
     main,
     parse_config,
@@ -12,8 +15,8 @@ from spacetime_hp.cli import (
     write_outputs,
 )
 from spacetime_hp.metrics import StudyRecord, functional_from_parts
-from spacetime_hp.problems import problem_u3
-from spacetime_hp.spatial_fem import lshape_mesh
+from spacetime_hp.problems import get_problem, problem_u3
+from spacetime_hp.spatial_fem import assemble_spatial, lshape_mesh
 
 from oracles import refine_uniform
 
@@ -24,8 +27,6 @@ levels = 2
 
 [temporal]
 scheme = uniform
-p = 1
-m0 = 4
 
 [spatial]
 scheme = uniform
@@ -38,7 +39,7 @@ def test_parse_roundtrip_normalized():
     assert cfg.problem == "u1"
     assert cfg.levels == 2
     # absent keys take the StudyConfig defaults
-    assert cfg == StudyConfig(problem="u1", levels=2, temporal_p=1, temporal_m0=4, initial_elements=4)
+    assert cfg == StudyConfig(problem="u1", levels=2, initial_elements=4)
 
 
 def test_parse_booleans():
@@ -55,7 +56,7 @@ def test_parse_requires_problem():
 
 
 def test_parse_rejects_bad_sigma():
-    bad = U1_SMALL.replace("scheme = uniform\np = 1\nm0 = 4", "scheme = hp\nsigma = 1.2")
+    bad = U1_SMALL.replace("[temporal]\nscheme = uniform", "[temporal]\nscheme = hp\nsigma = 1.2")
     with pytest.raises(ConfigError, match=r"sigma in \(0,1\)"):
         parse_config(bad)
 
@@ -102,8 +103,8 @@ def test_run_study_partial_failure_isolation():
     # hp rule yields m1 < 3 on the coarsest level: that level is skipped,
     # later levels still run
     text = U1_SMALL.replace(
-        "scheme = uniform\np = 1\nm0 = 4",
-        "scheme = hp\nsigma = 0.31\nmu_hp = 2.0\nm1_factor = 1.4\nm2 = 1",
+        "[temporal]\nscheme = uniform",
+        "[temporal]\nscheme = hp\nsigma = 0.31\nmu_hp = 2.0\nm1_factor = 1.4",
     ).replace("levels = 2", "levels = 3")
     cfg = parse_config(text)
     records, failures = run_study(cfg, log=lambda *a, **k: None)
@@ -133,6 +134,11 @@ def test_main_exit_codes(tmp_path):
     assert main([str(tmp_path / "missing.cfg")]) == 1
 
 
+# keys of values that are constants of cli (TEMPORAL_ELEMENTS and the rest):
+# setting one is an unknown key, whatever the value
+FIXED_KEYS = {"p", "m0", "m", "m2", "initial_level", "beta", "radius"}
+
+
 @pytest.mark.parametrize(
     "section, key, value",
     [
@@ -150,6 +156,7 @@ def test_main_exit_codes(tmp_path):
         ("spatial", "initial_level", "-3"),
         ("spatial", "radius", "-1"),
         ("spatial", "radius", "nan"),
+        ("spatial", "beta", "0.6"),
     ],
 )
 def test_main_rejects_out_of_range_values(tmp_path, capsys, section, key, value):
@@ -159,25 +166,66 @@ def test_main_rejects_out_of_range_values(tmp_path, capsys, section, key, value)
     cfg_path = tmp_path / "study.cfg"
     cfg_path.write_text("\n".join(lines[:at] + [f"{key} = {value}"] + lines[at:]))
     assert main([str(cfg_path), "--levels", "1"]) == 1
-    assert f"[{section}] {key}" in capsys.readouterr().err
+    reason = "unknown key" if key in FIXED_KEYS else "must be"
+    assert f"[{section}] {key}: {reason}" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("initial_level, level", [(0, 0), (0, 1), (2, 0), (2, 1), (2, 2), (2, 3)])
-def test_uniform_spatial_scheme_is_uniform_refinement(initial_level, level):
-    # steps = initial_level + level rounds of refine_uniform, node for node
-    cfg = StudyConfig(problem="u3", spatial_scheme="uniform", initial_level=initial_level)
+def test_graded_spatial_scheme_needs_a_2d_problem(tmp_path, capsys):
+    # an interval has no corner to grade toward: the scheme is rejected, not ignored
+    cfg_path = tmp_path / "study.cfg"
+    cfg_path.write_text(U1_SMALL.replace("[spatial]\nscheme = uniform", "[spatial]\nscheme = graded"))
+    assert main([str(cfg_path), "--levels", "1"]) == 1
+    assert "[spatial] scheme: graded meshes need a 2D problem" in capsys.readouterr().err
+
+
+# ids: bisections of the coarse L-shape before level 0 (cli.LSHAPE_LEVELS), then the level
+@pytest.mark.parametrize("level", range(4), ids=lambda level: f"2-{level}")
+def test_uniform_spatial_scheme_is_uniform_refinement(level):
+    # 2 + level rounds of refine_uniform, node for node
+    cfg = StudyConfig(problem="u3", spatial_scheme="uniform")
     mesh = _spatial_for_level(cfg, problem_u3(), level)
     ref = lshape_mesh()
-    for _ in range(initial_level + level):
+    for _ in range(2 + level):
         ref = refine_uniform(ref)
     assert np.array_equal(mesh.vertices, ref.vertices)
     assert np.array_equal(mesh.cells, ref.cells)
 
 
+SHIPPED = Path(__file__).parents[1] / "scripts"
+
+# (M, N) at levels 0 and 1 of each shipped config, as the configs built them
+# when the now fixed values were still config keys
+SHIPPED_MN = {
+    "u1_hp": [(17, 15), (27, 31)],
+    "u1_uniform": [(4, 3), (8, 7)],
+    "u2_p_graded": [(4, 52), (8, 237)],
+    "u2_p_uniform_x": [(4, 33), (8, 161)],
+    "u2_uniform_t_graded_x": [(4, 52), (8, 237)],
+    "u2_uniform_xt": [(4, 33), (8, 161)],
+    "u3_hp_graded": [(44, 52), (90, 237)],
+    "u3_hp_uniform_x": [(35, 33), (77, 161)],
+    "u3_uniform_t_graded_x": [(4, 52), (8, 237)],
+    "u3_uniform_xt": [(4, 33), (8, 161)],
+}
+
+
+def test_every_shipped_config_is_listed():
+    assert sorted(path.stem for path in SHIPPED.glob("*.cfg")) == sorted(SHIPPED_MN)
+
+
+@pytest.mark.parametrize("name", sorted(SHIPPED_MN))
+def test_shipped_config_discretisation(name):
+    cfg = parse_config((SHIPPED / f"{name}.cfg").read_text())
+    prob = get_problem(cfg.problem)
+    for level, expected in enumerate(SHIPPED_MN[name]):
+        N = assemble_spatial(_spatial_for_level(cfg, prob, level)).N
+        assert (_temporal_for_level(cfg, prob, level, N).num_dofs, N) == expected
+
+
 def test_main_partial_exit_code(tmp_path):
     text = U1_SMALL.replace(
-        "scheme = uniform\np = 1\nm0 = 4",
-        "scheme = hp\nsigma = 0.31\nmu_hp = 2.0\nm1_factor = 1.4\nm2 = 1",
+        "[temporal]\nscheme = uniform",
+        "[temporal]\nscheme = hp\nsigma = 0.31\nmu_hp = 2.0\nm1_factor = 1.4",
     )
     cfg_path = tmp_path / "study.cfg"
     cfg_path.write_text(text)
@@ -228,13 +276,9 @@ out = {out}
 
 [temporal]
 scheme = p
-m = 4
 
 [spatial]
 scheme = graded
-initial_level = 1
-beta = 0.6
-radius = 0.25
 export_meshes = true
 """
 

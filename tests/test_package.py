@@ -1,13 +1,16 @@
 """Every top-level function, class and constant of the package, and every
 method and property of its classes, has a caller inside the package: code
 that only tests use belongs under tests/. Every function parameter with a
-default (a knob a caller may turn or leave alone) is listed with its reason."""
+default (a knob a caller may turn or leave alone) is listed with its reason.
+Every config key is set by a shipped study, to more than one value across them."""
 
 import ast
-from collections import Counter
+import configparser
+from collections import Counter, defaultdict
 from pathlib import Path
 
 import spacetime_hp
+from spacetime_hp.cli import _KEYS, parse_config
 
 SRC = Path(spacetime_hp.__file__).parent
 
@@ -26,10 +29,13 @@ DEFAULTED = {
     "hilbert.assemble.multiplier": "the order-doubling checks of the transform matrices",
     "metrics.l2q_error_element_parts.quad_mult": "the order-doubling checks of the error",
     "problems.problem_u1.truncation": "the term-by-term test; goes with the closed-form u1 (ROADMAP item 2)",
-    "problems._Regular.du_dt.E": "the forcing passes the decay factor it has already computed",
-    "problems._Regular.laplace.E": "the forcing passes the decay factor it has already computed",
     "temporal_hp.hp_condition_report.delta": "a constant of the slope condition; tests vary it",
     "temporal_hp.hp_condition_report.eps": "a constant of the slope condition; tests vary it",
+}
+
+# config keys that the shipped studies set to one value, each with its reason
+SINGLE_VALUED_KEYS = {
+    ("spatial", "export_meshes"): "an output switch that one study turns on",
 }
 
 
@@ -103,3 +109,19 @@ def test_every_defaulted_parameter_is_listed():
     # a new default needs an entry, and an entry whose parameter is gone goes
     found = [q for path in sorted(SRC.glob("*.py")) for q in _defaulted(ast.parse(path.read_text()), path.stem)]
     assert sorted(found) == sorted(DEFAULTED)
+
+
+def test_every_config_key_is_varied_by_the_shipped_studies():
+    # a key no study sets, or that every study sets alike, is a constant
+    values = defaultdict(set)
+    for path in sorted((SRC.parents[1] / "scripts").glob("*.cfg")):
+        text = path.read_text()
+        cfg = parse_config(text)
+        written = configparser.ConfigParser()
+        written.read_string(text)
+        for section in written.sections():
+            for key in written[section]:
+                values[section, key].add(getattr(cfg, _KEYS[section, key][0]))
+    unvaried = {key for key in _KEYS if len(values[key]) < 2}
+    assert unvaried == set(SINGLE_VALUED_KEYS)
+    assert all(values[key] for key in SINGLE_VALUED_KEYS)

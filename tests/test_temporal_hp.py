@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from spacetime_hp.quadrature import gauss_legendre, legendre_values
 from spacetime_hp.temporal_hp import (
@@ -67,8 +67,14 @@ def test_uniform_mesh_examples():
     m1=st.integers(3, 12),
     m2=st.integers(1, 4),
 )
+@example(T=1.0000000000000002, sigma=0.5, mu=1.0, m1=3, m2=2)
 def test_mesh_invariants_random(T, sigma, mu, m1, m2):
-    spec = TemporalMeshSpec(T=T, sigma=sigma, mu_hp=mu, m1=m1, m2=m2)
+    try:
+        spec = TemporalMeshSpec(T=T, sigma=sigma, mu_hp=mu, m1=m1, m2=m2)
+    except ValueError as exc:
+        # only a tail too short to split into m2 elements may be rejected
+        assert "tail" in str(exc) and T - 1.0 < 1e-12
+        return
     mesh = build_mesh(spec)
     t, p = mesh.breakpoints, mesh.degrees
     assert t[0] == 0.0 and t[-1] == pytest.approx(T)
@@ -81,6 +87,14 @@ def test_mesh_invariants_random(T, sigma, mu, m1, m2):
     for j in range(2, m1 + 1):
         assert p[j - 1] == int(np.floor(mu * j))
     assert mesh.num_dofs == int(p.sum())
+
+
+def test_spec_rejects_a_tail_that_rounds_away():
+    # 1 + (T - 1) k / m2 rounds onto 1.0 for k = 1: two equal breakpoints
+    with pytest.raises(ValueError, match=r"tail .* m2=2 at T - T1 = 2.22e-16"):
+        TemporalMeshSpec(T=1.0000000000000002, sigma=0.5, mu_hp=1.0, m1=3, m2=2)
+    # one tail element still fits
+    assert build_mesh(TemporalMeshSpec(T=1.0000000000000002, sigma=0.5, mu_hp=1.0, m1=3, m2=1)).m == 4
 
 
 def test_from_arrays_validation():
