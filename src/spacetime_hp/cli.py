@@ -137,7 +137,19 @@ def parse_config(text) -> StudyConfig:
             fields[name] = _cast(section, key, raw, cast)
     if "problem" not in fields:
         raise ConfigError("[study] problem: required field missing")
-    return StudyConfig(**fields)
+    cfg = StudyConfig(**fields)
+    # a key the run would not read is an error, not a silent no-op
+    if "initial_elements" in fields and get_problem(cfg.problem).dimension != 1:
+        raise ConfigError(
+            "[spatial] initial_elements: needs a 1D problem; "
+            f"{cfg.problem}'s meshes start from the coarse L-shape"
+        )
+    for key in ("sigma", "mu_hp", "m1_factor"):
+        if key in fields and cfg.temporal_scheme != "hp":
+            raise ConfigError(
+                f"[temporal] {key}: needs scheme = hp, got scheme = {cfg.temporal_scheme}"
+            )
+    return cfg
 
 
 def _spatial_for_level(cfg: StudyConfig, prob, level):

@@ -178,6 +178,38 @@ def test_graded_spatial_scheme_needs_a_2d_problem(tmp_path, capsys):
     assert "[spatial] scheme: graded meshes need a 2D problem" in capsys.readouterr().err
 
 
+U3_UNIFORM = """
+[study]
+problem = u3
+levels = 1
+
+[temporal]
+scheme = {scheme}
+
+[spatial]
+scheme = uniform
+"""
+
+
+@pytest.mark.parametrize(
+    "scheme, section, line, reason",
+    [
+        ("uniform", "spatial", "initial_elements = 64", "needs a 1D problem"),
+        ("hp", "spatial", "initial_elements = 64", "needs a 1D problem"),
+        ("uniform", "temporal", "sigma = 0.5", "needs scheme = hp, got scheme = uniform"),
+        ("uniform", "temporal", "mu_hp = 3", "needs scheme = hp, got scheme = uniform"),
+        ("p", "temporal", "m1_factor = 2.2", "needs scheme = hp, got scheme = p"),
+    ],
+)
+def test_main_rejects_keys_that_do_not_apply(tmp_path, capsys, scheme, section, line, reason):
+    # a key the run would not read is a config error, not a silently ignored setting
+    text = U3_UNIFORM.format(scheme=scheme).replace(f"[{section}]\n", f"[{section}]\n{line}\n")
+    cfg_path = tmp_path / "study.cfg"
+    cfg_path.write_text(text)
+    assert main([str(cfg_path)]) == 1
+    assert f"[{section}] {line.split()[0]}: {reason}" in capsys.readouterr().err
+
+
 # ids: bisections of the coarse L-shape before level 0 (cli.LSHAPE_LEVELS), then the level
 @pytest.mark.parametrize("level", range(4), ids=lambda level: f"2-{level}")
 def test_uniform_spatial_scheme_is_uniform_refinement(level):

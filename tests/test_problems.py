@@ -47,11 +47,37 @@ def _u1_partial_sum(terms, t, x):
     return u
 
 
+def _u1_du_dt_partial_sum(terms, t, x):
+    """The time derivative of `_u1_partial_sum`, one term at a time."""
+    du = np.zeros_like(x)
+    for eta in range(1, terms + 1):
+        m = 2 * eta - 1
+        du += 4.0 / (np.pi * m) * np.exp(-(np.pi**2) * m**2 * t) * np.sin(np.pi * m * x)
+    return du
+
+
 def test_u1_initial_value_and_truncation_default():
     prob = problem_u1()
     x = np.linspace(0, 1, 50)
     assert prob.u_exact(0.3, x) == pytest.approx(_u1_partial_sum(1000, 0.3, x), rel=1e-12, abs=1e-15)
     assert np.abs(prob.u_exact(0.0, x)).max() == 0.0
+
+
+@pytest.mark.parametrize(
+    "times",
+    [[0.05, 0.3, 1.9], [1e-12, 1e-6, 1e-3, 0.3, 1.9]],
+    ids=["late", "mixed"],
+)
+def test_u1_live_modes_match_all_terms(times):
+    # a column that starts late keeps a short prefix of the modes (5 of 1000
+    # from t = 0.05); a mixed column keeps them all for every row
+    x = np.linspace(0, 1, 50)
+    ev = problem_u1().at(x)
+    t = np.array(times)[:, None]
+    for row, ti in zip(ev.u(t), times):
+        assert row == pytest.approx(_u1_partial_sum(1000, ti, x), rel=1e-12, abs=1e-15)
+    for row, ti in zip(ev.du_dt(t), times):
+        assert row == pytest.approx(_u1_du_dt_partial_sum(1000, ti, x), rel=1e-12, abs=1e-15)
 
 
 def test_u1_steady_state_midpoint():
