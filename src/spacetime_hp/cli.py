@@ -224,6 +224,7 @@ def run_study(cfg: StudyConfig, log=print):
                 k_max=mesh_t.k_max,
                 error=err,
                 wall_time=time.perf_counter() - t0,
+                residual=sol.residual,
                 val_sq_elements=tuple(val_sq.tolist()),
                 der_sq_elements=tuple(der_sq.tolist()),
             )

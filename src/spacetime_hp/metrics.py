@@ -54,6 +54,8 @@ class StudyRecord:
     k_max: float
     error: float
     wall_time: float = 0.0
+    # relative residual ||B u - G|| / ||G|| of the level's solve
+    residual: float = 0.0
     # squared L2 norms of e and d_t e on each slab (t_{j-1}, t_j) x D, in time order
     val_sq_elements: tuple = ()
     der_sq_elements: tuple = ()
@@ -88,7 +90,7 @@ def eoc(records):
     return [None] + vals
 
 
-RECORD_HEADER = "MN\tM\tN\th_x\tk_max\terror\teoc\twall_time"
+RECORD_HEADER = "MN\tM\tN\th_x\tk_max\terror\teoc\twall_time\tresidual"
 
 
 def emit_records(records):
@@ -98,5 +100,6 @@ def emit_records(records):
         rate_s = "-" if rate is None else f"{rate:.2f}"
         lines.append(
             f"{r.MN}\t{r.M}\t{r.N}\t{r.h_x:.5f}\t{r.k_max:.5f}\t{r.error:.3e}\t{rate_s}\t{r.wall_time:.3f}"
+            f"\t{r.residual:.3e}"
         )
     return "\n".join(lines) + "\n"

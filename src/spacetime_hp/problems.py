@@ -5,7 +5,10 @@ L-shaped domain (one smooth in time, one with a t^(3/5) startup singularity).
 
 Forcings are closed-form: the corner factor r^(2/3) sin((2/3)(theta - pi/2))
 is harmonic, so the Laplacian of the cutoff solution reduces to cutoff
-derivatives, and the smooth part differentiates termwise.
+derivatives, and the smooth part differentiates termwise. The L-shape
+forcing is g = tau'(t) S(x) - tau(t) Laplace S(x) + g_reg(t, x), with S the
+cutoff corner factor and g_reg that of the smooth part; its first two terms
+are separable in (t, x), and so is u1's g = 1.
 
 Each problem evaluates through `ManufacturedProblem.at(points)`, which
 computes the time-independent spatial factors once per point set; the
@@ -25,11 +28,21 @@ class Evaluator:
 
     A scalar t gives one value per point; a column of times (nt, 1) gives an
     (nt, npts) array, row i at time t[i].
+
+    The forcing is stated as its separable terms, pairs (a_k, f_k) of a time
+    factor a_k(t) and the spatial factor f_k at the points, plus a remainder
+    g_rest(t), or None where the terms are all of g:
+    g(t) = g_rest(t) + sum_k a_k(t) f_k.
     """
 
     u: Callable
     du_dt: Callable
-    g: Callable
+    terms: tuple
+    g_rest: Callable | None
+
+    def g(self, t):
+        separable = sum(a(t) * f for a, f in self.terms)
+        return separable if self.g_rest is None else self.g_rest(t) + separable
 
 
 @dataclass(frozen=True)
@@ -67,7 +80,7 @@ class ManufacturedProblem:
 
             return f
 
-        return Evaluator(broadcast(self.u_exact), broadcast(self.du_dt_exact), broadcast(self.g))
+        return Evaluator(broadcast(self.u_exact), broadcast(self.du_dt_exact), (), broadcast(self.g))
 
 
 def _fields(at):
@@ -122,7 +135,8 @@ def problem_u1(truncation=1000) -> ManufacturedProblem:
         return Evaluator(
             u=lambda t: tables()[1] - transient(amp_u, t),
             du_dt=lambda t: transient(amp_du, t),
-            g=lambda t: np.ones(np.broadcast(t, x).shape),
+            terms=((lambda t: np.ones(np.shape(t)), np.ones(x.shape)),),
+            g_rest=None,
         )
 
     return ManufacturedProblem(name="u1", dimension=1, T=2.0, **_fields(at))
@@ -241,7 +255,8 @@ def _lshape_problem(name, tau, dtau):
         return Evaluator(
             u=lambda t: reg.u(t) + tau(t) * sing,
             du_dt=lambda t: reg.du_dt(t, reg.decay(t)) + dtau(t) * sing,
-            g=lambda t: reg.forcing(t) + (dtau(t) * sing - tau(t) * lap_sing),
+            terms=((dtau, sing), (lambda t: -tau(t), lap_sing)),
+            g_rest=reg.forcing,
         )
 
     return ManufacturedProblem(name=name, dimension=2, T=2.0, **_fields(at))

@@ -56,16 +56,27 @@ def project_rhs(prob, basis: TemporalBasis, tm: TemporalMatrices, sx: SpatialSys
     Testing with the interior P1 functions psi_i cancels the spatial half of
     Pi, so the load is M_cross applied to the temporal projection of the
     moments int g phi_l psi_i. Its mass matrix is the Gram matrix of the
-    load's basis table: with LOAD_EXTRA >= 1 the rule is exact for it."""
+    load's basis table: with LOAD_EXTRA >= 1 the rule is exact for it.
+
+    A separable term a(t) f(x) of g contributes the outer product of its
+    temporal and spatial moments; only the remainder of g is evaluated at
+    every (node, point) pair, with the nodes in chunks. Both are taken on
+    the same rule."""
     mesh = basis.mesh
     quad = SpatialQuadrature(sx)
     t, w, elements = temporal_rule(mesh, mesh.degrees + LOAD_EXTRA)
     phi = basis_matrix(basis, t, elements)[0]
     phi_w = phi * w[:, None]
-    g = prob.at(quad.points).g
+    ev = prob.at(quad.points)
     R = np.zeros((basis.num_dofs_full, sx.N))
-    for c in quad.time_chunks(len(t)):
-        R += phi_w[c].T @ quad.moments(g(t[c, None]))
+    for a, f in ev.terms:
+        R += np.outer(phi_w.T @ a(t), quad.moments(f))
+    if ev.g_rest is not None:
+        # gathered first, so that R takes one matrix product, not an update per node
+        moments = np.empty((len(t), sx.N))
+        for c in quad.time_chunks(len(t)):
+            moments[c] = quad.moments(ev.g_rest(t[c, None]))
+        R += phi_w.T @ moments
     return tm.M_cross @ _temporal_projection(phi_w.T @ phi, R)
 
 

@@ -270,29 +270,35 @@ class SpatialQuadrature:
     One reference-simplex rule is mapped onto every cell through the shape
     functions [1 - sum(xi), xi]: 6 Gauss points on intervals, and on
     triangles the collapsed tensor rule triangle_rule(7), 49 points exact to
-    total degree 12. P is the sparse (points x interior vertices) matrix of
-    P1 shape values; the helpers act on the last axis, so a stack of fields
-    (one per row) is handled at once.
+    total degree 12. Point e*q + i is point i of the rule in cell e, so the
+    helpers work on the cell grid: a row of point values is a (cells, q)
+    block, and the (q, d + 1) table `shape` maps between the q points and
+    the d + 1 vertices of a cell. They act on the last axis, so a stack of
+    fields (one per row) is handled at once.
     """
 
     def __init__(self, sx: SpatialSystem):
         mesh, d = sx.mesh, sx.mesh.dim
         xi, w = gauss_legendre_01(6) if d == 1 else triangle_rule(7)
         xi = xi.reshape(len(w), d)
-        shape = np.column_stack([1.0 - xi.sum(axis=1), xi])  # (q, d + 1)
-        points = np.einsum("qk,nkd->nqd", shape, mesh.vertices[mesh.cells]).reshape(-1, d)
+        self.shape = np.column_stack([1.0 - xi.sum(axis=1), xi])  # (q, d + 1)
+        # its transpose, stored C-contiguous: a matmul with the transposed
+        # view runs up to twice as slow on the tall (rows*cells, d + 1) blocks
+        self.shape_t = np.ascontiguousarray(self.shape.T)
+        points = np.einsum("qk,nkd->nqd", self.shape, mesh.vertices[mesh.cells]).reshape(-1, d)
         # 1D problem data take plain x arrays
         self.points = points[:, 0] if d == 1 else points
         self.weights = ((factorial(d) * mesh.volumes)[:, None] * w[None, :]).ravel()
-        # point e*q + i of cell e carries shape[i, k] at vertex cells[e, k],
-        # in column column[cells[e, k]]; boundary vertices have none (-1)
-        column = np.full(mesh.num_vertices, -1)
+        # interior index of vertex k of cell e at entry e*(d+1) + k; a
+        # boundary vertex reads the zero padding column N
+        column = np.full(mesh.num_vertices, sx.N)
         column[sx.interior] = np.arange(sx.N)
-        cols = np.broadcast_to(column[mesh.cells][:, None, :], (mesh.num_cells,) + shape.shape)
-        keep = cols >= 0
-        data = np.broadcast_to(shape, cols.shape)[keep]
-        rows = np.repeat(np.arange(len(self.weights)), d + 1)[keep.ravel()]
-        self.P = sp.csr_matrix((data, (rows, cols[keep])), shape=(len(self.weights), sx.N))
+        self.columns = column[mesh.cells].ravel()
+        # 0/1 (N x cell vertices) matrix that sums the cell vertices onto the unknowns
+        inner = np.flatnonzero(self.columns < sx.N)
+        self.scatter = sp.csr_matrix(
+            (np.ones(len(inner)), (self.columns[inner], inner)), shape=(sx.N, len(self.columns))
+        )
 
     def time_chunks(self, n_times):
         """Slices of n_times time nodes, each small enough that a (times x
@@ -306,14 +312,22 @@ class SpatialQuadrature:
         return sq if sq.ndim else float(sq)
 
     def moments(self, values):
-        """Moments int f psi_i = P^T (w f) against the interior P1 functions,
-        from point values of f."""
-        return (self.P.T @ (np.asarray(values) * self.weights).T).T
+        """Moments int f psi_i against the interior P1 functions, from point
+        values of f: each cell's weighted values times `shape`, summed onto
+        the unknowns by `scatter`."""
+        wf = np.asarray(values) * self.weights
+        cell_sums = wf.reshape(-1, len(self.shape)) @ self.shape
+        return (self.scatter @ cell_sums.reshape(wf.shape[:-1] + (-1,)).T).T
 
     def fe_values(self, nodal):
-        """Values P nodal at the quadrature points of the P1 function with
-        the given interior nodal vector (zero on the boundary)."""
-        return (self.P @ np.asarray(nodal).T).T
+        """Values at the quadrature points of the P1 function with the given
+        interior nodal vector (zero on the boundary): each cell's vertex
+        values times `shape_t`."""
+        nodal = np.asarray(nodal)
+        padded = np.zeros(nodal.shape[:-1] + (nodal.shape[-1] + 1,))
+        padded[..., :-1] = nodal
+        at_vertices = padded.take(self.columns, axis=-1).reshape(-1, len(self.shape_t))
+        return (at_vertices @ self.shape_t).reshape(nodal.shape[:-1] + (-1,))
 
 
 def export_mesh(mesh: SpatialMesh, path):

@@ -3,16 +3,18 @@
 Most evaluate one quantity the direct way: one point, one basis function or
 one time at a time, where the package works on whole batches. The others are
 paths the study pipeline does not take: the dense system matrix, the scalar
-model IVP, the error surrogate of one solution, uniform refinement and the
-temporal mass matrix on its own minimal rule.
+model IVP, the error surrogate of one solution, uniform refinement, the
+temporal mass matrix on its own minimal rule, the forcings in one closed
+form each and the load with the whole forcing at every (node, point) pair.
 """
 
 import numpy as np
 import scipy.linalg as la
 
 from spacetime_hp.metrics import TEMPORAL_EXTRA, functional_from_parts, l2q_error_element_parts
+from spacetime_hp.problems import _laplacian_cutoff_times_singular, _polar, _Regular, corner_singular, cutoff
 from spacetime_hp.solver import LOAD_EXTRA, _temporal_projection
-from spacetime_hp.spatial_fem import refine_edges
+from spacetime_hp.spatial_fem import SpatialQuadrature, refine_edges
 from spacetime_hp.temporal_hp import TemporalBasis, basis_matrix, lobatto_shapes, temporal_rule
 
 # largest M * N the dense Kronecker matrix is built for
@@ -178,3 +180,37 @@ def temporal_mass(basis: TemporalBasis):
     t, w, elements = temporal_rule(basis.mesh, basis.mesh.degrees + 1)
     B, _ = basis_matrix(basis, t, elements)
     return (B.T * w) @ B
+
+
+# (tau, d_t tau) of the L-shape problems: u = u_reg + tau(t) S(x)
+_TAU = {
+    "u2": (lambda t: t * np.exp(-t), lambda t: (1.0 - t) * np.exp(-t)),
+    "u3": (lambda t: t**0.6 * np.exp(-t), lambda t: np.exp(-t) * (0.6 * t ** (-0.4) - t**0.6)),
+}
+
+
+def forcing_closed_form(name, t, x):
+    """The forcing g(t, x) of problem u1, u2 or u3 as one expression: 1 for
+    u1, and g_reg + (tau' S - tau Laplace S) on the L-shape."""
+    x = np.asarray(x, dtype=float)
+    if name == "u1":
+        return np.ones(np.broadcast(t, x).shape)
+    tau, dtau = _TAU[name]
+    r, _ = _polar(x)
+    sing = cutoff(r) * corner_singular(x)
+    return _Regular(x).forcing(t) + (dtau(t) * sing - tau(t) * _laplacian_cutoff_times_singular(x))
+
+
+def project_rhs_full_forcing(prob, basis, tm, sx):
+    """The load of solver.project_rhs on the same rule, with the whole
+    forcing evaluated at every (node, point) pair, the nodes in chunks."""
+    mesh = basis.mesh
+    quad = SpatialQuadrature(sx)
+    t, w, elements = temporal_rule(mesh, mesh.degrees + LOAD_EXTRA)
+    phi = basis_matrix(basis, t, elements)[0]
+    phi_w = phi * w[:, None]
+    g = prob.at(quad.points).g
+    R = np.zeros((basis.num_dofs_full, sx.N))
+    for c in quad.time_chunks(len(t)):
+        R += phi_w[c].T @ quad.moments(g(t[c, None]))
+    return tm.M_cross @ _temporal_projection(phi_w.T @ phi, R)

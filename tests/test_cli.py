@@ -300,6 +300,32 @@ def test_outputs_deterministic(tmp_path):
     assert (a / "records.tsv").exists()
 
 
+def test_records_tsv_carries_the_solver_residual(tmp_path, monkeypatch):
+    import spacetime_hp.cli as cli_mod
+    from dataclasses import replace
+
+    residuals = []
+    solve_heat = cli_mod.solve_heat
+
+    def keep_residual(*args):
+        sol = solve_heat(*args)
+        residuals.append(sol.residual)
+        return sol
+
+    monkeypatch.setattr(cli_mod, "solve_heat", keep_residual)
+    cfg = replace(parse_config(U1_SMALL), out=str(tmp_path))
+    records, _ = run_study(cfg, log=lambda *a, **k: None)
+    write_outputs(cfg, records)
+    header, *rows = (tmp_path / "records.tsv").read_text().splitlines()
+    assert header.split("\t") == ["MN", "M", "N", "h_x", "k_max", "error", "eoc", "wall_time", "residual"]
+    assert len(residuals) == len(records) == len(rows) == 2
+    assert [r.residual for r in records] == residuals
+    assert all(r <= cli_mod.RESIDUAL_GATE for r in residuals)
+    for row, res in zip(rows, residuals):
+        assert len(row.split("\t")) == 9
+        assert row.split("\t")[-1] == f"{res:.3e}"
+
+
 MESH_EXPORT_STUDY = """
 [study]
 problem = u2

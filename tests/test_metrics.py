@@ -264,7 +264,7 @@ def test_emit_records_format():
     ]
     text = emit_records(recs)
     lines = text.strip().split("\n")
-    assert lines[0] == "MN\tM\tN\th_x\tk_max\terror\teoc\twall_time"
+    assert lines[0] == "MN\tM\tN\th_x\tk_max\terror\teoc\twall_time\tresidual"
     assert lines[1].split("\t")[6] == "-"
     assert lines[1].split("\t")[5] == "7.330e-02"
     assert lines[2].split("\t")[6] != "-"

@@ -13,6 +13,8 @@ from spacetime_hp.problems import (
     problem_u3,
 )
 
+from oracles import forcing_closed_form
+
 
 def _fd_forcing(prob, t, xy, h=1e-4):
     """Finite-difference oracle for d_t u - Laplace u."""
@@ -291,3 +293,22 @@ def test_default_evaluator_broadcasts_plain_fields():
     assert ev.du_dt(t[:, None]) == pytest.approx(np.tile(np.sin(np.pi * x), (2, 1)))
     assert ev.g(t[:, None]).shape == (2, 5)
     assert ev.u(0.25).shape == (5,)
+
+
+@pytest.mark.parametrize("factory", [problem_u1, problem_u2, problem_u3], ids=["u1", "u2", "u3"])
+def test_separable_terms_reproduce_the_forcing(factory):
+    prob = factory()
+    rng = np.random.default_rng(13)
+    x = _points_for(prob, rng)
+    t = np.concatenate([[1e-9, 1e-3], rng.uniform(0.01, prob.T, 6)])[:, None]
+    ev = prob.at(x)
+    # u1's g = 1 is one term; the L-shape forcing is tau' S - tau Laplace S
+    # plus the smooth part's forcing as the remainder
+    assert len(ev.terms) == (1 if prob.name == "u1" else 2)
+    assert (ev.g_rest is None) == (prob.name == "u1")
+    separable = sum(a(t) * f for a, f in ev.terms)
+    total = separable if ev.g_rest is None else separable + ev.g_rest(t)
+    ref = forcing_closed_form(prob.name, t, x)
+    assert total.shape == ref.shape == (len(t), len(x))
+    assert np.abs(total - ref).max() <= 1e-14 * np.abs(ref).max()
+    assert np.abs(ev.g(t) - ref).max() <= 1e-14 * np.abs(ref).max()

@@ -1,10 +1,12 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 import scipy.linalg as la
 
 from spacetime_hp import cli, solver, spatial_fem
 from spacetime_hp.hilbert import assemble
-from spacetime_hp.problems import ManufacturedProblem, problem_u1, problem_u3
+from spacetime_hp.problems import ManufacturedProblem, get_problem, problem_u1, problem_u3
 from spacetime_hp.quadrature import gauss_legendre
 from spacetime_hp.solver import project_rhs, solve, solve_heat
 from spacetime_hp.spatial_fem import (
@@ -32,10 +34,13 @@ from oracles import (
     eval_coefficients,
     materialize,
     nodal_at_time,
+    project_rhs_full_forcing,
     refine_uniform,
     solve_parametric_ivp,
     temporal_mass,
 )
+
+SHIPPED = Path(__file__).parents[1] / "scripts"
 
 
 def _dense_solve(tm, sx, G):
@@ -302,3 +307,35 @@ def test_load_rule_gram_is_temporal_mass(mesh_t):
     phi, _ = basis_matrix(basis, t, elements)
     ref = temporal_mass(basis)
     assert np.abs((phi.T * w) @ phi - ref).max() <= 1e-13 * np.abs(ref).max()
+
+
+@pytest.mark.parametrize("level", [0, 1])
+@pytest.mark.parametrize("config", ["u1_hp.cfg", "u2_p_graded.cfg", "u3_hp_graded.cfg"])
+def test_separable_load_matches_full_forcing_loop(config, level):
+    cfg = cli.parse_config((SHIPPED / config).read_text())
+    prob = get_problem(cfg.problem)
+    sx = assemble_spatial(cli._spatial_for_level(cfg, prob, level))
+    basis = make_basis(cli._temporal_for_level(cfg, prob, level, sx.N))
+    tm = assemble(basis)
+    G = project_rhs(prob, basis, tm, sx)
+    ref = project_rhs_full_forcing(prob, basis, tm, sx)
+    assert np.abs(G - ref).max() <= 1e-13 * np.abs(ref).max()
+
+
+def test_load_of_a_problem_without_evaluator_is_the_full_loop():
+    prob = ManufacturedProblem(
+        name="custom",
+        dimension=1,
+        T=2.0,
+        g=lambda t, x: np.exp(-t) * np.sin(np.pi * x) + x * t,
+        u_exact=lambda t, x: t * np.sin(np.pi * x),
+        du_dt_exact=lambda t, x: np.sin(np.pi * x),
+    )
+    basis = make_basis(uniform_mesh(2.0, 3, 2))
+    tm = assemble(basis)
+    sx = assemble_spatial(uniform_interval_mesh((0, 1), 10))
+    ev = prob.at(np.linspace(0.1, 0.9, 4))
+    assert ev.terms == () and ev.g_rest is not None
+    G = project_rhs(prob, basis, tm, sx)
+    ref = project_rhs_full_forcing(prob, basis, tm, sx)
+    assert np.abs(G - ref).max() <= 1e-13 * np.abs(ref).max()

@@ -280,7 +280,6 @@ def test_graded_mesh_rate_recovery():
 def test_quadrature_interpolation_matrix(mesh):
     sx = assemble_spatial(mesh)
     quad = SpatialQuadrature(sx)
-    assert quad.P.shape == (len(quad.weights), sx.N)
     # the full P1 interpolation matrix from the cells and the shape values
     # [1 - sum(xi), xi] of the reference rule: 6 Gauss points or triangle_rule(7)
     xi = (gauss_legendre_01(6) if mesh.dim == 1 else triangle_rule(7))[0].reshape(-1, mesh.dim)
@@ -289,7 +288,11 @@ def test_quadrature_interpolation_matrix(mesh):
     full = np.zeros((len(quad.weights), mesh.num_vertices))
     for e, cell in enumerate(mesh.cells):
         full[e * len(shape) : (e + 1) * len(shape), cell] = shape
-    assert quad.P.toarray() == pytest.approx(full[:, sx.interior], abs=1e-15)
+    # the cell-grid kernels apply its interior columns and their transpose
+    P = full[:, sx.interior]
+    assert quad.fe_values(np.eye(sx.N)) == pytest.approx(P.T, abs=1e-15)
+    v = np.random.default_rng(4).standard_normal(len(quad.weights))
+    assert quad.moments(v) == pytest.approx(P.T @ (quad.weights * v), rel=1e-14)
     # the full matrix reproduces linear functions at the points, so they are
     # the mapped rule; its rows sum to one
     coef = np.array([2.0, -1.0])[: mesh.dim]
