@@ -1,8 +1,8 @@
 #!/usr/bin/env python3
 """Run every shipped study config; writes tables and plot data under
 results/. The full set at the default levels takes one to two minutes with
-1 BLAS thread on a 2-core x86-64 host: 110 s measured on a busy host, of
-which the two u1 studies take about 0.6 s each."""
+1 BLAS thread on a 2-core x86-64 host: 85 s measured, of which the two u1
+studies take under 0.5 s each."""
 
 import sys
 import time

@@ -61,8 +61,8 @@ class StudyRecord:
     der_sq_elements: tuple = ()
 
     def __post_init__(self):
-        if self.error < 0:
-            raise ValueError("error must be nonnegative")
+        if not (np.isfinite(self.error) and self.error >= 0):
+            raise ValueError(f"error must be finite and nonnegative, got {self.error}")
         if self.MN != self.M * self.N:
             raise ValueError(f"MN = {self.MN} inconsistent with M*N = {self.M * self.N}")
 

@@ -1,6 +1,6 @@
 """Manufactured problems for the heat equation on (0,T) x D with homogeneous
-Dirichlet and initial conditions: a Fourier-series solution on the unit
-interval driven by constant forcing, and two corner-singular solutions on the
+Dirichlet and initial conditions: the exact solution on the unit interval
+driven by constant forcing, and two corner-singular solutions on the
 L-shaped domain (one smooth in time, one with a t^(3/5) startup singularity).
 
 Forcings are closed-form: the corner factor r^(2/3) sin((2/3)(theta - pi/2))
@@ -16,7 +16,6 @@ fields u_exact, du_dt_exact and g go through the same evaluator.
 """
 
 from dataclasses import dataclass
-from functools import cache
 from typing import Callable
 
 import numpy as np
@@ -63,11 +62,6 @@ class ManufacturedProblem:
     # points -> Evaluator; None evaluates the fields above with the time column
     evaluator: Callable | None = None
 
-    def domain_interval(self):
-        if self.dimension != 1:
-            raise ValueError("not an interval problem")
-        return (0.0, 1.0)
-
     def at(self, points) -> Evaluator:
         """Evaluator of the problem data at a fixed point set."""
         if self.evaluator is not None:
@@ -93,48 +87,54 @@ def _fields(at):
     )
 
 
-# u1 drops the modes with lam t >= this for every t of a call. A dropped term
-# is below e^-46 ~ 1e-20 in absolute value (its amplitude is at most 4/pi),
-# and, the modes being odd (lam >= 9 lam_1), below e^(-46 * 8/9) ~ 2e-18
-# relative to the first mode's term at the same t.
-_LIVE_EXPONENT = 46.0
+# u1 takes its image form below this time (the first image pair left out starts at
+# erfc(15.8) ~ 1e-110), its mode form from it on (the first mode left out, m = 65, adds < 2e-20)
+_IMAGE_TIME = 1e-3
+_MODES = 32  # odd modes m = 1, 3, ..., 63
+# e^(-z^2) and erfc(z) underflow to 0 beyond z ~ 27.3: capping the image
+# argument there changes no value and keeps it finite at t = 0
+_Z_MAX = 28.0
 
 
-def problem_u1(truncation=1000) -> ManufacturedProblem:
-    """Constant forcing on (0,2) x (0,1); the solution is an odd-mode sine
-    series truncated for evaluation (default 1000 terms).
-
-    At a point set the evaluator builds the (modes, points) sine table in
-    place on first use, and with it the steady sum sum_j amp_j sin(m_j pi x),
-    once. u is the steady sum minus the transient modes and d_t u their time
-    derivative, each summed over the live modes of the call only: the prefix
-    with lam_j min(t) < _LIVE_EXPONENT, as lam_j grows with j."""
-    if truncation < 1:
-        raise ValueError("truncation must be >= 1")
-    eta = np.arange(1, truncation + 1)
-    m = 2 * eta - 1  # odd mode numbers
-    lam = np.pi**2 * m.astype(float) ** 2
-    amp_u = 4.0 / (np.pi**3 * m.astype(float) ** 3)
-    amp_du = 4.0 / (np.pi * m.astype(float))
+def problem_u1() -> ManufacturedProblem:
+    """Constant forcing g = 1 on (0,2) x (0,1), which does not match the zero
+    initial and boundary values at t = 0; the exact solution. Below
+    _IMAGE_TIME one image pair (Carslaw & Jaeger, Conduction of Heat in Solids,
+    1959, ch. 3): u = t - W(x) - W(1 - x), W(y) = 4t i^2erfc(z(y)) with
+    z(y) = y / (2 sqrt t), and d_t u = 1 - erfc(z(x)) - erfc(z(1 - x)). From
+    there on u = x(1 - x)/2 - sum_j 4 / (pi m_j)^3 e^(-(pi m_j)^2 t) sin(m_j pi x)."""
+    m = np.arange(1, 2 * _MODES, 2, dtype=float)
+    lam = (np.pi * m) ** 2
 
     def at(x):
+        # imported here: only u1 needs it, and at module level every study would pay its 40-60 ms
+        from scipy.special import erfc, erfcx
+
         x = np.asarray(x, dtype=float)
+        sines = np.sin(np.pi * np.outer(m, x))
+        walls = np.stack([x, 1.0 - x])[:, None]  # distances to both ends
 
-        # built on first use, as the forcing needs neither
-        @cache
-        def tables():
-            sines = np.outer(m, x)
-            sines *= np.pi
-            np.sin(sines, out=sines)
-            return sines, amp_u @ sines
+        def z(t):  # 0 on an end, also at t = 0
+            with np.errstate(divide="ignore", invalid="ignore"):
+                return np.minimum(np.where(walls > 0.0, walls / (2.0 * np.sqrt(t)), 0.0), _Z_MAX)
 
-        def transient(amp, t):
-            k = np.count_nonzero(lam * np.min(t) < _LIVE_EXPONENT)
-            return (amp[:k] * np.exp(-lam[:k] * t)) @ tables()[0][:k]
+        def image_u(t):
+            zt = z(t)  # W = t e^(-z^2) ((1 + 2 z^2) erfcx(z) - 2 z / sqrt(pi))
+            w = np.exp(-(zt**2)) * ((1.0 + 2.0 * zt**2) * erfcx(zt) - 2.0 / np.sqrt(np.pi) * zt)
+            return t - t * w.sum(0)
+
+        def by_time(t, image, base, amp):
+            # image rows below _IMAGE_TIME, base - sum_j amp_j e^(-lam_j t) sin(m_j pi x) from there on
+            col = np.reshape(t, (-1, 1))
+            early = col[:, 0] < _IMAGE_TIME
+            out = np.empty((len(col), len(x)))
+            out[early] = image(col[early])
+            out[~early] = base - (amp * np.exp(-lam * col[~early])) @ sines
+            return out.reshape(np.shape(t)[:-1] + x.shape)
 
         return Evaluator(
-            u=lambda t: tables()[1] - transient(amp_u, t),
-            du_dt=lambda t: transient(amp_du, t),
+            u=lambda t: by_time(t, image_u, x * (1.0 - x) / 2.0, 4.0 / (np.pi * m) ** 3),
+            du_dt=lambda t: by_time(t, lambda t: 1.0 - erfc(z(t)).sum(0), 0.0, -4.0 / (np.pi * m)),
             terms=((lambda t: np.ones(np.shape(t)), np.ones(x.shape)),),
             g_rest=None,
         )

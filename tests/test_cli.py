@@ -15,7 +15,7 @@ from spacetime_hp.cli import (
     write_outputs,
 )
 from spacetime_hp.metrics import StudyRecord, functional_from_parts
-from spacetime_hp.problems import get_problem, problem_u3
+from spacetime_hp.problems import ManufacturedProblem, get_problem, problem_u3
 from spacetime_hp.spatial_fem import assemble_spatial, lshape_mesh
 
 from oracles import refine_uniform
@@ -283,6 +283,41 @@ def test_residual_gate_fails_level(monkeypatch):
     assert records == []
     assert [level for level, _ in failures] == [0, 1]
     assert all("solver residual" in reason and reason.endswith("> 1e-20") for _, reason in failures)
+
+
+def test_nan_residual_fails_level(monkeypatch):
+    import spacetime_hp.cli as cli_mod
+    from dataclasses import replace
+
+    solve_heat = cli_mod.solve_heat
+    monkeypatch.setattr(cli_mod, "solve_heat", lambda *args: replace(solve_heat(*args), residual=float("nan")))
+    records, failures = run_study(parse_config(U1_SMALL), log=lambda *a, **k: None)
+    assert records == []
+    assert all(reason == "ArithmeticError: solver residual nan > 1e-08" for _, reason in failures)
+    assert [level for level, _ in failures] == [0, 1]
+
+
+def test_nan_exact_solution_fails_level(tmp_path, monkeypatch):
+    # a NaN error is a failed level with its reason, and the run exits 2
+    import spacetime_hp.cli as cli_mod
+
+    u1 = get_problem("u1")
+    nan_u = ManufacturedProblem(
+        name="u1",
+        dimension=1,
+        T=u1.T,
+        g=u1.g,
+        u_exact=lambda t, x: np.full(np.shape(x), np.nan),
+        du_dt_exact=u1.du_dt_exact,
+    )
+    monkeypatch.setattr(cli_mod, "get_problem", lambda name: nan_u)
+    records, failures = run_study(parse_config(U1_SMALL), log=lambda *a, **k: None)
+    assert records == []
+    assert [level for level, _ in failures] == [0, 1]
+    assert all(reason == "ValueError: error must be finite and nonnegative, got nan" for _, reason in failures)
+    cfg_path = tmp_path / "study.cfg"
+    cfg_path.write_text(U1_SMALL)
+    assert main([str(cfg_path)]) == 2
 
 
 def test_outputs_deterministic(tmp_path):

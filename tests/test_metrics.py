@@ -4,6 +4,7 @@ from hypothesis import given, settings, strategies as st
 
 from spacetime_hp.hilbert import assemble
 from spacetime_hp.metrics import (
+    TEMPORAL_EXTRA,
     StudyRecord,
     emit_records,
     eoc,
@@ -26,6 +27,7 @@ from spacetime_hp.temporal_hp import (
     element_gauss,
     element_gauss_power,
     make_basis,
+    temporal_rule,
     uniform_mesh,
 )
 
@@ -128,17 +130,23 @@ def test_quadrature_doubling_stability():
     assert abs(e2 - e1) / e1 < 1e-3
 
 
-def test_u1_truncation_adequate_for_error_functional():
-    # doubling the series truncation moves the reported error by < 1e-8
-    from spacetime_hp.problems import problem_u1 as make_u1
+def test_u1_truncation_adequate_for_error_functional(monkeypatch):
+    # u1 switches from its image form to its mode form at _IMAGE_TIME; moving
+    # the switch to 2x and 4x that time, past error-rule nodes of the first
+    # element, moves the reported error by < 1e-12 relative
+    from spacetime_hp import problems
 
     sx = assemble_spatial(uniform_interval_mesh((0, 1), 8))
     basis = make_basis(uniform_mesh(2.0, 8, 1))
     tm = assemble(basis)
-    sol = solve_heat(make_u1(truncation=1000), basis, tm, sx)
-    e1 = error_functional(sol, make_u1(truncation=1000))
-    e2 = error_functional(sol, make_u1(truncation=2000))
-    assert abs(e1 - e2) < 1e-8
+    sol = solve_heat(problem_u1(), basis, tm, sx)
+    e1 = error_functional(sol, problem_u1())
+    t, _, _ = temporal_rule(basis.mesh, basis.mesh.degrees + TEMPORAL_EXTRA)
+    switch = problems._IMAGE_TIME
+    for factor in (2, 4):
+        assert np.any((t >= switch) & (t < factor * switch))
+        monkeypatch.setattr(problems, "_IMAGE_TIME", factor * switch)
+        assert abs(error_functional(sol, problem_u1()) - e1) < 1e-12 * e1
 
 
 def test_functional_dominates_fractional_norm():
@@ -214,8 +222,9 @@ def test_zero_error_signals():
 def test_record_validation():
     with pytest.raises(ValueError):
         StudyRecord(MN=99, M=10, N=10, h_x=0.1, k_max=0.1, error=1e-2)
-    with pytest.raises(ValueError):
-        StudyRecord(MN=100, M=10, N=10, h_x=0.1, k_max=0.1, error=-1.0)
+    for bad in (-1.0, float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="finite and nonnegative"):
+            StudyRecord(MN=100, M=10, N=10, h_x=0.1, k_max=0.1, error=bad)
 
 
 def test_exp_fit_exact_and_algebraic():

@@ -2,10 +2,14 @@
 method and property of its classes, has a caller inside the package: code
 that only tests use belongs under tests/. Every function parameter with a
 default (a knob a caller may turn or leave alone) is listed with its reason.
-Every config key is set by a shipped study, to more than one value across them."""
+Every config key is set by a shipped study, to more than one value across them.
+Building the problems imports no scipy.special; only u1's evaluator does."""
 
 import ast
 import configparser
+import os
+import subprocess
+import sys
 from collections import Counter, defaultdict
 from pathlib import Path
 
@@ -28,7 +32,6 @@ DEFAULTED = {
     "cli.main.argv": "None reads sys.argv; tests pass the arguments",
     "hilbert.assemble.multiplier": "the order-doubling checks of the transform matrices",
     "metrics.l2q_error_element_parts.quad_mult": "the order-doubling checks of the error",
-    "problems.problem_u1.truncation": "the term-by-term test; goes with the closed-form u1 (ROADMAP item 2)",
     "temporal_hp.hp_condition_report.delta": "a constant of the slope condition; tests vary it",
     "temporal_hp.hp_condition_report.eps": "a constant of the slope condition; tests vary it",
 }
@@ -125,3 +128,19 @@ def test_every_config_key_is_varied_by_the_shipped_studies():
     unvaried = {key for key in _KEYS if len(values[key]) < 2}
     assert unvaried == set(SINGLE_VALUED_KEYS)
     assert all(values[key] for key in SINGLE_VALUED_KEYS)
+
+
+def test_building_the_problems_leaves_scipy_special_unimported():
+    # only u1's evaluator imports scipy.special: importing the CLI and
+    # building every problem must not pay for it, and u1's first evaluation does
+    code = (
+        "import sys, spacetime_hp.cli\n"
+        "from spacetime_hp.problems import PROBLEMS, get_problem\n"
+        "problems = [get_problem(name) for name in PROBLEMS]\n"
+        "print('scipy.special' in sys.modules)\n"
+        "get_problem('u1').u_exact(0.5, [0.5])\n"
+        "print('scipy.special' in sys.modules)\n"
+    )
+    env = {**os.environ, "PYTHONPATH": str(SRC.parent)}
+    run = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert run.stdout.split() == ["False", "True"]

@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
 
+from spacetime_hp import problems
 from spacetime_hp.problems import (
+    _IMAGE_TIME,
     ManufacturedProblem,
     corner_singular,
     cutoff,
@@ -41,12 +43,19 @@ def _interior_points(rng, n=20):
 
 
 def _u1_partial_sum(terms, t, x):
-    """The first `terms` odd-mode terms of the u1 series, one at a time."""
-    u = np.zeros_like(x)
+    """The steady state x(1 - x)/2 of u1 minus its first `terms` odd transient
+    modes, one at a time; converged to rounding at every time of U1_TIMES."""
+    u = x * (1.0 - x) / 2.0
     for eta in range(1, terms + 1):
         m = 2 * eta - 1
-        u += 4.0 / (np.pi**3 * m**3) * (1.0 - np.exp(-(np.pi**2) * m**2 * t)) * np.sin(np.pi * m * x)
+        u -= 4.0 / (np.pi**3 * m**3) * np.exp(-(np.pi**2) * m**2 * t) * _odd_sine(m, x)
     return u
+
+
+def _odd_sine(m, x):
+    """sin(m pi x) for odd m, taken at the distance to the nearer end (the
+    mode is symmetric about 1/2), so that it is 0 at x = 1 as at x = 0."""
+    return np.sin(np.pi * m * np.minimum(x, 1.0 - x))
 
 
 def _u1_du_dt_partial_sum(terms, t, x):
@@ -54,25 +63,44 @@ def _u1_du_dt_partial_sum(terms, t, x):
     du = np.zeros_like(x)
     for eta in range(1, terms + 1):
         m = 2 * eta - 1
-        du += 4.0 / (np.pi * m) * np.exp(-(np.pi**2) * m**2 * t) * np.sin(np.pi * m * x)
+        du += 4.0 / (np.pi * m) * np.exp(-(np.pi**2) * m**2 * t) * _odd_sine(m, x)
     return du
+
+
+# the times at which u1 is compared with its 1000-term series: both sides of
+# the switch from the image form to the mode form, and late times
+U1_TIMES = [1e-4, 5e-4, _IMAGE_TIME * (1 - 1e-9), _IMAGE_TIME * (1 + 1e-9), 0.05, 0.3, 1.9]
 
 
 def test_u1_initial_value_and_truncation_default():
     prob = problem_u1()
     x = np.linspace(0, 1, 50)
-    assert prob.u_exact(0.3, x) == pytest.approx(_u1_partial_sum(1000, 0.3, x), rel=1e-12, abs=1e-15)
+    for t in U1_TIMES:
+        assert prob.u_exact(t, x) == pytest.approx(_u1_partial_sum(1000, t, x), rel=1e-12, abs=1e-15)
     assert np.abs(prob.u_exact(0.0, x)).max() == 0.0
+    # x / (2 sqrt t) is 0 / 0 at an end at t = 0: no NaN there
+    assert np.isfinite(prob.du_dt_exact(0.0, x)).all()
+    assert prob.du_dt_exact(0.0, np.array([0.0, 1.0])).tolist() == [0.0, 0.0]
+
+
+def test_u1_is_t_away_from_the_ends_at_small_times():
+    # for t <= 1e-6 the ends are more than 25 diffusion lengths from
+    # x in [0.05, 0.95], so u = t and d_t u = 1 there
+    x = np.linspace(0.05, 0.95, 91)
+    ev = problem_u1().at(x)
+    times = np.array([0.0, 1e-18, 1e-12, 1e-6])
+    assert np.abs(ev.u(times[:, None]) - times[:, None]).max() <= 1e-15
+    assert np.abs(ev.du_dt(times[:, None]) - 1.0).max() <= 1e-15
 
 
 @pytest.mark.parametrize(
     "times",
-    [[0.05, 0.3, 1.9], [1e-12, 1e-6, 1e-3, 0.3, 1.9]],
+    [[0.05, 0.3, 1.9], U1_TIMES],
     ids=["late", "mixed"],
 )
 def test_u1_live_modes_match_all_terms(times):
-    # a column that starts late keeps a short prefix of the modes (5 of 1000
-    # from t = 0.05); a mixed column keeps them all for every row
+    # a column of late times takes the mode form for every row; a mixed
+    # column takes the image form for its rows below the switch
     x = np.linspace(0, 1, 50)
     ev = problem_u1().at(x)
     t = np.array(times)[:, None]
@@ -95,26 +123,36 @@ def test_u1_forcing_constant():
     assert prob.g(0.3, x) == pytest.approx(np.ones(7))
 
 
-def test_u1_truncation_validation():
-    with pytest.raises(ValueError):
-        problem_u1(truncation=0)
+def test_u1_solves_the_pde_on_both_sides_of_the_switch():
+    # central differences of u satisfy d_t u - u_xx = g = 1, and d_t u =
+    # du_dt_exact, up to the stencils' truncation: at most 5.7e-7 here, and
+    # 4x that with both steps doubled. The points reach to 1e-3 from either
+    # end, well inside the diffusion length sqrt(t), where u_xx changes most.
+    prob = problem_u1()
+    ends = np.geomspace(1e-3, 0.5, 20)
+    x = np.concatenate([ends, 1.0 - ends])
+    dt, h = 1e-6, 1e-4
+    u = prob.u_exact
+    for t in (_IMAGE_TIME / 2, _IMAGE_TIME, 2 * _IMAGE_TIME, 0.3):
+        u_t = (u(t + dt, x) - u(t - dt, x)) / (2 * dt)
+        u_xx = (u(t, x + h) + u(t, x - h) - 2 * u(t, x)) / h**2
+        assert np.abs(u_t - u_xx - prob.g(t, x)).max() < 2e-6
+        assert np.abs(u_t - prob.du_dt_exact(t, x)).max() < 2e-6
 
 
-def test_u1_forcing_consistency_improves_with_truncation():
-    # the truncated series satisfies the PDE only up to the series tail,
-    # which shrinks as the truncation grows
-    rng = np.random.default_rng(4)
-    x = rng.uniform(0.1, 0.9, 10)
-    t, h = 0.3, 1e-4
-    worst = {}
-    for trunc in (200, 400, 1600):
-        prob = problem_u1(truncation=trunc)
-        dt = (prob.u_exact(t + h, x) - prob.u_exact(t - h, x)) / (2 * h)
-        lap = (prob.u_exact(t, x + h) + prob.u_exact(t, x - h) - 2 * prob.u_exact(t, x)) / h**2
-        worst[trunc] = np.abs(dt - lap - prob.g(t, x)).max()
-    assert worst[200] < 2e-2
-    assert worst[1600] < worst[200]
-    assert worst[1600] < 3e-3
+@pytest.mark.parametrize("side", [-1, 1], ids=["below", "above"])
+def test_u1_image_and_mode_forms_agree_at_the_switch(monkeypatch, side):
+    # the switch time is read at each call: set above t it selects the image
+    # form, set below t the mode form
+    t = _IMAGE_TIME * (1 + side * 1e-12)
+    ev = problem_u1().at(np.linspace(0, 1, 201))
+    forms = []
+    for switch in (2 * t, t / 2):
+        monkeypatch.setattr(problems, "_IMAGE_TIME", switch)
+        forms.append((ev.u(t), ev.du_dt(t)))
+    (u_image, du_image), (u_modes, du_modes) = forms
+    assert np.abs(u_image - u_modes).max() <= 1e-14
+    assert np.abs(du_image - du_modes).max() <= 1e-14
 
 
 def test_cutoff_junction_smoothness():
@@ -206,20 +244,21 @@ def test_u3_derivative_singular_at_zero():
 
 def test_registry():
     x = np.linspace(0, 1, 50)
-    u = problem_u1(truncation=10).u_exact(0.01, x)
-    assert u == pytest.approx(_u1_partial_sum(10, 0.01, x), rel=1e-12, abs=1e-15)
+    u = get_problem("u1").u_exact(0.01, x)
+    assert u == pytest.approx(_u1_partial_sum(1000, 0.01, x), rel=1e-12, abs=1e-15)
     assert get_problem("u2").dimension == 2
     with pytest.raises(KeyError):
         get_problem("nope")
 
 
 def test_u1_truncation_is_adequate():
-    # doubling the truncation changes values at interior times negligibly
-    a = problem_u1(truncation=1000)
-    b = problem_u1(truncation=2000)
+    # the 32 modes from the switch on, and the one image pair below it, match
+    # the series with 2000 terms as closely as with 1000
+    prob = problem_u1()
     x = np.linspace(0.05, 0.95, 19)
-    for t in (1e-3, 0.1, 1.0):
-        assert np.abs(a.u_exact(t, x) - b.u_exact(t, x)).max() < 1e-10
+    for t in U1_TIMES:
+        assert prob.u_exact(t, x) == pytest.approx(_u1_partial_sum(2000, t, x), rel=1e-12, abs=1e-15)
+        assert prob.du_dt_exact(t, x) == pytest.approx(_u1_du_dt_partial_sum(2000, t, x), rel=1e-12, abs=1e-15)
 
 
 def test_u1_repeated_point_sets_are_not_confused():

@@ -161,7 +161,7 @@ def test_zero_data_zero_solution(small_setup):
 
 def test_solution_vanishes_at_initial_time(small_setup):
     basis, tm, sx = small_setup
-    sol = solve_heat(problem_u1(truncation=50), basis, tm, sx)
+    sol = solve_heat(problem_u1(), basis, tm, sx)
     assert np.abs(nodal_at_time(sol, 0.0)).max() == 0.0
     assert sol.residual < 1e-10
 
@@ -216,7 +216,7 @@ def test_parametric_ivp_validation():
 
 def test_discrete_stability_under_refinement():
     # solution norm over forcing norm stays bounded across refinement levels
-    prob = problem_u1(truncation=50)
+    prob = problem_u1()
     ratios = []
     for lvl in range(4):
         nx, m = 4 * 2**lvl, 4 * 2**lvl
