@@ -264,14 +264,14 @@ def main(argv=None):
     ap.add_argument("--out", default=None, help="override the output directory")
     args = ap.parse_args(argv)
     try:
-        cfg = parse_config(Path(args.config).read_text())
+        cfg = parse_config(Path(args.config).read_text(encoding="utf-8"))
         if args.levels is not None:
             cfg = replace(cfg, levels=args.levels)
         if args.out is not None:
             cfg = replace(cfg, out=args.out)
         if cfg.out:
             Path(cfg.out).mkdir(parents=True, exist_ok=True)
-    except (ConfigError, OSError) as exc:
+    except (ConfigError, OSError, UnicodeDecodeError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 1
     records, failures = run_study(cfg)

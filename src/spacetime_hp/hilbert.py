@@ -6,12 +6,15 @@ The kernel ln[tan(pi(s+t)/4T) tan(pi|t-s|/4T)] is split exactly into
 
     ln|t-s| + ln(s+t) - ln(2T-s-t) + ln(pi/4T) + G(s,t),
 
-where G collects the analytic remainders ln(tan(x)/x) and ln(sin(x)/x). Where
-a logarithm's singular point touches an element pair, it is integrated with
-Duffy-type maps whose radial direction is handled by a Gauss rule exact for
-polynomials against ln(x): diagonal pairs split along s=t, and pairs meeting
-the singular point in a corner split along the weighted diagonal. These are
-O(m) pairs, each integrated on its own with the shapes of its exact degrees.
+where G collects the analytic remainders ln(tan(x)/x) and ln(sin(x)/x). The
+O(m) element pairs where a logarithm's singular point touches the pair come
+in five kinds: the diagonal pairs (ln|t-s| along s=t), the (0,0) and
+(m-1,m-1) corners (ln(s+t), ln(2T-s-t)) and the (i,i+1) and (i+1,i) pairs
+(ln|t-s| in a corner). Each kind has one Duffy rule, built at the mesh's
+largest degree and shared by all of its pairs, whose radial direction meets
+a Gauss rule exact for polynomials against ln(x). Each integrand is a
+polynomial times ln or times an analytic log, so a rule built for a higher
+degree than a pair's own keeps that pair exact.
 
 Every other piece, including G with the constants on all m^2 pairs, uses
 tensor Gauss with orders driven by the distance of the singularity
@@ -34,12 +37,12 @@ import numpy as np
 
 from . import spatial_fem
 from .quadrature import gauss_legendre_01, log_weighted_rule
-from .temporal_hp import TemporalBasis, TemporalMesh, lobatto_shapes
+from .temporal_hp import TemporalBasis, lobatto_shapes
 
 
 # Gauss orders per direction; assemble's multiplier scales every one of them
 SMOOTH_EXTRA = 6  # analytic remainder G on pair (i, j): p_i + p_j + SMOOTH_EXTRA
-LOG_EXTRA = 3  # log-weighted Duffy rules: (p_i + p_j + 1) // 2 + LOG_EXTRA
+LOG_EXTRA = 3  # log-weighted Duffy rules: pdeg // 2 + LOG_EXTRA, pdeg = 2 p_max + 1
 ANGULAR_SMOOTH_MIN = 20  # floor of the angular order in the corner Duffy rules
 TARGET_EXPONENT = 16.1  # near-singular tensor Gauss: error ~ rho^(-2n) ~ e^(-2 TARGET_EXPONENT)
 MAX_ORDER = 48
@@ -110,75 +113,51 @@ def _tensor_grid(nx, ny):
     return grid
 
 
-def _corner_duffy_pieces(c1, c2, pdeg, multiplier):
-    """Quadrature pieces for int_0^1 int_0^1 F(u,y) ln(c1*u + c2*y) du dy with
-    F polynomial of total degree <= pdeg; returns tuples (u, y, w)."""
+def _corner_duffy_rule(c1, c2, pdeg, multiplier):
+    """Rules for int_0^1 int_0^1 F(u,y) ln(c1*u + c2*y) du dy, one per entry
+    of the arrays c1, c2, on one node set: returns (u, y, w) with w of shape
+    (pairs x nodes). Exact for polynomial F of total degree <= pdeg up to the
+    analytic factor ln(c1 + c2 v), which only the Gauss radii's weights carry;
+    the log-weighted radii's weights are the same for every pair."""
     n_log = _scaled(pdeg // 2 + LOG_EXTRA, multiplier)
     n_ang = _scaled(max(pdeg // 2 + LOG_EXTRA, ANGULAR_SMOOTH_MIN), multiplier)
     lr_x, lr_w = log_weighted_rule(n_log)
-    g_ang, w_ang = gauss_legendre_01(n_ang)
-    g_rad, w_rad = gauss_legendre_01(n_log + 2)
-    pieces = []
-    # region y <= u, y = u*v: ln = ln u + ln(c1 + c2 v)
-    U, V = np.meshgrid(lr_x, g_ang, indexing="ij")
-    W = np.outer(lr_w, w_ang) * U
-    pieces.append((U.ravel(), (U * V).ravel(), W.ravel()))
-    U, V = np.meshgrid(g_rad, g_ang, indexing="ij")
-    W = np.outer(w_rad, w_ang) * U * np.log(c1 + c2 * V)
-    pieces.append((U.ravel(), (U * V).ravel(), W.ravel()))
-    # region u < y, u = y*v: ln = ln y + ln(c2 + c1 v)
-    Y, V = np.meshgrid(lr_x, g_ang, indexing="ij")
-    W = np.outer(lr_w, w_ang) * Y
-    pieces.append(((Y * V).ravel(), Y.ravel(), W.ravel()))
-    Y, V = np.meshgrid(g_rad, g_ang, indexing="ij")
-    W = np.outer(w_rad, w_ang) * Y * np.log(c2 + c1 * V)
-    pieces.append(((Y * V).ravel(), Y.ravel(), W.ravel()))
-    return pieces
+    g_rad, w_rad = gauss_legendre_01(n_rad := n_log + 2)
+    v, w_ang = gauss_legendre_01(n_ang)
+    # on y <= u put y = u v: ln(c1 u + c2 y) = ln u + ln(c1 + c2 v), with ln u
+    # on the log-weighted radii and ln(c1 + c2 v) on the last n_rad, Gauss ones
+    r = np.concatenate([lr_x, g_rad])[:, None]
+    base = np.concatenate([lr_w, w_rad])[:, None] * w_ang * r  # radii x angles
+    c1, c2 = (np.asarray(c, dtype=float)[:, None, None] for c in (c1, c2))
+
+    def weights(a, b):
+        W = np.repeat(base[None], len(a), axis=0)
+        W[:, -n_rad:] *= np.log(a + b * v)
+        return W.reshape(len(a), base.size)
+
+    # u < y is the mirror image: u = y v, with c1 and c2 swapped
+    r, rv = np.broadcast_to(r, base.shape).ravel(), (r * v).ravel()
+    return np.concatenate([r, rv]), np.concatenate([rv, r]), np.hstack([weights(c1, c2), weights(c2, c1)])
 
 
-def _diagonal_duffy_pieces(pdeg, multiplier):
-    """Pieces for int int F(x,y) ln|y - x| dx dy over the unit square,
-    exact for polynomial F of degree <= pdeg per variable."""
-    n_log = n_ang = _scaled(pdeg // 2 + LOG_EXTRA, multiplier)
-    lr_x, lr_w = log_weighted_rule(n_log)
-    g_ang, w_ang = gauss_legendre_01(n_ang)
-    g_rad, w_rad = gauss_legendre_01(n_log + 2)
-    pieces = []
-    # triangle x < y, x = y*v: ln(y - x) = ln y + ln(1 - v)
-    Y, V = np.meshgrid(lr_x, g_ang, indexing="ij")
-    W = np.outer(lr_w, w_ang) * Y
-    pieces.append(((Y * V).ravel(), Y.ravel(), W.ravel()))
-    Y, VH = np.meshgrid(g_rad, lr_x, indexing="ij")  # ln(1-v): v = 1 - vhat
-    W = np.outer(w_rad, lr_w) * Y
-    pieces.append(((Y * (1.0 - VH)).ravel(), Y.ravel(), W.ravel()))
-    # triangle y < x, y = x*v
-    X, V = np.meshgrid(lr_x, g_ang, indexing="ij")
-    W = np.outer(lr_w, w_ang) * X
-    pieces.append((X.ravel(), (X * V).ravel(), W.ravel()))
-    X, VH = np.meshgrid(g_rad, lr_x, indexing="ij")
-    W = np.outer(w_rad, lr_w) * X
-    pieces.append((X.ravel(), (X * (1.0 - VH)).ravel(), W.ravel()))
-    return pieces
+def _diagonal_duffy_rule(pdeg, multiplier):
+    """Rule (x, y, w) for int_0^1 int_0^1 F(x,y) ln|x - y| dx dy, exact for
+    polynomial F of total degree <= pdeg.
 
-
-def _singular_pieces(mesh: TemporalMesh, multiplier):
-    """Yields ((i, j), Duffy pieces (x, y, w) on the unit square) for the
-    O(m) element pairs that touch a singular point: ln|t-s| on diagonal and
-    adjacent pairs, ln(s+t) at (0,0) and -ln(2T-s-t) at (m-1,m-1)."""
-    h, p, last = mesh.element_lengths, mesh.degrees, mesh.m - 1
-    pdeg = lambda i, j: int(p[i] + p[j]) + 1
-    corner = lambda i, j: _corner_duffy_pieces(h[i], h[j], pdeg(i, j), multiplier)
-    for i in range(mesh.m):
-        pieces = _diagonal_duffy_pieces(pdeg(i, i), multiplier)
-        if i == 0:
-            pieces += corner(0, 0)
-        if i == last:
-            pieces += [(1.0 - u, 1.0 - y, -w) for u, y, w in corner(i, i)]
-        yield (i, i), pieces
-        if i < last:
-            # s-element left of the t-element: corner at x=1, y=0; mirrored below
-            yield (i, i + 1), [(1.0 - u, y, w) for u, y, w in corner(i, i + 1)]
-            yield (i + 1, i), [(u, 1.0 - y, w) for u, y, w in corner(i + 1, i)]
+    On the triangle x < y put u = y - x and x = (1 - u) v, y = x + u, with
+    Jacobian 1 - u; the triangle y < x is its mirror image. The kernel is
+    ln u alone, and x, y are of degree 1 in u and in v, so F (1 - u) has
+    degree <= pdeg + 1 in u and <= pdeg in v. The log-weighted rule in u and
+    Gauss in v, both with n = pdeg // 2 + LOG_EXTRA points, are exact to
+    degree 2n - 1 >= pdeg + 5.
+    """
+    n = _scaled(pdeg // 2 + LOG_EXTRA, multiplier)
+    u, wu = log_weighted_rule(n)
+    v, wv = gauss_legendre_01(n)
+    U, V = np.meshgrid(u, v, indexing="ij")
+    low, high = ((1.0 - U) * V).ravel(), ((1.0 - U) * V + U).ravel()
+    w = (np.outer(wu, wv) * (1.0 - U)).ravel()
+    return np.concatenate([low, high]), np.concatenate([high, low]), np.concatenate([w, w])
 
 
 def assemble(basis: TemporalBasis, multiplier=1.0) -> TemporalMatrices:
@@ -240,13 +219,24 @@ def assemble(basis: TemporalBasis, multiplier=1.0) -> TemporalMatrices:
                 kc = kg[c : c + step]
                 F = W * kern(I[kc, None, None], J[kc, None, None], X[:, :1], Y[:1])
                 blk[kc] += (dNx @ F) @ NdNy
-    for (i, j), pieces in _singular_pieces(mesh, multiplier):
-        x, y, w = (np.concatenate(v) for v in zip(*pieces))
-        _, dNi = lobatto_shapes(p[i], 2.0 * x - 1.0)
-        Nj, dNj = lobatto_shapes(p[j], 2.0 * y - 1.0)
-        dNiw = dNi * w
-        blk[i * m + j, : p[i] + 1, : p[j] + 1] += dNiw @ Nj.T
-        blk[i * m + j, : p[i] + 1, P : P + p[j] + 1] += dNiw @ dNj.T
+    # the singular kinds, one rule each for all of its pairs: the diagonal
+    # (one block for all), and the Duffy corners at (0,0), mirrored to (1,1)
+    # with the sign of -ln(2T-s-t), to (1,0) for (i,i+1) and to (0,1) for (i+1,i)
+    pdeg = 2 * P - 1
+    d = np.arange(m) * (m + 1)  # pair index of (i, i)
+    x, y, w = _diagonal_duffy_rule(pdeg, multiplier)
+    kinds = [(d, x, y, w[None])]
+    for k, c1, c2, flip_x, flip_y, sign in (
+        (d[:1], h[:1], h[:1], False, False, 1.0),
+        (d[-1:], h[-1:], h[-1:], True, True, -1.0),
+        (d[:-1] + 1, h[:-1], h[1:], True, False, 1.0),
+        (d[1:] - 1, h[1:], h[:-1], False, True, 1.0),
+    ):
+        u, y, W = _corner_duffy_rule(c1, c2, pdeg, multiplier)
+        kinds.append((k, 1.0 - u if flip_x else u, 1.0 - y if flip_y else y, sign * W))
+    for k, x, y, W in kinds:  # W: (pairs x nodes)
+        dNx = lobatto_shapes(P - 1, 2.0 * x - 1.0)[1]
+        blk[k] += (W[:, None, :] * dNx) @ np.vstack(lobatto_shapes(P - 1, 2.0 * y - 1.0)).T
 
     # one accumulation into the global arrays: rows in the constrained space
     # (dofs - 1), columns in the unconstrained one; negative indices mark the

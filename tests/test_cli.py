@@ -124,7 +124,7 @@ def test_emit_table_formatting():
     assert "0.25000" in lines[1]
 
 
-def test_main_exit_codes(tmp_path):
+def test_main_exit_codes(tmp_path, capsys):
     cfg_path = tmp_path / "study.cfg"
     cfg_path.write_text(U1_SMALL)
     assert main([str(cfg_path), "--levels", "1", "--out", str(tmp_path / "out")]) == 0
@@ -132,6 +132,11 @@ def test_main_exit_codes(tmp_path):
     bad.write_text(U1_SMALL.replace("problem = u1", "problem = zzz"))
     assert main([str(bad)]) == 1
     assert main([str(tmp_path / "missing.cfg")]) == 1
+    utf16 = tmp_path / "utf16.cfg"  # starts with the bytes ff fe, not UTF-8
+    utf16.write_bytes(U1_SMALL.encode("utf-16"))
+    capsys.readouterr()
+    assert main([str(utf16)]) == 1
+    assert capsys.readouterr().err.startswith("config error: 'utf-8' codec can't decode byte 0xff")
 
 
 # keys of values that are constants of cli (TEMPORAL_ELEMENTS and the rest):

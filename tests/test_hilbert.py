@@ -1,11 +1,12 @@
 import numpy as np
 import pytest
+from scipy.integrate import quad
 
 from spacetime_hp import spatial_fem
 from spacetime_hp.hilbert import (
     SMOOTH_EXTRA,
-    _corner_duffy_pieces,
-    _diagonal_duffy_pieces,
+    _corner_duffy_rule,
+    _diagonal_duffy_rule,
     _near_log_order,
     _tensor_grid,
     assemble,
@@ -189,6 +190,58 @@ def test_tensor_grid_is_cached_read_only():
         W[0] = 0.0
 
 
+def test_duffy_rules_closed_forms():
+    _, _, w = _diagonal_duffy_rule(5, 1.0)
+    assert w.sum() == pytest.approx(-1.5, rel=1e-13)  # int int ln|x - y|
+    _, _, W = _corner_duffy_rule([1.0], [1.0], 5, 1.0)
+    assert W.shape[0] == 1
+    assert W.sum() == pytest.approx(2.0 * np.log(2.0) - 1.5, rel=1e-13)  # int int ln(x + y)
+
+
+QUAD = dict(epsabs=0.0, epsrel=2e-14, limit=200)
+DUFFY_PDEG = 7
+MONOMIALS = [(a, b) for a in range(DUFFY_PDEG + 1) for b in range(DUFFY_PDEG + 1 - a)]
+
+
+def _assert_rule_matches(x, y, w, inner):
+    # against quad of x^a times the inner integral inner(b, x) over y; the
+    # tolerance is relative to the sum of the rule's absolute terms, its
+    # rounding scale: some monomials against a log that changes sign nearly
+    # cancel
+    for a, b in MONOMIALS:
+        terms = w * x**a * y**b
+        ref = quad(lambda x: x**a * inner(b, x), 0.0, 1.0, **QUAD)[0]
+        assert abs(terms.sum() - ref) <= 1e-13 * np.abs(terms).sum(), (a, b)
+
+
+@pytest.mark.filterwarnings("ignore::scipy.integrate.IntegrationWarning")
+def test_diagonal_duffy_rule_is_exact_on_monomials():
+    # inner integral of y^b ln|x - y| split at y = x, each side with quad's
+    # algebraic-logarithmic weight
+    def inner(b, x):
+        f = lambda y: y**b
+        return (
+            quad(f, 0.0, x, weight="alg-logb", wvar=(0, 0), **QUAD)[0]
+            + quad(f, x, 1.0, weight="alg-loga", wvar=(0, 0), **QUAD)[0]
+        )
+
+    _assert_rule_matches(*_diagonal_duffy_rule(DUFFY_PDEG, 1.0), inner)
+
+
+@pytest.mark.filterwarnings("ignore::scipy.integrate.IntegrationWarning")
+@pytest.mark.parametrize("c1, c2", [(1.0, 1.0), (0.31, 1.0), (1.0, 0.31)])
+def test_corner_duffy_rule_is_exact_on_monomials(c1, c2):
+    # for u > 0 the inner integrand y^b ln(c1 u + c2 y) is analytic on [0, 1]
+    def inner(b, u):
+        return quad(lambda y: y**b * np.log(c1 * u + c2 * y), 0.0, 1.0, **QUAD)[0]
+
+    # one call for two pairs: each row is that pair's own rule
+    u, y, W = _corner_duffy_rule([c1, 1.0], [c2, 1.0], DUFFY_PDEG, 1.0)
+    assert W.shape == (2, u.size)
+    assert np.array_equal(W[1], _corner_duffy_rule([1.0], [1.0], DUFFY_PDEG, 1.0)[2][0])
+    _assert_rule_matches(u, y, W[0], inner)
+
+
 def _pair_loop_assembly(basis):
     # reference: every element pair on its own, all pieces concatenated into
     # one point set, shapes of the exact degrees, scalar scatter
@@ -213,10 +266,11 @@ def _pair_loop_assembly(basis):
         for j in range(m):
             hi, hj = bp[i + 1] - bp[i], bp[j + 1] - bp[j]
             pdeg = int(p[i] + p[j]) + 1
-            corner = _corner_duffy_pieces(hi, hj, pdeg, 1.0)
+            u, y, w = _corner_duffy_rule([hi], [hj], pdeg, 1.0)
+            corner = [(u, y, w[0])]
             const = np.log(np.pi / (4.0 * T)) + (np.log(hi) if i == j else 0.0)
             if i == j:
-                pieces = _diagonal_duffy_pieces(pdeg, 1.0)
+                pieces = [_diagonal_duffy_rule(pdeg, 1.0)]
             elif j == i + 1:
                 pieces = [(1.0 - u, y, w) for u, y, w in corner]
             elif i == j + 1:
@@ -250,6 +304,9 @@ PAIR_LOOP_MESHES = {
     "uniform-m12-p4": uniform_mesh(1.0, 12, 4),
     **dict(zip(["oracle-m2", "oracle-m3", "oracle-m4"], ORACLE_MESHES)),
     "geometric-m1-8": build_mesh(TemporalMeshSpec(T=2, sigma=0.17, mu_hp=1.0, m1=8, m2=1)),
+    # u1_hp level 6, degrees 1, 4, 6, ..., 18, 18: neighbouring degrees differ
+    # most where every singular kind shares the rule of the largest degree
+    "u1-hp-level-6": build_mesh(TemporalMeshSpec(T=2, sigma=0.31, mu_hp=2.0, m1=9, m2=1)),
 }
 
 
