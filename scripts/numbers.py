@@ -25,8 +25,11 @@ from pathlib import Path
 for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
     os.environ[_var] = "1"
 HERE = Path(__file__).resolve().parent
-# this file's name shadows the standard library's `numbers`, which numpy imports
-sys.path[:] = [p for p in sys.path if Path(p or ".").resolve() != HERE]
+# this file's name shadows the standard library's `numbers`, which numpy imports;
+# the package comes from this checkout's src, ahead of any installed copy
+sys.path[:] = [str(HERE.parent / "src")] + [p for p in sys.path if Path(p or ".").resolve() != HERE]
+
+from spacetime_hp.cli import parse_config, run_study  # noqa: E402
 
 CONFIGS = sorted(HERE.glob("*.cfg"))
 LEVELS = 3  # levels 0-2; the u1 configs run at their own level count
@@ -38,8 +41,6 @@ def _hex(values):
 
 
 def record(outdir):
-    from spacetime_hp.cli import parse_config, run_study
-
     outdir.mkdir(parents=True, exist_ok=True)
     failed = 0
     for path in CONFIGS:

@@ -8,9 +8,14 @@ import sys
 import time
 from pathlib import Path
 
-from spacetime_hp.cli import main
+HERE = Path(__file__).resolve().parent
+# this directory's numbers.py would shadow the standard library's `numbers`, which
+# numpy imports; the package comes from this checkout's src, ahead of any installed copy
+sys.path[:] = [str(HERE.parent / "src")] + [p for p in sys.path if Path(p or ".").resolve() != HERE]
 
-CONFIGS = sorted(Path(__file__).parent.glob("*.cfg"))
+from spacetime_hp.cli import main  # noqa: E402
+
+CONFIGS = sorted(HERE.glob("*.cfg"))
 
 if __name__ == "__main__":
     failures = 0

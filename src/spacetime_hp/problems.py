@@ -16,6 +16,7 @@ fields u_exact, du_dt_exact and g go through the same evaluator.
 """
 
 from dataclasses import dataclass
+from functools import cache
 from typing import Callable
 
 import numpy as np
@@ -107,34 +108,43 @@ def problem_u1() -> ManufacturedProblem:
     lam = (np.pi * m) ** 2
 
     def at(x):
-        # imported here: only u1 needs it, and at module level every study would pay its 40-60 ms
-        from scipy.special import erfc, erfcx
-
         x = np.asarray(x, dtype=float)
-        sines = np.sin(np.pi * np.outer(m, x))
-        walls = np.stack([x, 1.0 - x])[:, None]  # distances to both ends
 
-        def z(t):  # 0 on an end, also at t = 0
-            with np.errstate(divide="ignore", invalid="ignore"):
-                return np.minimum(np.where(walls > 0.0, walls / (2.0 * np.sqrt(t)), 0.0), _Z_MAX)
+        @cache  # the exact solution at these points, built on the first call of u or du_dt
+        def exact():
+            # imported here: only u1's exact solution needs it, and at module level every study
+            # would pay its 40-60 ms; the load reads only the forcing's term and pays nothing
+            from scipy.special import erfc, erfcx
 
-        def image_u(t):
-            zt = z(t)  # W = t e^(-z^2) ((1 + 2 z^2) erfcx(z) - 2 z / sqrt(pi))
-            w = np.exp(-(zt**2)) * ((1.0 + 2.0 * zt**2) * erfcx(zt) - 2.0 / np.sqrt(np.pi) * zt)
-            return t - t * w.sum(0)
+            sines = np.sin(np.pi * np.outer(m, x))
+            walls = np.stack([x, 1.0 - x])[:, None]  # distances to both ends
 
-        def by_time(t, image, base, amp):
-            # image rows below _IMAGE_TIME, base - sum_j amp_j e^(-lam_j t) sin(m_j pi x) from there on
-            col = np.reshape(t, (-1, 1))
-            early = col[:, 0] < _IMAGE_TIME
-            out = np.empty((len(col), len(x)))
-            out[early] = image(col[early])
-            out[~early] = base - (amp * np.exp(-lam * col[~early])) @ sines
-            return out.reshape(np.shape(t)[:-1] + x.shape)
+            def z(t):  # 0 on an end, also at t = 0
+                with np.errstate(divide="ignore", invalid="ignore"):
+                    return np.minimum(np.where(walls > 0.0, walls / (2.0 * np.sqrt(t)), 0.0), _Z_MAX)
+
+            def image_u(t):
+                zt = z(t)  # W = t e^(-z^2) ((1 + 2 z^2) erfcx(z) - 2 z / sqrt(pi))
+                w = np.exp(-(zt**2)) * ((1.0 + 2.0 * zt**2) * erfcx(zt) - 2.0 / np.sqrt(np.pi) * zt)
+                return t - t * w.sum(0)
+
+            def by_time(t, image, base, amp):
+                # image rows below _IMAGE_TIME, base - sum_j amp_j e^(-lam_j t) sin(m_j pi x) from there on
+                col = np.reshape(t, (-1, 1))
+                early = col[:, 0] < _IMAGE_TIME
+                out = np.empty((len(col), len(x)))
+                out[early] = image(col[early])
+                out[~early] = base - (amp * np.exp(-lam * col[~early])) @ sines
+                return out.reshape(np.shape(t)[:-1] + x.shape)
+
+            return (
+                lambda t: by_time(t, image_u, x * (1.0 - x) / 2.0, 4.0 / (np.pi * m) ** 3),
+                lambda t: by_time(t, lambda t: 1.0 - erfc(z(t)).sum(0), 0.0, -4.0 / (np.pi * m)),
+            )
 
         return Evaluator(
-            u=lambda t: by_time(t, image_u, x * (1.0 - x) / 2.0, 4.0 / (np.pi * m) ** 3),
-            du_dt=lambda t: by_time(t, lambda t: 1.0 - erfc(z(t)).sum(0), 0.0, -4.0 / (np.pi * m)),
+            u=lambda t: exact()[0](t),
+            du_dt=lambda t: exact()[1](t),
             terms=((lambda t: np.ones(np.shape(t)), np.ones(x.shape)),),
             g_rest=None,
         )

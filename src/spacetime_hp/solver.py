@@ -11,10 +11,10 @@ temporal-major: row l of the coefficient array holds the spatial nodal vector
 of temporal basis function l.
 
 The solver is a Bartels-Stewart sweep (Bartels & Stewart, CACM 1972) over
-the complex Schur form Q T Q^H of A_t^{-1} M_t: one sparse complex solve with
-M_x + T_ii A_x per diagonal entry, in one backward sweep. Full
-diagonalisation is avoided because the eigenvector matrix of the temporal
-pencil is badly conditioned on geometric hp meshes.
+the real Schur form Z T Z^T of A_t^{-1} M_t: one real sparse factorisation
+of M_x + t A_x per 1x1 diagonal block t of T, one complex one per 2x2 block.
+Full diagonalisation is avoided because the eigenvector matrix of the
+temporal pencil is badly conditioned on geometric hp meshes.
 """
 
 from dataclasses import dataclass
@@ -84,22 +84,32 @@ def solve(tm: TemporalMatrices, sx: SpatialSystem, G, basis: TemporalBasis) -> S
     """Solve the space-time system for the load array G (shape M x N).
 
     With A_t symmetric positive definite, the system reads U M_x + C U A_x =
-    A_t^{-1} G for C = A_t^{-1} M_t = Q T Q^H; V = Q^H U is swept from the
-    last row up, since row i of T couples V_i only to the rows below it."""
-    # M_x and A_x share one sparsity pattern, so M_x + T_ii A_x is formed on it
+    A_t^{-1} G for C = A_t^{-1} M_t = Z T Z^T; V = Z^T U is swept from the
+    last diagonal block of T up, since a block couples only to the rows below.
+    A 2x2 block's eigenvalue s and its right and left eigenvectors x and l give
+    V_B = 2 Re(x y) / (l^T x) with y (M_x + s A_x) = l^T R_B."""
+    # M_x and A_x share one sparsity pattern, so M_x + s A_x is formed on it
     M_x, A_x = sx.M_x.tocsc(), sx.A_x.tocsc()
     if not (np.array_equal(M_x.indptr, A_x.indptr) and np.array_equal(M_x.indices, A_x.indices)):
         raise ValueError("M_x and A_x must share one sparsity pattern")
     cho = la.cho_factor(0.5 * (tm.A_ht + tm.A_ht.T))
-    T, Q = la.schur(la.cho_solve(cho, tm.M_ht), output="complex")
-    V = Q.conj().T @ la.cho_solve(cho, G)  # overwritten row by row with the solution
+    T, Z = la.schur(la.cho_solve(cho, tm.M_ht), output="real")
+    V = Z.T @ la.cho_solve(cho, G)  # overwritten block by block with the solution
     W = np.zeros_like(V)  # rows A_x V_j of the rows already solved
-    for i in reversed(range(len(T))):
-        rhs = V[i] - T[i, i + 1 :] @ W[i + 1 :]
-        shifted = (M_x.data + T[i, i] * A_x.data, M_x.indices, M_x.indptr)
-        V[i] = spla.splu(sp.csc_matrix(shifted, shape=M_x.shape)).solve(rhs)
-        W[i] = A_x @ V[i]
-    U = Q.real @ V.real - Q.imag @ V.imag
+    starts = [0, *(np.flatnonzero(np.diag(T, -1) == 0.0) + 1)]  # 2x2 blocks where T's subdiagonal is nonzero
+    for k, end in reversed(list(zip(starts, starts[1:] + [len(T)]))):
+        rhs = V[k:end] - T[k:end, end:] @ W[end:]
+        if end - k == 1:
+            s, x, l = T[k, k], np.ones(1), np.ones(1)
+        else:
+            (a, b), (c, d) = T[k:end, k:end]
+            s = 0.5 * (a + d) + 1j * np.sqrt(-0.25 * (a - d) ** 2 - b * c)
+            x, l = np.array([b, s - a]), np.array([c, s - a])
+        shifted = (M_x.data + s * A_x.data, M_x.indices, M_x.indptr)
+        y = spla.splu(sp.csc_matrix(shifted, shape=M_x.shape)).solve(l @ rhs)
+        V[k:end] = (end - k) * np.outer(x / (l @ x), y).real  # a pair: 2 Re(x y) / (l^T x)
+        W[k:end] = (A_x @ V[k:end].T).T
+    U = Z @ V
     # (A_t (x) M_x + M_t (x) A_x) vec(U), row-major, is A_t U M_x + M_t U A_x
     BU = tm.A_ht @ (sx.M_x @ U.T).T + tm.M_ht @ (sx.A_x @ U.T).T
     gnorm = np.linalg.norm(G)

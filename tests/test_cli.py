@@ -1,3 +1,6 @@
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -420,3 +423,47 @@ def test_main_rejects_unusable_output_path(tmp_path, capsys):
     captured = capsys.readouterr()
     assert captured.err.startswith("config error: ")
     assert captured.out == ""  # no level ran
+
+
+def test_numbers_script_compares_records_from_its_own_checkout(tmp_path):
+    # with no PYTHONPATH and from another directory, the script still finds
+    # the package: it puts its checkout's src first on sys.path
+    header = "level\tMN\tM\tN\terror\tresidual\tval_sq\tder_sq\n"
+    records = {"a": (0.5, "0x1.0p-1,0x1.0p-2"), "b": (0.5 * (1.0 + 2.0**-20), "0x1.0p-1,0x1.8p-2")}
+    for name, (error, der_sq) in records.items():
+        (tmp_path / name).mkdir()
+        row = ["0", "12", "3", "4", error.hex(), (1e-14).hex(), "0x1.0p-1,0x1.0p-2", der_sq]
+        (tmp_path / name / "u9.tsv").write_text(header + "\t".join(row) + "\n")
+    env = {key: value for key, value in os.environ.items() if key != "PYTHONPATH"}
+    run = subprocess.run(
+        [sys.executable, str(SHIPPED / "numbers.py"), "--compare", "a", "b"],
+        cwd=tmp_path, env=env, capture_output=True, text=True, check=True,
+    )
+    moves = {tuple(line.split()[:2]): line.split(None, 2)[2] for line in run.stdout.splitlines()}
+    assert moves == {
+        ("u9", "MN"): "bit-identical",
+        ("u9", "M"): "bit-identical",
+        ("u9", "N"): "bit-identical",
+        ("u9", "error"): "9.5e-07 (level 0)",
+        ("u9", "residual"): "bit-identical",
+        ("u9", "val_sq"): "bit-identical",
+        ("u9", "der_sq"): "2.5e-01 (level 0)",
+    }
+
+
+def test_run_all_studies_imports_the_package_of_its_own_checkout(tmp_path):
+    # run as a script, its own directory comes first on sys.path, where
+    # numbers.py would shadow the standard library's `numbers` that numpy
+    # imports; run_path executes the top level without the studies
+    code = (
+        "import runpy, sys\n"
+        f"sys.path.insert(0, {str(SHIPPED)!r})\n"
+        f"namespace = runpy.run_path({str(SHIPPED / 'run_all_studies.py')!r})\n"
+        "import spacetime_hp\n"
+        "print(len(namespace['CONFIGS']), spacetime_hp.__file__)\n"
+    )
+    env = {key: value for key, value in os.environ.items() if key != "PYTHONPATH"}
+    run = subprocess.run([sys.executable, "-c", code], cwd=tmp_path, env=env, capture_output=True, text=True, check=True)
+    count, package = run.stdout.split()
+    assert int(count) == len(list(SHIPPED.glob("*.cfg")))
+    assert Path(package).resolve() == (SHIPPED.parent / "src" / "spacetime_hp" / "__init__.py").resolve()

@@ -3,7 +3,8 @@ method and property of its classes, has a caller inside the package: code
 that only tests use belongs under tests/. Every function parameter with a
 default (a knob a caller may turn or leave alone) is listed with its reason.
 Every config key is set by a shipped study, to more than one value across them.
-Building the problems imports no scipy.special; only u1's evaluator does."""
+Building the problems and u1's load import no scipy.special; only u1's exact
+solution does."""
 
 import ast
 import configparser
@@ -131,16 +132,24 @@ def test_every_config_key_is_varied_by_the_shipped_studies():
 
 
 def test_building_the_problems_leaves_scipy_special_unimported():
-    # only u1's evaluator imports scipy.special: importing the CLI and
-    # building every problem must not pay for it, and u1's first evaluation does
+    # only u1's exact solution imports scipy.special: importing the CLI,
+    # building every problem and u1's load must not pay for it, and the first
+    # evaluation of u1's exact solution does
     code = (
         "import sys, spacetime_hp.cli\n"
+        "from spacetime_hp.hilbert import assemble\n"
         "from spacetime_hp.problems import PROBLEMS, get_problem\n"
+        "from spacetime_hp.solver import project_rhs\n"
+        "from spacetime_hp.spatial_fem import assemble_spatial, uniform_interval_mesh\n"
+        "from spacetime_hp.temporal_hp import make_basis, uniform_mesh\n"
         "problems = [get_problem(name) for name in PROBLEMS]\n"
+        "print('scipy.special' in sys.modules)\n"
+        "basis = make_basis(uniform_mesh(2.0, 2, 2))\n"
+        "project_rhs(get_problem('u1'), basis, assemble(basis), assemble_spatial(uniform_interval_mesh((0, 1), 4)))\n"
         "print('scipy.special' in sys.modules)\n"
         "get_problem('u1').u_exact(0.5, [0.5])\n"
         "print('scipy.special' in sys.modules)\n"
     )
     env = {**os.environ, "PYTHONPATH": str(SRC.parent)}
     run = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
-    assert run.stdout.split() == ["False", "True"]
+    assert run.stdout.split() == ["False", "False", "True"]

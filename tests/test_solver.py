@@ -250,6 +250,35 @@ def test_bartels_stewart_handles_complex_schur_blocks():
     assert np.abs(a - b.coefficients).max() < 1e-8 * np.abs(a).max()
 
 
+@pytest.mark.parametrize("temporal", ["u3-hp-graded-level-1", "one-element"])
+def test_block_sweep_matches_dense_solve(temporal, monkeypatch):
+    # the u3_hp_graded level-1 temporal mesh gives both block kinds of the real
+    # Schur form; a single P1 element gives M = 1, one 1x1 block
+    if temporal == "one-element":
+        basis = make_basis(uniform_mesh(2.0, 1, 1))
+    else:
+        cfg = cli.parse_config((SHIPPED / "u3_hp_graded.cfg").read_text())
+        prob = get_problem(cfg.problem)
+        N = assemble_spatial(cli._spatial_for_level(cfg, prob, 1)).N
+        basis = make_basis(cli._temporal_for_level(cfg, prob, 1, N))
+    tm = assemble(basis)
+    # one 1x1 block per real eigenvalue of A_t^{-1} M_t, one 2x2 block per complex pair
+    eig = np.linalg.eigvals(np.linalg.solve(tm.A_ht, tm.M_ht))
+    ones, pairs = int(np.sum(eig.imag == 0.0)), int(np.sum(eig.imag > 0.0))
+    assert (ones, pairs) == ((1, 0) if temporal == "one-element" else (6, 42))
+    sx = assemble_spatial(uniform_interval_mesh((0, 1), 12))
+    G = np.random.default_rng(5).standard_normal((basis.num_dofs, sx.N))
+    dtypes, splu = [], solver.spla.splu
+    monkeypatch.setattr(solver.spla, "splu", lambda A: dtypes.append(A.dtype) or splu(A))
+    b = solve(tm, sx, G, basis=basis)
+    # one factorisation per diagonal block: real for a 1x1 block, complex for a 2x2 one
+    assert len(dtypes) == ones + pairs
+    assert dtypes.count(np.float64) == ones and dtypes.count(np.complex128) == pairs
+    a = _dense_solve(tm, sx, G)
+    assert np.abs(a - b.coefficients).max() < 1e-8 * np.abs(a).max()
+    assert b.residual < 1e-10
+
+
 def _moments_node_by_node(prob, basis, mesh_x):
     """sum over temporal nodes of w phi_l(t) int g(t) psi_i, one node at a
     time, against every P1 function psi_i of mesh_x, boundary included: the
