@@ -14,7 +14,10 @@ that fails is reported on stderr and the exit code is 2.
 The compare form reads two such directories and prints, per config and
 field, the largest relative move or `bit-identical`. Scalars move by
 |b - a| / |a|; a per-element field by max |b - a| over its elements,
-relative to its largest element in A.
+relative to its largest element in A. It exits 1 when the two records do
+not describe the same runs: a config is in one directory only, a config has
+a different number of levels, or MN, M or N differ at some level. Float
+moves alone leave the exit code 0.
 """
 
 import os
@@ -81,25 +84,32 @@ def _move(a, b):
 
 
 def compare(dir_a, dir_b):
-    for path in sorted(dir_a.glob("*.tsv")):
-        rows_a, other = _read(path), dir_b / path.name
-        if not other.exists():
-            print(f"{path.stem}: missing in {dir_b}")
+    """Print the moves from record A to record B; 1 if they differ in their
+    configs, level counts or sizes, else 0."""
+    differ = False
+    for name in sorted({p.name for p in dir_a.glob("*.tsv")} | {p.name for p in dir_b.glob("*.tsv")}):
+        stem, path, other = Path(name).stem, dir_a / name, dir_b / name
+        if not (path.exists() and other.exists()):
+            print(f"{stem}: missing in {dir_b if path.exists() else dir_a}")
+            differ = True
             continue
-        rows_b = _read(other)
+        rows_a, rows_b = _read(path), _read(other)
         if len(rows_a) != len(rows_b):
-            print(f"{path.stem}: {len(rows_a)} levels against {len(rows_b)}")
+            print(f"{stem}: {len(rows_a)} levels against {len(rows_b)}")
+            differ = True
         for field in FIELDS[1:]:
             moves = [(_move(ra[field], rb[field]), ra["level"]) for ra, rb in zip(rows_a, rows_b)]
             worst, level = max(moves)
             text = "bit-identical" if worst == 0.0 else f"{worst:.1e} (level {level})"
-            print(f"{path.stem:24s} {field:9s} {text}")
+            print(f"{stem:24s} {field:9s} {text}")
+            differ |= field in ("MN", "M", "N") and worst != 0.0
+    return 1 if differ else 0
 
 
 if __name__ == "__main__":
     args = sys.argv[1:]
     if len(args) == 3 and args[0] == "--compare":
-        compare(Path(args[1]), Path(args[2]))
+        sys.exit(compare(Path(args[1]), Path(args[2])))
     elif len(args) == 1 and not args[0].startswith("-"):
         sys.exit(record(Path(args[0])))
     else:

@@ -6,7 +6,7 @@ a spatial scheme (uniform or corner-graded refinement), runs a sweep of
 levels, and writes a study table plus two-column (MN, error) plot data.
 
 Exit codes: 0 full success, 2 partial failure (some level skipped or failed),
-1 config error.
+1 config or command-line usage error.
 """
 
 import argparse
@@ -256,13 +256,15 @@ def write_outputs(cfg: StudyConfig, records):
 
 def main(argv=None):
     ap = argparse.ArgumentParser(
-        prog="spacetime-hp",
-        description="Run a space-time convergence study from a config file.",
+        prog="spacetime-hp", description="Run a space-time convergence study from a config file."
     )
     ap.add_argument("config", help="path to the study config")
     ap.add_argument("--levels", type=int, default=None, help="override the level count")
     ap.add_argument("--out", default=None, help="override the output directory")
-    args = ap.parse_args(argv)
+    try:
+        args = ap.parse_args(argv)
+    except SystemExit as exc:  # argparse exits 2 after printing a usage error, 0 after --help
+        return 1 if exc.code else 0
     try:
         cfg = parse_config(Path(args.config).read_text(encoding="utf-8"))
         if args.levels is not None:
@@ -277,11 +279,9 @@ def main(argv=None):
     records, failures = run_study(cfg)
     print(emit_table(records), end="")
     write_outputs(cfg, records)
-    if failures:
-        for level, reason in failures:
-            print(f"level {level} failed: {reason}", file=sys.stderr)
-        return 2
-    return 0
+    for level, reason in failures:
+        print(f"level {level} failed: {reason}", file=sys.stderr)
+    return 2 if failures else 0
 
 
 if __name__ == "__main__":

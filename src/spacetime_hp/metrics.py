@@ -3,9 +3,9 @@
 The computable error surrogate is [v] = sqrt(||v||_L2(Q) * ||d_t v||_L2(Q)),
 which dominates the fractional-in-time, L2-in-space error norm. Both L2(Q)
 norms are evaluated on one space-time quadrature: the exact data once per
-spatial point set, the temporal nodes in bounded chunks, on the temporal
-rule of temporal_hp.temporal_rule, whose first element absorbs the
-solution's non-smoothness at t = 0.
+spatial point set, the temporal nodes in bounded chunks with one call of the
+exact pair (u, d_t u) each, on the temporal rule of temporal_hp.temporal_rule,
+whose first element absorbs the solution's non-smoothness at t = 0.
 """
 
 from dataclasses import dataclass
@@ -29,14 +29,14 @@ def l2q_error_element_parts(sol, prob, quad_mult=1.0):
     orders = np.maximum(2, ((mesh.degrees + TEMPORAL_EXTRA) * quad_mult).astype(int))
     t, w, elements = temporal_rule(mesh, orders)
     # the constrained space drops column 0, the vertex at t=0
-    phi, dphi = basis_matrix(basis, t, elements)[:, :, 1:]
+    phi, dphi = basis_matrix(basis, t, elements, (0, 1))[:, :, 1:]
     ev = prob.at(quad.points)
     val = np.empty(len(t))
     der = np.empty(len(t))
     for c in quad.time_chunks(len(t)):
-        tc = t[c, None]
-        val[c] = quad.l2_norm_sq(quad.fe_values(phi[c] @ sol.coefficients) - ev.u(tc))
-        der[c] = quad.l2_norm_sq(quad.fe_values(dphi[c] @ sol.coefficients) - ev.du_dt(tc))
+        u, du_dt = ev.exact(t[c, None])
+        val[c] = quad.l2_norm_sq(quad.fe_values(phi[c] @ sol.coefficients) - u)
+        der[c] = quad.l2_norm_sq(quad.fe_values(dphi[c] @ sol.coefficients) - du_dt)
     return np.bincount(elements, w * val, mesh.m), np.bincount(elements, w * der, mesh.m)
 
 

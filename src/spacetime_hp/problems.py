@@ -11,8 +11,10 @@ cutoff corner factor and g_reg that of the smooth part; its first two terms
 are separable in (t, x), and so is u1's g = 1.
 
 Each problem evaluates through `ManufacturedProblem.at(points)`, which
-computes the time-independent spatial factors once per point set; the
-fields u_exact, du_dt_exact and g go through the same evaluator.
+computes the time-independent spatial factors once per point set and gives
+the exact solution and its time derivative together, as the pair that the
+error surrogate needs; the pointwise fields u_exact, du_dt_exact and g are
+built from it.
 """
 
 from dataclasses import dataclass
@@ -24,10 +26,10 @@ import numpy as np
 
 @dataclass(frozen=True)
 class Evaluator:
-    """u, d_t u and g at a fixed point set, as functions of time alone.
+    """The problem data at a fixed point set, as functions of time alone.
 
-    A scalar t gives one value per point; a column of times (nt, 1) gives an
-    (nt, npts) array, row i at time t[i].
+    exact(t) is the pair (u, d_t u). A scalar t gives one value per point; a
+    column of times (nt, 1) gives (nt, npts) arrays, row i at time t[i].
 
     The forcing is stated as its separable terms, pairs (a_k, f_k) of a time
     factor a_k(t) and the spatial factor f_k at the points, plus a remainder
@@ -35,56 +37,43 @@ class Evaluator:
     g(t) = g_rest(t) + sum_k a_k(t) f_k.
     """
 
-    u: Callable
-    du_dt: Callable
+    exact: Callable
     terms: tuple
     g_rest: Callable | None
 
-    def g(self, t):
-        separable = sum(a(t) * f for a, f in self.terms)
-        return separable if self.g_rest is None else self.g_rest(t) + separable
+
+def _forcing(ev, t):
+    """The forcing g(t) of an evaluator, from its terms and its remainder."""
+    separable = sum(a(t) * f for a, f in ev.terms)
+    return separable if ev.g_rest is None else ev.g_rest(t) + separable
 
 
 @dataclass(frozen=True)
 class ManufacturedProblem:
-    """Data of a manufactured problem on (0, T) x D: the forcing g, the exact
-    solution and its time derivative, each a function (t, x) -> values.
+    """Data of a manufactured problem on (0, T) x D: at(points) is its
+    Evaluator at a point set, and g, u_exact and du_dt_exact are the forcing,
+    the exact solution and its time derivative as functions (t, x) -> values,
+    built from at by _fields for pointwise use outside the pipeline.
 
     Problems describe data only: every one is analytic in time on (0, T] and
     non-smooth at most at t = 0, which temporal_hp.temporal_rule integrates
     for all of them alike."""
 
-    name: str
     dimension: int
     T: float
+    at: Callable
     g: Callable
     u_exact: Callable
     du_dt_exact: Callable
-    # points -> Evaluator; None evaluates the fields above with the time column
-    evaluator: Callable | None = None
-
-    def at(self, points) -> Evaluator:
-        """Evaluator of the problem data at a fixed point set."""
-        if self.evaluator is not None:
-            return self.evaluator(points)
-
-        def broadcast(field):
-            def f(t):
-                out = np.asarray(field(t, points), dtype=float)
-                return np.broadcast_to(out, np.shape(t)[:-1] + (len(points),))
-
-            return f
-
-        return Evaluator(broadcast(self.u_exact), broadcast(self.du_dt_exact), (), broadcast(self.g))
 
 
 def _fields(at):
-    """The pointwise fields (t, x) -> values of an evaluator factory."""
+    """The init fields of a problem with evaluator factory at."""
     return dict(
-        u_exact=lambda t, x: at(x).u(t),
-        du_dt_exact=lambda t, x: at(x).du_dt(t),
-        g=lambda t, x: at(x).g(t),
-        evaluator=at,
+        at=at,
+        g=lambda t, x: _forcing(at(x), t),
+        u_exact=lambda t, x: at(x).exact(t)[0],
+        du_dt_exact=lambda t, x: at(x).exact(t)[1],
     )
 
 
@@ -109,47 +98,40 @@ def problem_u1() -> ManufacturedProblem:
 
     def at(x):
         x = np.asarray(x, dtype=float)
+        walls = np.stack([x, 1.0 - x])[:, None]  # distances to both ends
 
-        @cache  # the exact solution at these points, built on the first call of u or du_dt
-        def exact():
+        @cache  # built on the first call of exact
+        def sines():
+            return np.sin(np.pi * np.outer(m, x))
+
+        def exact(t):
             # imported here: only u1's exact solution needs it, and at module level every study
             # would pay its 40-60 ms; the load reads only the forcing's term and pays nothing
             from scipy.special import erfc, erfcx
 
-            sines = np.sin(np.pi * np.outer(m, x))
-            walls = np.stack([x, 1.0 - x])[:, None]  # distances to both ends
-
-            def z(t):  # 0 on an end, also at t = 0
-                with np.errstate(divide="ignore", invalid="ignore"):
-                    return np.minimum(np.where(walls > 0.0, walls / (2.0 * np.sqrt(t)), 0.0), _Z_MAX)
-
-            def image_u(t):
-                zt = z(t)  # W = t e^(-z^2) ((1 + 2 z^2) erfcx(z) - 2 z / sqrt(pi))
-                w = np.exp(-(zt**2)) * ((1.0 + 2.0 * zt**2) * erfcx(zt) - 2.0 / np.sqrt(np.pi) * zt)
-                return t - t * w.sum(0)
-
-            def by_time(t, image, base, amp):
-                # image rows below _IMAGE_TIME, base - sum_j amp_j e^(-lam_j t) sin(m_j pi x) from there on
-                col = np.reshape(t, (-1, 1))
-                early = col[:, 0] < _IMAGE_TIME
-                out = np.empty((len(col), len(x)))
-                out[early] = image(col[early])
-                out[~early] = base - (amp * np.exp(-lam * col[~early])) @ sines
-                return out.reshape(np.shape(t)[:-1] + x.shape)
-
-            return (
-                lambda t: by_time(t, image_u, x * (1.0 - x) / 2.0, 4.0 / (np.pi * m) ** 3),
-                lambda t: by_time(t, lambda t: 1.0 - erfc(z(t)).sum(0), 0.0, -4.0 / (np.pi * m)),
-            )
+            # the image form on the rows below _IMAGE_TIME, the mode form on the others
+            col = np.reshape(t, (-1, 1))
+            early = col[:, 0] < _IMAGE_TIME
+            te = col[early]
+            with np.errstate(divide="ignore", invalid="ignore"):  # z = 0 on an end, also at t = 0
+                z = np.minimum(np.where(walls > 0.0, walls / (2.0 * np.sqrt(te)), 0.0), _Z_MAX)
+            # W = t e^(-z^2) ((1 + 2 z^2) erfcx(z) - 2 z / sqrt(pi))
+            w = np.exp(-(z**2)) * ((1.0 + 2.0 * z**2) * erfcx(z) - 2.0 / np.sqrt(np.pi) * z)
+            decay = np.exp(-lam * col[~early])
+            u, du = np.empty((2, len(col), len(x)))
+            u[early], du[early] = te - te * w.sum(0), 1.0 - erfc(z).sum(0)
+            u[~early] = x * (1.0 - x) / 2.0 - (4.0 / (np.pi * m) ** 3 * decay) @ sines()
+            du[~early] = (4.0 / (np.pi * m) * decay) @ sines()
+            shape = np.shape(t)[:-1] + x.shape
+            return u.reshape(shape), du.reshape(shape)
 
         return Evaluator(
-            u=lambda t: exact()[0](t),
-            du_dt=lambda t: exact()[1](t),
+            exact=exact,
             terms=((lambda t: np.ones(np.shape(t)), np.ones(x.shape)),),
             g_rest=None,
         )
 
-    return ManufacturedProblem(name="u1", dimension=1, T=2.0, **_fields(at))
+    return ManufacturedProblem(dimension=1, T=2.0, **_fields(at))
 
 
 # --- L-shape ingredients ------------------------------------------------------
@@ -240,8 +222,8 @@ class _Regular:
     def decay(self, t):
         return np.exp(-t * self.q_sq)
 
-    def u(self, t):
-        return t * self.s * self.decay(t)
+    def u(self, t, E):
+        return t * self.s * E
 
     def du_dt(self, t, E):
         return self.s * E * (1.0 - t * self.q_sq)
@@ -255,33 +237,38 @@ class _Regular:
         return self.du_dt(t, E) - self.laplace(t, E)
 
 
-def _lshape_problem(name, tau, dtau):
+def _lshape_problem(tau, dtau):
     def at(xy):
         xy = np.asarray(xy, dtype=float)
         reg = _Regular(xy)
         r, _ = _polar(xy)
         sing = cutoff(r) * corner_singular(xy)
         lap_sing = _laplacian_cutoff_times_singular(xy)
+
+        def exact(t):
+            E = reg.decay(t)
+            return reg.u(t, E) + tau(t) * sing, reg.du_dt(t, E) + dtau(t) * sing
+
         return Evaluator(
-            u=lambda t: reg.u(t) + tau(t) * sing,
-            du_dt=lambda t: reg.du_dt(t, reg.decay(t)) + dtau(t) * sing,
+            exact=exact,
             terms=((dtau, sing), (lambda t: -tau(t), lap_sing)),
             g_rest=reg.forcing,
         )
 
-    return ManufacturedProblem(name=name, dimension=2, T=2.0, **_fields(at))
+    return ManufacturedProblem(dimension=2, T=2.0, **_fields(at))
 
 
 def problem_u2() -> ManufacturedProblem:
     """Smooth in time, corner-singular in space."""
     tau = lambda t: t * np.exp(-t)
     dtau = lambda t: (1.0 - t) * np.exp(-t)
-    return _lshape_problem("u2", tau, dtau)
+    return _lshape_problem(tau, dtau)
 
 
 def problem_u3() -> ManufacturedProblem:
     """Corner-singular in space with a t^(3/5) startup singularity; the time
-    derivative blows up like t^(-2/5) and rejects evaluation at t=0."""
+    derivative blows up like t^(-2/5), so the exact pair and the forcing
+    reject evaluation at t=0."""
 
     def tau(t):
         return t**0.6 * np.exp(-t)
@@ -291,7 +278,7 @@ def problem_u3() -> ManufacturedProblem:
             raise ValueError("time derivative is singular at t = 0")
         return np.exp(-t) * (0.6 * t ** (-0.4) - t**0.6)
 
-    return _lshape_problem("u3", tau, dtau)
+    return _lshape_problem(tau, dtau)
 
 
 PROBLEMS = {"u1": problem_u1, "u2": problem_u2, "u3": problem_u3}

@@ -65,7 +65,7 @@ def project_rhs(prob, basis: TemporalBasis, tm: TemporalMatrices, sx: SpatialSys
     mesh = basis.mesh
     quad = SpatialQuadrature(sx)
     t, w, elements = temporal_rule(mesh, mesh.degrees + LOAD_EXTRA)
-    phi = basis_matrix(basis, t, elements)[0]
+    (phi,) = basis_matrix(basis, t, elements, (0,))
     phi_w = phi * w[:, None]
     ev = prob.at(quad.points)
     R = np.zeros((basis.num_dofs_full, sx.N))

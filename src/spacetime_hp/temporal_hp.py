@@ -249,10 +249,10 @@ def temporal_rule(mesh: TemporalMesh, orders):
     return np.concatenate(nodes), np.concatenate(weights), elements
 
 
-def basis_matrix(basis: TemporalBasis, t, elements):
-    """Values and t-derivatives of all basis functions of the unconstrained
-    space at the nodes t, stacked as two (nodes x dofs) tables whose column 0
-    is the vertex at t=0; elements[i] is the element of t[i].
+def basis_matrix(basis: TemporalBasis, t, elements, derivatives):
+    """Values (derivative 0) or t-derivatives (1) of all basis functions of the
+    unconstrained space at the nodes t: one (nodes x dofs) table per entry of
+    derivatives, whose column 0 is the vertex at t=0; t[i] is in elements[i].
 
     The shapes are hierarchical, so one table of the p_max + 1 shapes at all
     nodes serves every element, which reads its first p_j + 1 rows."""
@@ -261,9 +261,9 @@ def basis_matrix(basis: TemporalBasis, t, elements):
     vals, ders = lobatto_shapes(int(p.max()), 2.0 * (t - a) / (b - a) - 1.0)
     cols = basis.dofs[elements]  # (nodes, p_max + 1), -1 beyond the degree
     keep = cols >= 0
-    tables = np.zeros((2, len(t), basis.num_dofs_full))
-    for table, shapes in zip(tables, (vals, ders * (2.0 / (b - a)))):
-        table[np.nonzero(keep)[0], cols[keep]] = shapes.T[keep]
+    tables = np.zeros((len(derivatives), len(t), basis.num_dofs_full))
+    for table, k in zip(tables, derivatives):
+        table[np.nonzero(keep)[0], cols[keep]] = (vals, ders * (2.0 / (b - a)))[k].T[keep]
     return tables
 
 

@@ -5,14 +5,25 @@ one time at a time, where the package works on whole batches. The others are
 paths the study pipeline does not take: the dense system matrix, the scalar
 model IVP, the error surrogate of one solution, uniform refinement, the
 temporal mass matrix on its own minimal rule, the forcings in one closed
-form each and the load with the whole forcing at every (node, point) pair.
+form each, the load with the whole forcing at every (node, point) pair and
+problems built from plain (t, x) callables.
 """
 
 import numpy as np
 import scipy.linalg as la
 
 from spacetime_hp.metrics import TEMPORAL_EXTRA, functional_from_parts, l2q_error_element_parts
-from spacetime_hp.problems import _laplacian_cutoff_times_singular, _polar, _Regular, corner_singular, cutoff
+from spacetime_hp.problems import (
+    Evaluator,
+    ManufacturedProblem,
+    _fields,
+    _forcing,
+    _laplacian_cutoff_times_singular,
+    _polar,
+    _Regular,
+    corner_singular,
+    cutoff,
+)
 from spacetime_hp.solver import LOAD_EXTRA, _temporal_projection
 from spacetime_hp.spatial_fem import SpatialQuadrature, refine_edges
 from spacetime_hp.temporal_hp import TemporalBasis, basis_matrix, lobatto_shapes, temporal_rule
@@ -49,7 +60,7 @@ def solve_parametric_ivp(mu, f, basis: TemporalBasis, tm):
         raise ValueError(f"parameter mu must be >= 0, got {mu}")
     mesh = basis.mesh
     t, w, elements = temporal_rule(mesh, mesh.degrees + LOAD_EXTRA)
-    phi, _ = basis_matrix(basis, t, elements)
+    (phi,) = basis_matrix(basis, t, elements, (0,))
     phi_w = phi * w[:, None]
     mom = np.asarray(f(t), dtype=float) @ phi_w
     fhat = _temporal_projection(phi_w.T @ phi, mom[:, None])[:, 0]
@@ -151,7 +162,7 @@ def eval_coefficients(basis: TemporalBasis, coeffs, t, derivative=0):
     t_arr = np.atleast_1d(np.asarray(t, dtype=float))
     bp = basis.mesh.breakpoints
     elements = np.clip(np.searchsorted(bp, t_arr, side="right") - 1, 0, basis.mesh.m - 1)
-    out = basis_matrix(basis, t_arr, elements)[derivative][:, 1:] @ coeffs
+    out = basis_matrix(basis, t_arr, elements, (derivative,))[0][:, 1:] @ coeffs
     return out if np.ndim(t) else float(out[0])
 
 
@@ -166,7 +177,7 @@ def temporal_error_functional(basis, coeffs, u, du):
     functions (scalar IVP), on the error metric's temporal rule."""
     mesh = basis.mesh
     t, w, elements = temporal_rule(mesh, mesh.degrees + TEMPORAL_EXTRA)
-    phi, dphi = basis_matrix(basis, t, elements)
+    phi, dphi = basis_matrix(basis, t, elements, (0, 1))
     ev = phi[:, 1:] @ coeffs - u(t)
     ed = dphi[:, 1:] @ coeffs - du(t)
     return functional_from_parts(w @ (ev * ev), w @ (ed * ed))
@@ -178,7 +189,7 @@ def temporal_mass(basis: TemporalBasis):
     Gauss points on element j > 0, exact for the degree-2p_j products; the
     first element's substituted rule is exact for them as well."""
     t, w, elements = temporal_rule(basis.mesh, basis.mesh.degrees + 1)
-    B, _ = basis_matrix(basis, t, elements)
+    (B,) = basis_matrix(basis, t, elements, (0,))
     return (B.T * w) @ B
 
 
@@ -207,10 +218,29 @@ def project_rhs_full_forcing(prob, basis, tm, sx):
     mesh = basis.mesh
     quad = SpatialQuadrature(sx)
     t, w, elements = temporal_rule(mesh, mesh.degrees + LOAD_EXTRA)
-    phi = basis_matrix(basis, t, elements)[0]
+    (phi,) = basis_matrix(basis, t, elements, (0,))
     phi_w = phi * w[:, None]
-    g = prob.at(quad.points).g
+    ev = prob.at(quad.points)
     R = np.zeros((basis.num_dofs_full, sx.N))
     for c in quad.time_chunks(len(t)):
-        R += phi_w[c].T @ quad.moments(g(t[c, None]))
+        R += phi_w[c].T @ quad.moments(_forcing(ev, t[c, None]))
     return tm.M_cross @ _temporal_projection(phi_w.T @ phi, R)
+
+
+def custom_problem(dimension, T, g, u_exact, du_dt_exact):
+    """A problem from plain callables (t, x) -> values: its evaluator calls
+    each with the time column and broadcasts the result to (nt, npts), and
+    states the whole forcing as its remainder."""
+
+    def at(x):
+        def broadcast(field):
+            def f(t):
+                out = np.asarray(field(t, x), dtype=float)
+                return np.broadcast_to(out, np.shape(t)[:-1] + (len(x),))
+
+            return f
+
+        u, du_dt = broadcast(u_exact), broadcast(du_dt_exact)
+        return Evaluator(exact=lambda t: (u(t), du_dt(t)), terms=(), g_rest=broadcast(g))
+
+    return ManufacturedProblem(dimension=dimension, T=T, **_fields(at))

@@ -47,6 +47,7 @@ from fractional_norms import (
     ht_matrix_oracle,
 )
 from oracles import (
+    custom_problem,
     error_functional,
     materialize,
     min_angle,
@@ -412,10 +413,8 @@ def test_criterion_9_property_suites(tmp_path):
     basis = make_basis(uniform_mesh(2.0, 2, 1))
     sx = assemble_spatial(uniform_interval_mesh((0, 1), 8))
     sol = solve(tm=assemble(basis), sx=sx, G=np.zeros((basis.num_dofs, sx.N)), basis=basis)
-    from spacetime_hp.problems import ManufacturedProblem
-
-    mk = lambda c: ManufacturedProblem(
-        name="h", dimension=1, T=2.0,
+    mk = lambda c: custom_problem(
+        dimension=1, T=2.0,
         g=lambda t, x: np.zeros_like(x),
         u_exact=lambda t, x: c * t * np.sin(np.pi * x),
         du_dt_exact=lambda t, x: c * np.sin(np.pi * x),

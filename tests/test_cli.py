@@ -18,10 +18,10 @@ from spacetime_hp.cli import (
     write_outputs,
 )
 from spacetime_hp.metrics import StudyRecord, functional_from_parts
-from spacetime_hp.problems import ManufacturedProblem, get_problem, problem_u3
+from spacetime_hp.problems import get_problem, problem_u3
 from spacetime_hp.spatial_fem import assemble_spatial, lshape_mesh
 
-from oracles import refine_uniform
+from oracles import custom_problem, refine_uniform
 
 U1_SMALL = """
 [study]
@@ -140,6 +140,13 @@ def test_main_exit_codes(tmp_path, capsys):
     capsys.readouterr()
     assert main([str(utf16)]) == 1
     assert capsys.readouterr().err.startswith("config error: 'utf-8' codec can't decode byte 0xff")
+    # usage errors exit 1 like config errors, with the usage on stderr; 2 is partial failure
+    for argv in ([str(cfg_path), "--levels", "abc"], []):
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith("usage: spacetime-hp") and captured.out == ""
+    assert main(["--help"]) == 0
+    assert capsys.readouterr().out.startswith("usage: spacetime-hp")
 
 
 # keys of values that are constants of cli (TEMPORAL_ELEMENTS and the rest):
@@ -310,8 +317,7 @@ def test_nan_exact_solution_fails_level(tmp_path, monkeypatch):
     import spacetime_hp.cli as cli_mod
 
     u1 = get_problem("u1")
-    nan_u = ManufacturedProblem(
-        name="u1",
+    nan_u = custom_problem(
         dimension=1,
         T=u1.T,
         g=u1.g,
@@ -449,6 +455,26 @@ def test_numbers_script_compares_records_from_its_own_checkout(tmp_path):
         ("u9", "val_sq"): "bit-identical",
         ("u9", "der_sq"): "2.5e-01 (level 0)",
     }
+    # records of different runs exit 1: a config in one record only, an
+    # extra level, or another size; the float moves are printed all the same
+    row = ["0", "12", "3", "4", (0.5).hex(), (1e-14).hex(), "0x1.0p-1,0x1.0p-2", "0x1.0p-1,0x1.0p-2"]
+    records = {
+        "missing": {"u8.tsv": [row], "u9.tsv": [row]},
+        "extra_level": {"u9.tsv": [row, ["1"] + row[1:]]},
+        "size": {"u9.tsv": [row[:1] + ["15", "3", "5"] + row[4:]]},
+    }
+    expected = {"missing": "u8: missing in a", "extra_level": "u9: 1 levels against 2", "size": "u9 N inf (level 0)"}
+    for name, files in records.items():
+        (tmp_path / name).mkdir()
+        for file, rows in files.items():
+            (tmp_path / name / file).write_text(header + "".join("\t".join(r) + "\n" for r in rows))
+        run = subprocess.run(
+            [sys.executable, str(SHIPPED / "numbers.py"), "--compare", "a", name],
+            cwd=tmp_path, env=env, capture_output=True, text=True,
+        )
+        assert run.returncode == 1, name
+        assert expected[name] in [" ".join(line.split()) for line in run.stdout.splitlines()], name
+        assert " ".join(run.stdout.splitlines()[-1].split()).startswith("u9 der_sq ")
 
 
 def test_run_all_studies_imports_the_package_of_its_own_checkout(tmp_path):

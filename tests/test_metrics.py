@@ -1,3 +1,6 @@
+from collections import Counter
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -12,7 +15,7 @@ from spacetime_hp.metrics import (
     rates,
 )
 from spacetime_hp import spatial_fem
-from spacetime_hp.problems import ManufacturedProblem, problem_u1, problem_u3
+from spacetime_hp.problems import _Regular, problem_u1, problem_u3
 from spacetime_hp.solver import solve, solve_heat
 from spacetime_hp.spatial_fem import (
     SpatialQuadrature,
@@ -33,7 +36,7 @@ from spacetime_hp.temporal_hp import (
 
 from fits import exp_fit, power_fit
 from fractional_norms import FourierExpansion, h12_norm_fourier
-from oracles import error_functional, nodal_at_time, temporal_error_functional
+from oracles import custom_problem, error_functional, nodal_at_time, temporal_error_functional
 
 
 def _zero_solution(basis, sx):
@@ -42,8 +45,7 @@ def _zero_solution(basis, sx):
 
 
 def _analytic_problem(u, du, g=None, dimension=1):
-    return ManufacturedProblem(
-        name="custom",
+    return custom_problem(
         dimension=dimension,
         T=2.0,
         g=g or (lambda t, x: np.zeros_like(x)),
@@ -322,3 +324,37 @@ def test_error_parts_match_node_by_node_loop(case, chunk_entries, monkeypatch):
     ref_val, ref_der = _error_parts_node_by_node(sol, prob)
     assert val == pytest.approx(ref_val, rel=1e-12)
     assert der == pytest.approx(ref_der, rel=1e-12)
+
+
+def test_error_pass_takes_one_exact_pair_per_chunk(monkeypatch):
+    # u and d_t u come from one call of exact per chunk of temporal nodes, and
+    # u3's smooth part takes e^(-t |q|^2) once in that call
+    prob, mesh_t, mesh_x = _small_case("u3-graded")
+    basis = make_basis(mesh_t)
+    sol = _zero_solution(basis, assemble_spatial(mesh_x))
+    calls = Counter()
+    decay, time_chunks = _Regular.decay, SpatialQuadrature.time_chunks
+
+    def counted_decay(self, t):
+        calls["decay"] += 1
+        return decay(self, t)
+
+    def counted_chunks(self, n_times):
+        chunks = time_chunks(self, n_times)
+        calls["chunks"] += len(chunks)
+        return chunks
+
+    def at(points):
+        ev = prob.at(points)
+
+        def exact(t):
+            calls["exact"] += 1
+            return ev.exact(t)
+
+        return replace(ev, exact=exact)
+
+    monkeypatch.setattr(_Regular, "decay", counted_decay)
+    monkeypatch.setattr(SpatialQuadrature, "time_chunks", counted_chunks)
+    l2q_error_element_parts(sol, replace(prob, at=at))
+    assert calls["chunks"] > 1, calls
+    assert calls == {"chunks": calls["chunks"], "exact": calls["chunks"], "decay": calls["chunks"]}

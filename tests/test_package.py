@@ -1,6 +1,7 @@
 """Every top-level function, class and constant of the package, and every
 method and property of its classes, has a caller inside the package: code
-that only tests use belongs under tests/. Every function parameter with a
+that only tests use belongs under tests/. Every field of its dataclasses is
+read inside the package, as an attribute. Every function parameter with a
 default (a knob a caller may turn or leave alone) is listed with its reason.
 Every config key is set by a shipped study, to more than one value across them.
 Building the problems and u1's load import no scipy.special; only u1's exact
@@ -25,6 +26,15 @@ ALLOWED = {
     "__init__.__version__": "the package version",
     "temporal_hp.quasi_interpolant": "the H^1/2 error diagnostic of ROADMAP item 4 will call it",
     "temporal_hp.hp_condition_report": "the level report of ROADMAP item 1 will carry its warnings",
+}
+
+# dataclass fields kept without a reader in the package, each with its reason
+UNREAD_FIELDS = {
+    "problems.ManufacturedProblem.g": "the study benchmark reads it",
+    "problems.ManufacturedProblem.u_exact": "the study benchmark reads it",
+    "problems.ManufacturedProblem.du_dt_exact": "the study benchmark reads it",
+    "metrics.StudyRecord.val_sq_elements": "the level report of ROADMAP item 1a will read it",
+    "metrics.StudyRecord.der_sq_elements": "the level report of ROADMAP item 1a will read it",
 }
 
 # function parameters with a default, each with its reason
@@ -92,6 +102,31 @@ def test_every_definition_has_a_caller():
 
 def test_allowlist_is_current():
     assert set(ALLOWED) <= {qualified for qualified, _ in _definitions()}
+
+
+def _dataclass_fields():
+    """Qualified names of the fields of the package's dataclasses."""
+    for path in sorted(SRC.glob("*.py")):
+        for stmt in ast.parse(path.read_text()).body:
+            if not isinstance(stmt, ast.ClassDef):
+                continue
+            decorators = [d.func if isinstance(d, ast.Call) else d for d in stmt.decorator_list]
+            if any(getattr(d, "id", None) == "dataclass" for d in decorators):
+                for sub in stmt.body:
+                    if isinstance(sub, ast.AnnAssign) and isinstance(sub.target, ast.Name):
+                        yield f"{path.stem}.{stmt.name}.{sub.target.id}"
+
+
+def test_every_dataclass_field_is_read():
+    # a field counts as read if some attribute read in the package has its name
+    read = {
+        sub.attr
+        for path in SRC.glob("*.py")
+        for sub in ast.walk(ast.parse(path.read_text()))
+        if isinstance(sub, ast.Attribute) and isinstance(sub.ctx, ast.Load)
+    }
+    unread = [q for q in _dataclass_fields() if q.rsplit(".", 1)[1] not in read]
+    assert sorted(unread) == sorted(UNREAD_FIELDS)
 
 
 def _defaulted(node, prefix):

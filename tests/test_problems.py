@@ -4,7 +4,7 @@ import pytest
 from spacetime_hp import problems
 from spacetime_hp.problems import (
     _IMAGE_TIME,
-    ManufacturedProblem,
+    _forcing,
     corner_singular,
     cutoff,
     cutoff_d1,
@@ -15,7 +15,7 @@ from spacetime_hp.problems import (
     problem_u3,
 )
 
-from oracles import forcing_closed_form
+from oracles import custom_problem, forcing_closed_form
 
 
 def _fd_forcing(prob, t, xy, h=1e-4):
@@ -87,10 +87,10 @@ def test_u1_is_t_away_from_the_ends_at_small_times():
     # for t <= 1e-6 the ends are more than 25 diffusion lengths from
     # x in [0.05, 0.95], so u = t and d_t u = 1 there
     x = np.linspace(0.05, 0.95, 91)
-    ev = problem_u1().at(x)
     times = np.array([0.0, 1e-18, 1e-12, 1e-6])
-    assert np.abs(ev.u(times[:, None]) - times[:, None]).max() <= 1e-15
-    assert np.abs(ev.du_dt(times[:, None]) - 1.0).max() <= 1e-15
+    u, du_dt = problem_u1().at(x).exact(times[:, None])
+    assert np.abs(u - times[:, None]).max() <= 1e-15
+    assert np.abs(du_dt - 1.0).max() <= 1e-15
 
 
 @pytest.mark.parametrize(
@@ -102,11 +102,10 @@ def test_u1_live_modes_match_all_terms(times):
     # a column of late times takes the mode form for every row; a mixed
     # column takes the image form for its rows below the switch
     x = np.linspace(0, 1, 50)
-    ev = problem_u1().at(x)
-    t = np.array(times)[:, None]
-    for row, ti in zip(ev.u(t), times):
+    u, du_dt = problem_u1().at(x).exact(np.array(times)[:, None])
+    for row, ti in zip(u, times):
         assert row == pytest.approx(_u1_partial_sum(1000, ti, x), rel=1e-12, abs=1e-15)
-    for row, ti in zip(ev.du_dt(t), times):
+    for row, ti in zip(du_dt, times):
         assert row == pytest.approx(_u1_du_dt_partial_sum(1000, ti, x), rel=1e-12, abs=1e-15)
 
 
@@ -149,7 +148,7 @@ def test_u1_image_and_mode_forms_agree_at_the_switch(monkeypatch, side):
     forms = []
     for switch in (2 * t, t / 2):
         monkeypatch.setattr(problems, "_IMAGE_TIME", switch)
-        forms.append((ev.u(t), ev.du_dt(t)))
+        forms.append(ev.exact(t))
     (u_image, du_image), (u_modes, du_modes) = forms
     assert np.abs(u_image - u_modes).max() <= 1e-14
     assert np.abs(du_image - du_modes).max() <= 1e-14
@@ -209,7 +208,10 @@ def test_lshape_compliance(factory):
     for t in rng.uniform(0, 2, 4):
         assert np.abs(prob.u_exact(t, boundary)).max() < 1e-10
     pts = _interior_points(rng, 100)
-    assert np.abs(prob.u_exact(0.0, pts)).max() < 1e-10
+    # u3's exact pair rejects t = 0, where d_t u is singular: its initial
+    # value is taken as the limit, at the smallest normal time
+    t0 = 0.0 if factory is problem_u2 else np.finfo(float).tiny
+    assert np.abs(prob.u_exact(t0, pts)).max() < 1e-10
 
 
 @pytest.mark.parametrize("factory", [problem_u2, problem_u3], ids=["u2", "u3"])
@@ -229,7 +231,8 @@ def test_u3_temporal_factor():
     pt = np.array([[-0.1, -0.1]])
     from spacetime_hp.problems import _Regular
 
-    sing = prob.u_exact(1.0, pt) - _Regular(pt).u(1.0)
+    reg = _Regular(pt)
+    sing = prob.u_exact(1.0, pt) - reg.u(1.0, reg.decay(1.0))
     base = cutoff(np.hypot(0.1, 0.1)) * corner_singular(pt)
     assert sing[0] / base[0] == pytest.approx(np.exp(-1.0), abs=1e-12)
 
@@ -286,8 +289,8 @@ def test_evaluator_rows_match_fields(factory):
     x = _points_for(prob, rng)
     t = np.array([1e-3, 0.2, 0.7, 1.9])
     ev = prob.at(x)
-    for name, field in (("u", prob.u_exact), ("du_dt", prob.du_dt_exact), ("g", prob.g)):
-        rows = getattr(ev, name)(t[:, None])
+    u, du_dt = ev.exact(t[:, None])
+    for rows, field in ((u, prob.u_exact), (du_dt, prob.du_dt_exact), (_forcing(ev, t[:, None]), prob.g)):
         assert rows.shape == (len(t), len(x))
         for i, ti in enumerate(t):
             assert rows[i] == pytest.approx(field(ti, x), rel=1e-13, abs=1e-15)
@@ -298,7 +301,7 @@ def test_scalar_time_keeps_one_value_per_point(factory):
     prob = factory()
     x = _points_for(prob, np.random.default_rng(12))
     ev = prob.at(x)
-    for values in (ev.u(0.4), ev.du_dt(0.4), ev.g(0.4), prob.u_exact(0.4, x), prob.g(0.4, x)):
+    for values in (*ev.exact(0.4), _forcing(ev, 0.4), prob.u_exact(0.4, x), prob.g(0.4, x)):
         assert values.shape == (len(x),)
 
 
@@ -308,17 +311,17 @@ def test_u3_evaluator_rejects_initial_time():
     ev = prob.at(pts)
     times = np.array([[0.0], [0.5]])
     with pytest.raises(ValueError):
-        ev.du_dt(times)
+        ev.exact(times)
     with pytest.raises(ValueError):
-        ev.g(times)
+        _forcing(ev, times)
     with pytest.raises(ValueError):
         prob.g(0.0, pts)
-    assert np.isfinite(ev.u(times)).all()
+    # u and d_t u come as one pair, which is finite from the first positive time on
+    assert all(np.isfinite(v).all() for v in ev.exact(times[1:]))
 
 
 def test_default_evaluator_broadcasts_plain_fields():
-    prob = ManufacturedProblem(
-        name="custom",
+    prob = custom_problem(
         dimension=1,
         T=2.0,
         g=lambda t, x: np.ones_like(x),
@@ -328,26 +331,27 @@ def test_default_evaluator_broadcasts_plain_fields():
     x = np.linspace(0.1, 0.9, 5)
     t = np.array([0.25, 1.5])
     ev = prob.at(x)
-    assert ev.u(t[:, None]) == pytest.approx(np.outer(t, np.sin(np.pi * x)))
-    assert ev.du_dt(t[:, None]) == pytest.approx(np.tile(np.sin(np.pi * x), (2, 1)))
-    assert ev.g(t[:, None]).shape == (2, 5)
-    assert ev.u(0.25).shape == (5,)
+    u, du_dt = ev.exact(t[:, None])
+    assert u == pytest.approx(np.outer(t, np.sin(np.pi * x)))
+    assert du_dt == pytest.approx(np.tile(np.sin(np.pi * x), (2, 1)))
+    assert _forcing(ev, t[:, None]).shape == (2, 5)
+    assert ev.exact(0.25)[0].shape == (5,)
 
 
-@pytest.mark.parametrize("factory", [problem_u1, problem_u2, problem_u3], ids=["u1", "u2", "u3"])
-def test_separable_terms_reproduce_the_forcing(factory):
-    prob = factory()
+@pytest.mark.parametrize("name", ["u1", "u2", "u3"])
+def test_separable_terms_reproduce_the_forcing(name):
+    prob = get_problem(name)
     rng = np.random.default_rng(13)
     x = _points_for(prob, rng)
     t = np.concatenate([[1e-9, 1e-3], rng.uniform(0.01, prob.T, 6)])[:, None]
     ev = prob.at(x)
     # u1's g = 1 is one term; the L-shape forcing is tau' S - tau Laplace S
     # plus the smooth part's forcing as the remainder
-    assert len(ev.terms) == (1 if prob.name == "u1" else 2)
-    assert (ev.g_rest is None) == (prob.name == "u1")
+    assert len(ev.terms) == (1 if name == "u1" else 2)
+    assert (ev.g_rest is None) == (name == "u1")
     separable = sum(a(t) * f for a, f in ev.terms)
     total = separable if ev.g_rest is None else separable + ev.g_rest(t)
-    ref = forcing_closed_form(prob.name, t, x)
+    ref = forcing_closed_form(name, t, x)
     assert total.shape == ref.shape == (len(t), len(x))
     assert np.abs(total - ref).max() <= 1e-14 * np.abs(ref).max()
-    assert np.abs(ev.g(t) - ref).max() <= 1e-14 * np.abs(ref).max()
+    assert np.abs(_forcing(ev, t) - ref).max() <= 1e-14 * np.abs(ref).max()

@@ -6,7 +6,7 @@ import scipy.linalg as la
 
 from spacetime_hp import cli, solver, spatial_fem
 from spacetime_hp.hilbert import assemble
-from spacetime_hp.problems import ManufacturedProblem, get_problem, problem_u1, problem_u3
+from spacetime_hp.problems import get_problem, problem_u1, problem_u3
 from spacetime_hp.quadrature import gauss_legendre
 from spacetime_hp.solver import project_rhs, solve, solve_heat
 from spacetime_hp.spatial_fem import (
@@ -30,6 +30,7 @@ from spacetime_hp.temporal_hp import (
 )
 
 from oracles import (
+    custom_problem,
     eval_all,
     eval_coefficients,
     materialize,
@@ -51,9 +52,7 @@ def _dense_solve(tm, sx, G):
 
 def _forcing(g, dimension=1):
     """A problem that carries only the forcing g, for project_rhs."""
-    return ManufacturedProblem(
-        name="forcing", dimension=dimension, T=2.0, g=g, u_exact=None, du_dt_exact=None
-    )
+    return custom_problem(dimension=dimension, T=2.0, g=g, u_exact=None, du_dt_exact=None)
 
 
 @pytest.fixture(scope="module")
@@ -333,7 +332,7 @@ def test_load_rule_gram_is_temporal_mass(mesh_t):
     # functions exactly, so project_rhs takes its Gram matrix as the mass matrix
     basis = make_basis(mesh_t)
     t, w, elements = temporal_rule(mesh_t, mesh_t.degrees + solver.LOAD_EXTRA)
-    phi, _ = basis_matrix(basis, t, elements)
+    (phi,) = basis_matrix(basis, t, elements, (0,))
     ref = temporal_mass(basis)
     assert np.abs((phi.T * w) @ phi - ref).max() <= 1e-13 * np.abs(ref).max()
 
@@ -352,8 +351,7 @@ def test_separable_load_matches_full_forcing_loop(config, level):
 
 
 def test_load_of_a_problem_without_evaluator_is_the_full_loop():
-    prob = ManufacturedProblem(
-        name="custom",
+    prob = custom_problem(
         dimension=1,
         T=2.0,
         g=lambda t, x: np.exp(-t) * np.sin(np.pi * x) + x * t,
