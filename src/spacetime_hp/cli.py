@@ -256,7 +256,8 @@ def write_outputs(cfg: StudyConfig, records):
 
 def main(argv=None):
     ap = argparse.ArgumentParser(
-        prog="spacetime-hp", description="Run a space-time convergence study from a config file."
+        prog="spacetime-hp",
+        description="Run a space-time convergence study from a config file.",
     )
     ap.add_argument("config", help="path to the study config")
     ap.add_argument("--levels", type=int, default=None, help="override the level count")
@@ -279,9 +280,11 @@ def main(argv=None):
     records, failures = run_study(cfg)
     print(emit_table(records), end="")
     write_outputs(cfg, records)
-    for level, reason in failures:
-        print(f"level {level} failed: {reason}", file=sys.stderr)
-    return 2 if failures else 0
+    if failures:
+        for level, reason in failures:
+            print(f"level {level} failed: {reason}", file=sys.stderr)
+        return 2
+    return 0
 
 
 if __name__ == "__main__":

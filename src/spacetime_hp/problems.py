@@ -45,7 +45,14 @@ class Evaluator:
 def _forcing(ev, t):
     """The forcing g(t) of an evaluator, from its terms and its remainder."""
     separable = sum(a(t) * f for a, f in ev.terms)
-    return separable if ev.g_rest is None else ev.g_rest(t) + separable
+    return _finite(separable if ev.g_rest is None else ev.g_rest(t) + separable)
+
+
+def _finite(values):
+    """values, rejected at a time where the data are singular (not finite)."""
+    if not np.isfinite(values).all():
+        raise ValueError("the data are singular at this time")
+    return values
 
 
 @dataclass(frozen=True)
@@ -53,7 +60,8 @@ class ManufacturedProblem:
     """Data of a manufactured problem on (0, T) x D: at(points) is its
     Evaluator at a point set, and g, u_exact and du_dt_exact are the forcing,
     the exact solution and its time derivative as functions (t, x) -> values,
-    built from at by _fields for pointwise use outside the pipeline.
+    built from at by _fields for pointwise use outside the pipeline; g and
+    du_dt_exact reject a time at which they are singular.
 
     Problems describe data only: every one is analytic in time on (0, T] and
     non-smooth at most at t = 0, which temporal_hp.temporal_rule integrates
@@ -73,7 +81,7 @@ def _fields(at):
         at=at,
         g=lambda t, x: _forcing(at(x), t),
         u_exact=lambda t, x: at(x).exact(t)[0],
-        du_dt_exact=lambda t, x: at(x).exact(t)[1],
+        du_dt_exact=lambda t, x: _finite(at(x).exact(t)[1]),
     )
 
 
@@ -222,9 +230,6 @@ class _Regular:
     def decay(self, t):
         return np.exp(-t * self.q_sq)
 
-    def u(self, t, E):
-        return t * self.s * E
-
     def du_dt(self, t, E):
         return self.s * E * (1.0 - t * self.q_sq)
 
@@ -247,7 +252,7 @@ def _lshape_problem(tau, dtau):
 
         def exact(t):
             E = reg.decay(t)
-            return reg.u(t, E) + tau(t) * sing, reg.du_dt(t, E) + dtau(t) * sing
+            return t * reg.s * E + tau(t) * sing, reg.du_dt(t, E) + dtau(t) * sing
 
         return Evaluator(
             exact=exact,
@@ -267,15 +272,14 @@ def problem_u2() -> ManufacturedProblem:
 
 def problem_u3() -> ManufacturedProblem:
     """Corner-singular in space with a t^(3/5) startup singularity; the time
-    derivative blows up like t^(-2/5), so the exact pair and the forcing
-    reject evaluation at t=0."""
+    derivative blows up like t^(-2/5): the exact pair gives it as NaN at
+    t=0, and the forcing and du_dt_exact reject t=0."""
 
     def tau(t):
         return t**0.6 * np.exp(-t)
 
     def dtau(t):
-        if np.any(np.asarray(t) == 0.0):
-            raise ValueError("time derivative is singular at t = 0")
+        t = np.where(np.asarray(t) > 0.0, t, np.nan)  # NaN at t = 0, where it is singular
         return np.exp(-t) * (0.6 * t ** (-0.4) - t**0.6)
 
     return _lshape_problem(tau, dtau)

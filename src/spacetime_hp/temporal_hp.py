@@ -261,9 +261,10 @@ def basis_matrix(basis: TemporalBasis, t, elements, derivatives):
     vals, ders = lobatto_shapes(int(p.max()), 2.0 * (t - a) / (b - a) - 1.0)
     cols = basis.dofs[elements]  # (nodes, p_max + 1), -1 beyond the degree
     keep = cols >= 0
+    shapes = {0: lambda: vals, 1: lambda: ders * (2.0 / (b - a))}  # scaled only if asked for
     tables = np.zeros((len(derivatives), len(t), basis.num_dofs_full))
     for table, k in zip(tables, derivatives):
-        table[np.nonzero(keep)[0], cols[keep]] = (vals, ders * (2.0 / (b - a)))[k].T[keep]
+        table[np.nonzero(keep)[0], cols[keep]] = shapes[k]().T[keep]
     return tables
 
 

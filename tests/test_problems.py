@@ -208,10 +208,7 @@ def test_lshape_compliance(factory):
     for t in rng.uniform(0, 2, 4):
         assert np.abs(prob.u_exact(t, boundary)).max() < 1e-10
     pts = _interior_points(rng, 100)
-    # u3's exact pair rejects t = 0, where d_t u is singular: its initial
-    # value is taken as the limit, at the smallest normal time
-    t0 = 0.0 if factory is problem_u2 else np.finfo(float).tiny
-    assert np.abs(prob.u_exact(t0, pts)).max() < 1e-10
+    assert np.abs(prob.u_exact(0.0, pts)).max() < 1e-10
 
 
 @pytest.mark.parametrize("factory", [problem_u2, problem_u3], ids=["u2", "u3"])
@@ -232,7 +229,7 @@ def test_u3_temporal_factor():
     from spacetime_hp.problems import _Regular
 
     reg = _Regular(pt)
-    sing = prob.u_exact(1.0, pt) - reg.u(1.0, reg.decay(1.0))
+    sing = prob.u_exact(1.0, pt) - 1.0 * reg.s * reg.decay(1.0)
     base = cutoff(np.hypot(0.1, 0.1)) * corner_singular(pt)
     assert sing[0] / base[0] == pytest.approx(np.exp(-1.0), abs=1e-12)
 
@@ -311,13 +308,15 @@ def test_u3_evaluator_rejects_initial_time():
     ev = prob.at(pts)
     times = np.array([[0.0], [0.5]])
     with pytest.raises(ValueError):
-        ev.exact(times)
+        prob.du_dt_exact(times, pts)
     with pytest.raises(ValueError):
         _forcing(ev, times)
     with pytest.raises(ValueError):
         prob.g(0.0, pts)
-    # u and d_t u come as one pair, which is finite from the first positive time on
-    assert all(np.isfinite(v).all() for v in ev.exact(times[1:]))
+    u, du_dt = ev.exact(times)
+    assert np.isfinite(u).all()
+    # the exact pair marks the singular d_t u at t = 0 as NaN
+    assert np.isnan(du_dt[0]).all() and np.isfinite(du_dt[1]).all()
 
 
 def test_default_evaluator_broadcasts_plain_fields():
