@@ -12,12 +12,12 @@ Every float is written in hex, so two records compare bit for bit. A level
 that fails is reported on stderr and the exit code is 2.
 
 The compare form reads two such directories and prints, per config and
-field, the largest relative move or `bit-identical`. Scalars move by
-|b - a| / |a|; a per-element field by max |b - a| over its elements,
-relative to its largest element in A. It exits 1 when the two records do
-not describe the same runs: a config is in one directory only, a config has
-a different number of levels, or MN, M or N differ at some level. Float
-moves alone leave the exit code 0.
+field, the largest relative move or `bit-identical`; a config with no level
+rows gets one line. Scalars move by |b - a| / |a|; a per-element field by
+max |b - a| over its elements, relative to its largest element in A. It
+exits 1 when the two records do not describe the same runs: a config is in
+one directory only, a config has a different number of levels, or MN, M or
+N differ at some level. Float moves alone leave the exit code 0.
 """
 
 import os
@@ -97,6 +97,10 @@ def compare(dir_a, dir_b):
         if len(rows_a) != len(rows_b):
             print(f"{stem}: {len(rows_a)} levels against {len(rows_b)}")
             differ = True
+        elif not rows_a:  # every level failed in both runs
+            print(f"{stem}: no level rows")
+        if not (rows_a and rows_b):
+            continue
         for field in FIELDS[1:]:
             moves = [(_move(ra[field], rb[field]), ra["level"]) for ra, rb in zip(rows_a, rows_b)]
             worst, level = max(moves)

@@ -22,7 +22,7 @@ import numpy as np
 from .hilbert import assemble
 from .metrics import StudyRecord, emit_records, eoc, functional_from_parts, l2q_error_element_parts
 from .problems import PROBLEMS, get_problem
-from .solver import solve_heat
+from .solver import SpaceTimeQuadrature, solve_heat
 from .spatial_fem import (
     assemble_spatial,
     export_mesh,
@@ -211,10 +211,11 @@ def run_study(cfg: StudyConfig, log=print):
                 raise MemoryError(f"level exceeds the memory guard: MN = {MN} > {MEMORY_GUARD}")
             basis = make_basis(mesh_t)
             tm = assemble(basis)
-            sol = solve_heat(prob, basis, tm, sx)
+            rule = SpaceTimeQuadrature(prob, basis, sx)
+            sol = solve_heat(rule, tm, sx)
             if not sol.residual <= RESIDUAL_GATE:  # a NaN residual fails too
                 raise ArithmeticError(f"solver residual {sol.residual:.1e} > {RESIDUAL_GATE:g}")
-            val_sq, der_sq = l2q_error_element_parts(sol, prob)
+            val_sq, der_sq = l2q_error_element_parts(sol, rule)
             err = functional_from_parts(val_sq.sum(), der_sq.sum())
             rec = StudyRecord(
                 MN=MN,

@@ -2,42 +2,30 @@
 
 The computable error surrogate is [v] = sqrt(||v||_L2(Q) * ||d_t v||_L2(Q)),
 which dominates the fractional-in-time, L2-in-space error norm. Both L2(Q)
-norms are evaluated on one space-time quadrature: the exact data once per
-spatial point set, the temporal nodes in bounded chunks with one call of the
-exact pair (u, d_t u) each, on the temporal rule of temporal_hp.temporal_rule,
-whose first element absorbs the solution's non-smoothness at t = 0.
+norms are taken on the load's rule, the level's solver.SpaceTimeQuadrature,
+with one call of the exact pair (u, d_t u) per bounded chunk of its temporal
+nodes; the first temporal element's rule absorbs the non-smoothness at t = 0.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
-from .spatial_fem import SpatialQuadrature
-from .temporal_hp import basis_matrix, temporal_rule
 
-
-# Gauss points per temporal element beyond its degree, before quad_mult
-TEMPORAL_EXTRA = 12
-
-
-def l2q_error_element_parts(sol, prob, quad_mult=1.0):
+def l2q_error_element_parts(sol, rule):
     """Squared L2 norms of u - u_MN and of its time derivative over each slab
-    (t_{j-1}, t_j) x D, as two arrays with one entry per temporal element."""
-    basis = sol.basis
-    mesh = basis.mesh
-    quad = SpatialQuadrature(sol.spatial)
-    orders = np.maximum(2, ((mesh.degrees + TEMPORAL_EXTRA) * quad_mult).astype(int))
-    t, w, elements = temporal_rule(mesh, orders)
+    (t_{j-1}, t_j) x D, as two arrays with one entry per temporal element,
+    on the level's solver.SpaceTimeQuadrature `rule`."""
+    quad, t = rule.space, rule.t
     # the constrained space drops column 0, the vertex at t=0
-    phi, dphi = basis_matrix(basis, t, elements, (0, 1))[:, :, 1:]
-    ev = prob.at(quad.points)
-    val = np.empty(len(t))
-    der = np.empty(len(t))
+    phi, dphi = rule.phi[:, 1:], rule.dphi[:, 1:]
+    val, der = np.empty((2, len(t)))
     for c in quad.time_chunks(len(t)):
-        u, du_dt = ev.exact(t[c, None])
+        u, du_dt = rule.data.exact(t[c, None])
         val[c] = quad.l2_norm_sq(quad.fe_values(phi[c] @ sol.coefficients) - u)
         der[c] = quad.l2_norm_sq(quad.fe_values(dphi[c] @ sol.coefficients) - du_dt)
-    return np.bincount(elements, w * val, mesh.m), np.bincount(elements, w * der, mesh.m)
+    # every element holds nodes, so each sum has one entry per element
+    return np.bincount(rule.elements, rule.w * val), np.bincount(rule.elements, rule.w * der)
 
 
 def functional_from_parts(val_sq, der_sq):

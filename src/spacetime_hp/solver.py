@@ -10,6 +10,9 @@ Pi, so only the temporal projection is computed. Coefficients are stored
 temporal-major: row l of the coefficient array holds the spatial nodal vector
 of temporal basis function l.
 
+The load and metrics' error surrogate are integrals over the same (0, T) x D,
+taken on one SpaceTimeQuadrature per level.
+
 The solver is a Bartels-Stewart sweep (Bartels & Stewart, CACM 1972) over
 the real Schur form Z T Z^T of A_t^{-1} M_t: one real sparse factorisation
 of M_x + t A_x per 1x1 diagonal block t of T, one complex one per 2x2 block.
@@ -28,16 +31,29 @@ from .hilbert import TemporalMatrices
 from .spatial_fem import SpatialQuadrature, SpatialSystem
 from .temporal_hp import TemporalBasis, basis_matrix, temporal_rule
 
-# Gauss points per temporal element beyond its degree for the load moments
-LOAD_EXTRA = 8
+# Gauss points per temporal element beyond its degree, before order_mult
+TEMPORAL_EXTRA = 12
 
 
 @dataclass(frozen=True)
 class SpaceTimeSolution:
     coefficients: np.ndarray  # (M, N)
-    basis: TemporalBasis
-    spatial: SpatialSystem
     residual: float
+
+
+class SpaceTimeQuadrature:
+    """One level's quadrature of (0, T) x D, shared by the load and the error:
+    the spatial rule `space` with the problem data `data` on its points, the
+    temporal rule (t, w, elements) with (p_j + TEMPORAL_EXTRA) * order_mult
+    Gauss points on element j, at least 2, and the values phi and
+    t-derivatives dphi of the unconstrained basis at its nodes."""
+
+    def __init__(self, prob, basis: TemporalBasis, sx: SpatialSystem, order_mult=1.0):
+        self.space = SpatialQuadrature(sx)
+        self.data = prob.at(self.space.points)
+        orders = np.maximum(2, ((basis.mesh.degrees + TEMPORAL_EXTRA) * order_mult).astype(int))
+        self.t, self.w, self.elements = temporal_rule(basis.mesh, orders)
+        self.phi, self.dphi = basis_matrix(basis, self.t, self.elements)
 
 
 def _temporal_projection(gram, R):
@@ -49,26 +65,21 @@ def _temporal_projection(gram, R):
     return d[:, None] * la.solve(d[:, None] * gram * d[None, :], d[:, None] * R, assume_a="pos")
 
 
-def project_rhs(prob, basis: TemporalBasis, tm: TemporalMatrices, sx: SpatialSystem):
+def project_rhs(rule: SpaceTimeQuadrature, tm: TemporalMatrices, sx: SpatialSystem):
     """Load array <Pi g, (H phi_k) psi_i> (shape M x N) of the space-time L2
-    projection Pi of the forcing prob.g onto the unconstrained tensor space.
+    projection Pi of the level's forcing g onto the unconstrained tensor space.
 
     Testing with the interior P1 functions psi_i cancels the spatial half of
     Pi, so the load is M_cross applied to the temporal projection of the
     moments int g phi_l psi_i. Its mass matrix is the Gram matrix of the
-    load's basis table: with LOAD_EXTRA >= 1 the rule is exact for it.
+    rule's value table: with TEMPORAL_EXTRA >= 1 the rule is exact for it.
 
     A separable term a(t) f(x) of g contributes the outer product of its
     temporal and spatial moments; only the remainder of g is evaluated at
-    every (node, point) pair, with the nodes in chunks. Both are taken on
-    the same rule."""
-    mesh = basis.mesh
-    quad = SpatialQuadrature(sx)
-    t, w, elements = temporal_rule(mesh, mesh.degrees + LOAD_EXTRA)
-    (phi,) = basis_matrix(basis, t, elements, (0,))
-    phi_w = phi * w[:, None]
-    ev = prob.at(quad.points)
-    R = np.zeros((basis.num_dofs_full, sx.N))
+    every (node, point) pair, with the nodes in chunks."""
+    quad, ev, t, phi = rule.space, rule.data, rule.t, rule.phi
+    phi_w = phi * rule.w[:, None]
+    R = np.zeros((phi.shape[1], sx.N))
     for a, f in ev.terms:
         R += np.outer(phi_w.T @ a(t), quad.moments(f))
     if ev.g_rest is not None:
@@ -80,7 +91,7 @@ def project_rhs(prob, basis: TemporalBasis, tm: TemporalMatrices, sx: SpatialSys
     return tm.M_cross @ _temporal_projection(phi_w.T @ phi, R)
 
 
-def solve(tm: TemporalMatrices, sx: SpatialSystem, G, basis: TemporalBasis) -> SpaceTimeSolution:
+def solve(tm: TemporalMatrices, sx: SpatialSystem, G) -> SpaceTimeSolution:
     """Solve the space-time system for the load array G (shape M x N).
 
     With A_t symmetric positive definite, the system reads U M_x + C U A_x =
@@ -114,9 +125,9 @@ def solve(tm: TemporalMatrices, sx: SpatialSystem, G, basis: TemporalBasis) -> S
     BU = tm.A_ht @ (sx.M_x @ U.T).T + tm.M_ht @ (sx.A_x @ U.T).T
     gnorm = np.linalg.norm(G)
     residual = np.linalg.norm(BU - G) / (gnorm if gnorm > 0 else 1.0)
-    return SpaceTimeSolution(coefficients=U, basis=basis, spatial=sx, residual=residual)
+    return SpaceTimeSolution(coefficients=U, residual=residual)
 
 
-def solve_heat(prob, basis: TemporalBasis, tm: TemporalMatrices, sx: SpatialSystem):
-    """Full pipeline for a manufactured problem: build the load, solve."""
-    return solve(tm, sx, project_rhs(prob, basis, tm, sx), basis=basis)
+def solve_heat(rule: SpaceTimeQuadrature, tm: TemporalMatrices, sx: SpatialSystem):
+    """Full pipeline for a manufactured problem: build the load on the level's rule, solve."""
+    return solve(tm, sx, project_rhs(rule, tm, sx))

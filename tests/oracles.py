@@ -12,7 +12,7 @@ problems built from plain (t, x) callables.
 import numpy as np
 import scipy.linalg as la
 
-from spacetime_hp.metrics import TEMPORAL_EXTRA, functional_from_parts, l2q_error_element_parts
+from spacetime_hp.metrics import functional_from_parts, l2q_error_element_parts
 from spacetime_hp.problems import (
     Evaluator,
     ManufacturedProblem,
@@ -24,7 +24,7 @@ from spacetime_hp.problems import (
     corner_singular,
     cutoff,
 )
-from spacetime_hp.solver import LOAD_EXTRA, _temporal_projection
+from spacetime_hp.solver import TEMPORAL_EXTRA, SpaceTimeQuadrature, _temporal_projection
 from spacetime_hp.spatial_fem import SpatialQuadrature, refine_edges
 from spacetime_hp.temporal_hp import TemporalBasis, basis_matrix, lobatto_shapes, temporal_rule
 
@@ -59,17 +59,19 @@ def solve_parametric_ivp(mu, f, basis: TemporalBasis, tm):
     if mu < 0:
         raise ValueError(f"parameter mu must be >= 0, got {mu}")
     mesh = basis.mesh
-    t, w, elements = temporal_rule(mesh, mesh.degrees + LOAD_EXTRA)
-    (phi,) = basis_matrix(basis, t, elements, (0,))
+    t, w, elements = temporal_rule(mesh, mesh.degrees + TEMPORAL_EXTRA)
+    phi, _ = basis_matrix(basis, t, elements)
     phi_w = phi * w[:, None]
     mom = np.asarray(f(t), dtype=float) @ phi_w
     fhat = _temporal_projection(phi_w.T @ phi, mom[:, None])[:, 0]
     return la.solve(tm.A_ht + mu * tm.M_ht, tm.M_cross @ fhat)
 
 
-def error_functional(sol, prob, quad_mult=1.0):
-    """[u - u_MN] = sqrt(||e||_L2(Q) ||d_t e||_L2(Q)) of a space-time solution."""
-    return functional_from_parts(*(p.sum() for p in l2q_error_element_parts(sol, prob, quad_mult)))
+def error_functional(sol, prob, basis, sx, order_mult=1.0):
+    """[u - u_MN] = sqrt(||e||_L2(Q) ||d_t e||_L2(Q)) of a space-time solution
+    on the temporal basis `basis` and the spatial system sx."""
+    rule = SpaceTimeQuadrature(prob, basis, sx, order_mult)
+    return functional_from_parts(*(p.sum() for p in l2q_error_element_parts(sol, rule)))
 
 
 def refine_uniform(mesh):
@@ -162,14 +164,14 @@ def eval_coefficients(basis: TemporalBasis, coeffs, t, derivative=0):
     t_arr = np.atleast_1d(np.asarray(t, dtype=float))
     bp = basis.mesh.breakpoints
     elements = np.clip(np.searchsorted(bp, t_arr, side="right") - 1, 0, basis.mesh.m - 1)
-    out = basis_matrix(basis, t_arr, elements, (derivative,))[0][:, 1:] @ coeffs
+    out = basis_matrix(basis, t_arr, elements)[derivative][:, 1:] @ coeffs
     return out if np.ndim(t) else float(out[0])
 
 
-def nodal_at_time(sol, t, derivative=0):
-    """Interior nodal vector of a space-time solution (derivative=1: of its
-    time derivative) at time t."""
-    return eval_all(sol.basis, t, derivative)[1:] @ sol.coefficients
+def nodal_at_time(basis: TemporalBasis, coefficients, t, derivative=0):
+    """Interior nodal vector of the space-time function with the given
+    coefficient array (derivative=1: of its time derivative) at time t."""
+    return eval_all(basis, t, derivative)[1:] @ coefficients
 
 
 def temporal_error_functional(basis, coeffs, u, du):
@@ -177,7 +179,7 @@ def temporal_error_functional(basis, coeffs, u, du):
     functions (scalar IVP), on the error metric's temporal rule."""
     mesh = basis.mesh
     t, w, elements = temporal_rule(mesh, mesh.degrees + TEMPORAL_EXTRA)
-    phi, dphi = basis_matrix(basis, t, elements, (0, 1))
+    phi, dphi = basis_matrix(basis, t, elements)
     ev = phi[:, 1:] @ coeffs - u(t)
     ed = dphi[:, 1:] @ coeffs - du(t)
     return functional_from_parts(w @ (ev * ev), w @ (ed * ed))
@@ -189,7 +191,7 @@ def temporal_mass(basis: TemporalBasis):
     Gauss points on element j > 0, exact for the degree-2p_j products; the
     first element's substituted rule is exact for them as well."""
     t, w, elements = temporal_rule(basis.mesh, basis.mesh.degrees + 1)
-    (B,) = basis_matrix(basis, t, elements, (0,))
+    B, _ = basis_matrix(basis, t, elements)
     return (B.T * w) @ B
 
 
@@ -217,8 +219,8 @@ def project_rhs_full_forcing(prob, basis, tm, sx):
     forcing evaluated at every (node, point) pair, the nodes in chunks."""
     mesh = basis.mesh
     quad = SpatialQuadrature(sx)
-    t, w, elements = temporal_rule(mesh, mesh.degrees + LOAD_EXTRA)
-    (phi,) = basis_matrix(basis, t, elements, (0,))
+    t, w, elements = temporal_rule(mesh, mesh.degrees + TEMPORAL_EXTRA)
+    phi, _ = basis_matrix(basis, t, elements)
     phi_w = phi * w[:, None]
     ev = prob.at(quad.points)
     R = np.zeros((basis.num_dofs_full, sx.N))

@@ -1,6 +1,7 @@
 import os
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -375,6 +376,37 @@ def test_records_tsv_carries_the_solver_residual(tmp_path, monkeypatch):
         assert row.split("\t")[-1] == f"{res:.3e}"
 
 
+def test_each_level_builds_one_space_time_quadrature(monkeypatch):
+    # the load and the error share one rule per level: one spatial point set,
+    # one evaluation of the problem data on it, one temporal rule and one
+    # table of the basis values and t-derivatives
+    import spacetime_hp.cli as cli_mod
+    from dataclasses import replace
+    from spacetime_hp import metrics, solver, spatial_fem
+
+    calls = Counter()
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    cfg = replace(parse_config((SHIPPED / "u3_hp_graded.cfg").read_text()), levels=2, out=None)
+    for module in (solver, metrics):
+        for name in ("temporal_rule", "basis_matrix"):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, counted(name, getattr(module, name)))
+    quad = spatial_fem.SpatialQuadrature
+    monkeypatch.setattr(quad, "__init__", counted("SpatialQuadrature", quad.__init__))
+    u3 = get_problem("u3")
+    monkeypatch.setattr(cli_mod, "get_problem", lambda name: replace(u3, at=counted("at", u3.at)))
+    records, failures = run_study(cfg, log=lambda *a, **k: None)
+    assert failures == [] and len(records) == 2
+    assert calls == {"SpatialQuadrature": 2, "at": 2, "temporal_rule": 2, "basis_matrix": 2}
+
+
 MESH_EXPORT_STUDY = """
 [study]
 problem = u2
@@ -475,6 +507,15 @@ def test_numbers_script_compares_records_from_its_own_checkout(tmp_path):
         assert run.returncode == 1, name
         assert expected[name] in [" ".join(line.split()) for line in run.stdout.splitlines()], name
         assert " ".join(run.stdout.splitlines()[-1].split()).startswith("u9 der_sq ")
+    # records whose levels all failed: one line for the config, exit 0
+    for name in ("empty_a", "empty_b"):
+        (tmp_path / name).mkdir()
+        (tmp_path / name / "u9.tsv").write_text(header)
+    run = subprocess.run(
+        [sys.executable, str(SHIPPED / "numbers.py"), "--compare", "empty_a", "empty_b"],
+        cwd=tmp_path, env=env, capture_output=True, text=True,
+    )
+    assert (run.returncode, run.stdout, run.stderr) == (0, "u9: no level rows\n", "")
 
 
 def test_run_all_studies_imports_the_package_of_its_own_checkout(tmp_path):

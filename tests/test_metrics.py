@@ -7,7 +7,6 @@ from hypothesis import given, settings, strategies as st
 
 from spacetime_hp.hilbert import assemble
 from spacetime_hp.metrics import (
-    TEMPORAL_EXTRA,
     StudyRecord,
     emit_records,
     eoc,
@@ -16,7 +15,7 @@ from spacetime_hp.metrics import (
 )
 from spacetime_hp import spatial_fem
 from spacetime_hp.problems import _Regular, problem_u1, problem_u3
-from spacetime_hp.solver import solve, solve_heat
+from spacetime_hp.solver import TEMPORAL_EXTRA, SpaceTimeQuadrature, solve, solve_heat
 from spacetime_hp.spatial_fem import (
     SpatialQuadrature,
     assemble_spatial,
@@ -41,7 +40,7 @@ from oracles import custom_problem, error_functional, nodal_at_time, temporal_er
 
 def _zero_solution(basis, sx):
     G = np.zeros((basis.num_dofs, sx.N))
-    return solve(G=G, tm=assemble(basis), sx=sx, basis=basis)
+    return solve(G=G, tm=assemble(basis), sx=sx)
 
 
 def _analytic_problem(u, du, g=None, dimension=1):
@@ -63,10 +62,10 @@ def test_error_functional_closed_form():
         u=lambda t, x: t * np.sin(np.pi * x),
         du=lambda t, x: np.sin(np.pi * x),
     )
-    val_sq, der_sq = l2q_error_element_parts(sol, prob)
+    val_sq, der_sq = l2q_error_element_parts(sol, SpaceTimeQuadrature(prob, basis, sx))
     assert val_sq.sum() == pytest.approx(4.0 / 3.0, rel=1e-12)
     assert der_sq.sum() == pytest.approx(1.0, rel=1e-12)
-    assert error_functional(sol, prob) == pytest.approx((4.0 / 3.0) ** 0.25, rel=1e-12)
+    assert error_functional(sol, prob, basis, sx) == pytest.approx((4.0 / 3.0) ** 0.25, rel=1e-12)
 
 
 def test_l2q_error_element_parts_closed_form():
@@ -79,7 +78,7 @@ def test_l2q_error_element_parts_closed_form():
         u=lambda t, x: t * np.sin(np.pi * x),
         du=lambda t, x: np.sin(np.pi * x),
     )
-    val_sq, der_sq = l2q_error_element_parts(sol, prob)
+    val_sq, der_sq = l2q_error_element_parts(sol, SpaceTimeQuadrature(prob, basis, sx))
     assert val_sq == pytest.approx([1.0 / 6.0, 7.0 / 6.0], rel=1e-12)
     assert der_sq == pytest.approx([0.5, 0.5], rel=1e-12)
 
@@ -91,7 +90,7 @@ def test_error_functional_zero():
     prob = _analytic_problem(
         u=lambda t, x: np.zeros_like(x), du=lambda t, x: np.zeros_like(x)
     )
-    assert error_functional(sol, prob) == 0.0
+    assert error_functional(sol, prob, basis, sx) == 0.0
 
 
 def test_error_functional_homogeneity_exact():
@@ -101,12 +100,14 @@ def test_error_functional_homogeneity_exact():
     sol = _zero_solution(basis, sx)
     u = lambda t, x: t * np.sin(np.pi * x) * np.exp(-x)
     du = lambda t, x: np.sin(np.pi * x) * np.exp(-x)
-    base = error_functional(sol, _analytic_problem(u=u, du=du))
+    base = error_functional(sol, _analytic_problem(u=u, du=du), basis, sx)
     scaled = error_functional(
         sol,
         _analytic_problem(
             u=lambda t, x: 2.0 * u(t, x), du=lambda t, x: 2.0 * du(t, x)
         ),
+        basis,
+        sx,
     )
     assert scaled == 2.0 * base
 
@@ -116,8 +117,8 @@ def test_table1_first_row():
     sx = assemble_spatial(uniform_interval_mesh((0, 1), 4))
     basis = make_basis(uniform_mesh(2.0, 4, 1))
     tm = assemble(basis)
-    sol = solve_heat(prob, basis, tm, sx)
-    err = error_functional(sol, prob)
+    sol = solve_heat(SpaceTimeQuadrature(prob, basis, sx), tm, sx)
+    err = error_functional(sol, prob, basis, sx)
     assert err == pytest.approx(7.330e-02, rel=0.01)
 
 
@@ -126,9 +127,9 @@ def test_quadrature_doubling_stability():
     sx = assemble_spatial(uniform_interval_mesh((0, 1), 8))
     basis = make_basis(uniform_mesh(2.0, 8, 1))
     tm = assemble(basis)
-    sol = solve_heat(prob, basis, tm, sx)
-    e1 = error_functional(sol, prob)
-    e2 = error_functional(sol, prob, quad_mult=2.0)
+    sol = solve_heat(SpaceTimeQuadrature(prob, basis, sx), tm, sx)
+    e1 = error_functional(sol, prob, basis, sx)
+    e2 = error_functional(sol, prob, basis, sx, order_mult=2.0)
     assert abs(e2 - e1) / e1 < 1e-3
 
 
@@ -141,14 +142,14 @@ def test_u1_truncation_adequate_for_error_functional(monkeypatch):
     sx = assemble_spatial(uniform_interval_mesh((0, 1), 8))
     basis = make_basis(uniform_mesh(2.0, 8, 1))
     tm = assemble(basis)
-    sol = solve_heat(problem_u1(), basis, tm, sx)
-    e1 = error_functional(sol, problem_u1())
+    sol = solve_heat(SpaceTimeQuadrature(problem_u1(), basis, sx), tm, sx)
+    e1 = error_functional(sol, problem_u1(), basis, sx)
     t, _, _ = temporal_rule(basis.mesh, basis.mesh.degrees + TEMPORAL_EXTRA)
     switch = problems._IMAGE_TIME
     for factor in (2, 4):
         assert np.any((t >= switch) & (t < factor * switch))
         monkeypatch.setattr(problems, "_IMAGE_TIME", factor * switch)
-        assert abs(error_functional(sol, problem_u1()) - e1) < 1e-12 * e1
+        assert abs(error_functional(sol, problem_u1(), basis, sx) - e1) < 1e-12 * e1
 
 
 def test_functional_dominates_fractional_norm():
@@ -172,7 +173,7 @@ def test_functional_dominates_fractional_norm():
         du=lambda t, x: dmodes(t) * spatial_profile(x),
     )
     frac = h12_norm_fourier(FourierExpansion((0.0, T), coeffs))
-    assert error_functional(sol, prob) >= frac - 1e-8
+    assert error_functional(sol, prob, basis, sx) >= frac - 1e-8
 
 
 def test_temporal_error_functional_singular_first_element():
@@ -290,14 +291,16 @@ def _element_rule(mesh, j, n):
     return element_gauss(mesh, j, n)
 
 
-def _error_parts_node_by_node(sol, prob):
-    mesh = sol.basis.mesh
-    quad = SpatialQuadrature(sol.spatial)
+def _error_parts_node_by_node(sol, prob, basis, sx):
+    mesh = basis.mesh
+    quad = SpatialQuadrature(sx)
     val, der = np.zeros(mesh.m), np.zeros(mesh.m)
     for j in range(mesh.m):
-        for t, wt in zip(*_element_rule(mesh, j, int(mesh.degrees[j]) + 12)):
-            ev = quad.fe_values(nodal_at_time(sol, t)) - prob.u_exact(t, quad.points)
-            ed = quad.fe_values(nodal_at_time(sol, t, derivative=1)) - prob.du_dt_exact(t, quad.points)
+        for t, wt in zip(*_element_rule(mesh, j, int(mesh.degrees[j]) + TEMPORAL_EXTRA)):
+            ev = quad.fe_values(nodal_at_time(basis, sol.coefficients, t)) - prob.u_exact(t, quad.points)
+            ed = quad.fe_values(nodal_at_time(basis, sol.coefficients, t, derivative=1)) - prob.du_dt_exact(
+                t, quad.points
+            )
             val[j] += wt * quad.l2_norm_sq(ev)
             der[j] += wt * quad.l2_norm_sq(ed)
     return val, der
@@ -317,11 +320,12 @@ def _small_case(name):
 @pytest.mark.parametrize("case", ["u1-uniform", "u1-hp", "u3-graded"])
 def test_error_parts_match_node_by_node_loop(case, chunk_entries, monkeypatch):
     prob, mesh_t, mesh_x = _small_case(case)
-    basis = make_basis(mesh_t)
-    sol = solve_heat(prob, basis, assemble(basis), assemble_spatial(mesh_x))
+    basis, sx = make_basis(mesh_t), assemble_spatial(mesh_x)
+    rule = SpaceTimeQuadrature(prob, basis, sx)
+    sol = solve_heat(rule, assemble(basis), sx)
     monkeypatch.setattr(spatial_fem, "_CHUNK_ENTRIES", chunk_entries)
-    val, der = l2q_error_element_parts(sol, prob)
-    ref_val, ref_der = _error_parts_node_by_node(sol, prob)
+    val, der = l2q_error_element_parts(sol, rule)
+    ref_val, ref_der = _error_parts_node_by_node(sol, prob, basis, sx)
     assert val == pytest.approx(ref_val, rel=1e-12)
     assert der == pytest.approx(ref_der, rel=1e-12)
 
@@ -330,8 +334,8 @@ def test_error_pass_takes_one_exact_pair_per_chunk(monkeypatch):
     # u and d_t u come from one call of exact per chunk of temporal nodes, and
     # u3's smooth part takes e^(-t |q|^2) once in that call
     prob, mesh_t, mesh_x = _small_case("u3-graded")
-    basis = make_basis(mesh_t)
-    sol = _zero_solution(basis, assemble_spatial(mesh_x))
+    basis, sx = make_basis(mesh_t), assemble_spatial(mesh_x)
+    sol = _zero_solution(basis, sx)
     calls = Counter()
     decay, time_chunks = _Regular.decay, SpatialQuadrature.time_chunks
 
@@ -355,6 +359,6 @@ def test_error_pass_takes_one_exact_pair_per_chunk(monkeypatch):
 
     monkeypatch.setattr(_Regular, "decay", counted_decay)
     monkeypatch.setattr(SpatialQuadrature, "time_chunks", counted_chunks)
-    l2q_error_element_parts(sol, replace(prob, at=at))
+    l2q_error_element_parts(sol, SpaceTimeQuadrature(replace(prob, at=at), basis, sx))
     assert calls["chunks"] > 1, calls
     assert calls == {"chunks": calls["chunks"], "exact": calls["chunks"], "decay": calls["chunks"]}

@@ -4,8 +4,8 @@ that only tests use belongs under tests/. Every field of its dataclasses is
 read inside the package, as an attribute. Every function parameter with a
 default (a knob a caller may turn or leave alone) is listed with its reason.
 Every config key is set by a shipped study, to more than one value across them.
-Building the problems and u1's load import no scipy.special; only u1's exact
-solution does."""
+Building the problems, u1's space-time quadrature and its load import no
+scipy.special; only u1's exact solution does."""
 
 import ast
 import configparser
@@ -42,7 +42,7 @@ DEFAULTED = {
     "cli.run_study.log": "tests silence the per-level progress lines",
     "cli.main.argv": "None reads sys.argv; tests pass the arguments",
     "hilbert.assemble.multiplier": "the order-doubling checks of the transform matrices",
-    "metrics.l2q_error_element_parts.quad_mult": "the order-doubling checks of the error",
+    "solver.SpaceTimeQuadrature.__init__.order_mult": "the order-doubling checks of the error",
     "temporal_hp.hp_condition_report.delta": "a constant of the slope condition; tests vary it",
     "temporal_hp.hp_condition_report.eps": "a constant of the slope condition; tests vary it",
 }
@@ -168,19 +168,20 @@ def test_every_config_key_is_varied_by_the_shipped_studies():
 
 def test_building_the_problems_leaves_scipy_special_unimported():
     # only u1's exact solution imports scipy.special: importing the CLI,
-    # building every problem and u1's load must not pay for it, and the first
-    # evaluation of u1's exact solution does
+    # building every problem, u1's space-time quadrature and its load must
+    # not pay for it, and the first evaluation of u1's exact solution does
     code = (
         "import sys, spacetime_hp.cli\n"
         "from spacetime_hp.hilbert import assemble\n"
         "from spacetime_hp.problems import PROBLEMS, get_problem\n"
-        "from spacetime_hp.solver import project_rhs\n"
+        "from spacetime_hp.solver import SpaceTimeQuadrature, project_rhs\n"
         "from spacetime_hp.spatial_fem import assemble_spatial, uniform_interval_mesh\n"
         "from spacetime_hp.temporal_hp import make_basis, uniform_mesh\n"
         "problems = [get_problem(name) for name in PROBLEMS]\n"
         "print('scipy.special' in sys.modules)\n"
         "basis = make_basis(uniform_mesh(2.0, 2, 2))\n"
-        "project_rhs(get_problem('u1'), basis, assemble(basis), assemble_spatial(uniform_interval_mesh((0, 1), 4)))\n"
+        "sx = assemble_spatial(uniform_interval_mesh((0, 1), 4))\n"
+        "project_rhs(SpaceTimeQuadrature(get_problem('u1'), basis, sx), assemble(basis), sx)\n"
         "print('scipy.special' in sys.modules)\n"
         "get_problem('u1').u_exact(0.5, [0.5])\n"
         "print('scipy.special' in sys.modules)\n"

@@ -8,7 +8,7 @@ from spacetime_hp import cli, solver, spatial_fem
 from spacetime_hp.hilbert import assemble
 from spacetime_hp.problems import get_problem, problem_u1, problem_u3
 from spacetime_hp.quadrature import gauss_legendre
-from spacetime_hp.solver import project_rhs, solve, solve_heat
+from spacetime_hp.solver import SpaceTimeQuadrature, project_rhs, solve, solve_heat
 from spacetime_hp.spatial_fem import (
     SpatialQuadrature,
     SpatialSystem,
@@ -75,7 +75,7 @@ def _assert_load(G, ref, tol):
 
 def test_projection_reproduces_constants(small_setup):
     basis, tm, sx = small_setup
-    G = project_rhs(_forcing(lambda t, x: np.ones_like(x)), basis, tm, sx)
+    G = project_rhs(SpaceTimeQuadrature(_forcing(lambda t, x: np.ones_like(x)), basis, sx), tm, sx)
     # vertex coefficients 1 (p = 1: no bubbles) in time, nodal values 1 in space
     _assert_load(G, _tensor_load(tm, sx, np.ones(basis.num_dofs_full), np.ones(sx.mesh.num_vertices)), 1e-12)
 
@@ -83,7 +83,7 @@ def test_projection_reproduces_constants(small_setup):
 def test_projection_exact_for_low_order_polynomials(small_setup):
     basis, tm, sx = small_setup
     g = lambda t, x: (1.0 + 2.0 * t) * (3.0 - x)
-    G = project_rhs(_forcing(g), basis, tm, sx)
+    G = project_rhs(SpaceTimeQuadrature(_forcing(g), basis, sx), tm, sx)
     ct = 1.0 + 2.0 * basis.mesh.breakpoints  # P1 in time, P1 in space: Pi g = g
     _assert_load(G, _tensor_load(tm, sx, ct, 3.0 - sx.mesh.vertices[:, 0]), 1e-11)
 
@@ -93,7 +93,8 @@ def test_projection_preserves_mean_lshape():
     sx = assemble_spatial(mesh2)
     basis = make_basis(uniform_mesh(2.0, 3, 2))
     tm = assemble(basis)
-    G = project_rhs(_forcing(lambda t, xy: np.ones(len(xy)), dimension=2), basis, tm, sx)
+    prob = _forcing(lambda t, xy: np.ones(len(xy)), dimension=2)
+    G = project_rhs(SpaceTimeQuadrature(prob, basis, sx), tm, sx)
     ct = np.zeros(basis.num_dofs_full)
     ct[: basis.mesh.m + 1] = 1.0  # coefficients of the constant 1 in time, bubbles 0
     _assert_load(G, _tensor_load(tm, sx, ct, np.ones(sx.mesh.num_vertices)), 1e-10)
@@ -114,7 +115,7 @@ def test_reported_residual_is_that_of_the_returned_coefficients(small_setup, mon
 
     monkeypatch.setattr(solver.spla, "splu", lambda A: Scaled(splu(A)))
     G = np.random.default_rng(2).standard_normal((basis.num_dofs, sx.N))
-    sol = solve(tm, sx, G, basis)
+    sol = solve(tm, sx, G)
     expected = np.linalg.norm(materialize(tm, sx) @ sol.coefficients.ravel() - G.ravel()) / np.linalg.norm(G)
     assert sol.residual == pytest.approx(expected, rel=1e-10)
     assert sol.residual > cli.RESIDUAL_GATE
@@ -144,7 +145,7 @@ def test_strategies_agree(small_setup):
     rng = np.random.default_rng(3)
     G = rng.standard_normal((17, 63))
     a = _dense_solve(tm, sx, G)
-    b = solve(tm, sx, G, basis=basis)
+    b = solve(tm, sx, G)
     scale = np.abs(a).max()
     assert np.abs(a - b.coefficients).max() / scale < 1e-8
     dense_residual = np.linalg.norm(materialize(tm, sx) @ a.ravel() - G.ravel()) / np.linalg.norm(G)
@@ -154,14 +155,14 @@ def test_strategies_agree(small_setup):
 def test_zero_data_zero_solution(small_setup):
     basis, tm, sx = small_setup
     G = np.zeros((basis.num_dofs, sx.N))
-    sol = solve(tm, sx, G, basis=basis)
+    sol = solve(tm, sx, G)
     assert np.all(sol.coefficients == 0.0)
 
 
 def test_solution_vanishes_at_initial_time(small_setup):
     basis, tm, sx = small_setup
-    sol = solve_heat(problem_u1(), basis, tm, sx)
-    assert np.abs(nodal_at_time(sol, 0.0)).max() == 0.0
+    sol = solve_heat(SpaceTimeQuadrature(problem_u1(), basis, sx), tm, sx)
+    assert np.abs(nodal_at_time(basis, sol.coefficients, 0.0)).max() == 0.0
     assert sol.residual < 1e-10
 
 
@@ -173,13 +174,13 @@ def test_manufactured_polynomial_exactness():
     basis = make_basis(uniform_mesh(2.0, 2, 1))
     tm = assemble(basis)
     sx = assemble_spatial(uniform_interval_mesh((0, 1), 64))
-    sol = solve(tm, sx, project_rhs(_forcing(prob_g), basis, tm, sx), basis=basis)
+    sol = solve(tm, sx, project_rhs(SpaceTimeQuadrature(_forcing(prob_g), basis, sx), tm, sx))
     x, w = gauss_legendre(20)
     t_nodes = x + 1.0
     worst = 0.0
     xs = sx.mesh.vertices[sx.interior, 0]
     for t, wt in zip(t_nodes, w):
-        vals = nodal_at_time(sol, t)
+        vals = nodal_at_time(basis, sol.coefficients, t)
         worst = max(worst, np.abs(vals - u(t, xs)).max())
     assert worst < 1e-3
 
@@ -222,7 +223,7 @@ def test_discrete_stability_under_refinement():
         sx = assemble_spatial(uniform_interval_mesh((0, 1), nx))
         basis = make_basis(uniform_mesh(2.0, m, 1))
         tm = assemble(basis)
-        sol = solve_heat(prob, basis, tm, sx)
+        sol = solve_heat(SpaceTimeQuadrature(prob, basis, sx), tm, sx)
         Mt_c = temporal_mass(basis)[1:, 1:]
         U = sol.coefficients
         unorm = np.sqrt(np.sum(U * (Mt_c @ U @ sx.M_x.toarray())))
@@ -245,7 +246,7 @@ def test_bartels_stewart_handles_complex_schur_blocks():
     rng = np.random.default_rng(9)
     G = rng.standard_normal((basis.num_dofs, sx.N))
     a = _dense_solve(tm, sx, G)
-    b = solve(tm, sx, G, basis=basis)
+    b = solve(tm, sx, G)
     assert np.abs(a - b.coefficients).max() < 1e-8 * np.abs(a).max()
 
 
@@ -269,7 +270,7 @@ def test_block_sweep_matches_dense_solve(temporal, monkeypatch):
     G = np.random.default_rng(5).standard_normal((basis.num_dofs, sx.N))
     dtypes, splu = [], solver.spla.splu
     monkeypatch.setattr(solver.spla, "splu", lambda A: dtypes.append(A.dtype) or splu(A))
-    b = solve(tm, sx, G, basis=basis)
+    b = solve(tm, sx, G)
     # one factorisation per diagonal block: real for a 1x1 block, complex for a 2x2 one
     assert len(dtypes) == ones + pairs
     assert dtypes.count(np.float64) == ones and dtypes.count(np.complex128) == pairs
@@ -286,7 +287,7 @@ def _moments_node_by_node(prob, basis, mesh_x):
     quad = SpatialQuadrature(SpatialSystem(mesh_x, *p1_matrices(mesh_x), np.arange(mesh_x.num_vertices)))
     R = np.zeros((basis.num_dofs_full, mesh_x.num_vertices))
     for j in range(mesh.m):
-        n = int(mesh.degrees[j]) + 8
+        n = int(mesh.degrees[j]) + solver.TEMPORAL_EXTRA
         if j == 0:
             rule = element_gauss_power(mesh, 0, max(32, n, 5 * int(mesh.degrees[0]) + 3))
         else:
@@ -312,7 +313,7 @@ def test_projection_matches_node_by_node_loop(case, chunk_entries, monkeypatch):
     tm = assemble(basis)
     sx = assemble_spatial(mesh_x)
     monkeypatch.setattr(spatial_fem, "_CHUNK_ENTRIES", chunk_entries)
-    G = project_rhs(prob, basis, tm, sx)
+    G = project_rhs(SpaceTimeQuadrature(prob, basis, sx), tm, sx)
     R = _moments_node_by_node(prob, basis, mesh_x)
     # two steps: project onto the unconstrained tensor space, then test with
     # (H phi_k) psi_i; the load skips the spatial projection that cancels
@@ -331,8 +332,8 @@ def test_load_rule_gram_is_temporal_mass(mesh_t):
     # the load's temporal rule integrates every product of two basis
     # functions exactly, so project_rhs takes its Gram matrix as the mass matrix
     basis = make_basis(mesh_t)
-    t, w, elements = temporal_rule(mesh_t, mesh_t.degrees + solver.LOAD_EXTRA)
-    (phi,) = basis_matrix(basis, t, elements, (0,))
+    t, w, elements = temporal_rule(mesh_t, mesh_t.degrees + solver.TEMPORAL_EXTRA)
+    phi, _ = basis_matrix(basis, t, elements)
     ref = temporal_mass(basis)
     assert np.abs((phi.T * w) @ phi - ref).max() <= 1e-13 * np.abs(ref).max()
 
@@ -345,7 +346,7 @@ def test_separable_load_matches_full_forcing_loop(config, level):
     sx = assemble_spatial(cli._spatial_for_level(cfg, prob, level))
     basis = make_basis(cli._temporal_for_level(cfg, prob, level, sx.N))
     tm = assemble(basis)
-    G = project_rhs(prob, basis, tm, sx)
+    G = project_rhs(SpaceTimeQuadrature(prob, basis, sx), tm, sx)
     ref = project_rhs_full_forcing(prob, basis, tm, sx)
     assert np.abs(G - ref).max() <= 1e-13 * np.abs(ref).max()
 
@@ -363,6 +364,6 @@ def test_load_of_a_problem_without_evaluator_is_the_full_loop():
     sx = assemble_spatial(uniform_interval_mesh((0, 1), 10))
     ev = prob.at(np.linspace(0.1, 0.9, 4))
     assert ev.terms == () and ev.g_rest is not None
-    G = project_rhs(prob, basis, tm, sx)
+    G = project_rhs(SpaceTimeQuadrature(prob, basis, sx), tm, sx)
     ref = project_rhs_full_forcing(prob, basis, tm, sx)
     assert np.abs(G - ref).max() <= 1e-13 * np.abs(ref).max()

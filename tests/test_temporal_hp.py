@@ -300,7 +300,7 @@ def test_temporal_mass_is_exact_gram_matrix(p1):
     # degree-2p products of two shapes
     basis = make_basis(uniform_mesh(2.0, 2, p1))
     t, w = (np.concatenate(v) for v in zip(*(element_gauss(basis.mesh, j, p1 + 1) for j in range(2))))
-    (B,) = basis_matrix(basis, t, np.repeat(np.arange(2), p1 + 1), (0,))
+    B, _ = basis_matrix(basis, t, np.repeat(np.arange(2), p1 + 1))
     ref = (B.T * w) @ B
     assert np.abs(temporal_mass(basis) - ref).max() <= 1e-13 * np.abs(ref).max()
 
@@ -308,15 +308,13 @@ def test_temporal_mass_is_exact_gram_matrix(p1):
 @pytest.mark.parametrize("constrained", [True, False])
 @pytest.mark.parametrize("derivative", [0, 1])
 def test_basis_matrix_rows_are_basis_values(constrained, derivative):
-    # one call gives the value and the t-derivative table, and a call for one
-    # of them the same table; the constrained space is the unconstrained one
-    # without the t=0 vertex
+    # one call gives the value and the t-derivative table; the constrained
+    # space is the unconstrained one without the t=0 vertex
     basis = make_basis(build_mesh(TemporalMeshSpec(T=2, sigma=0.31, mu_hp=2.0, m1=3, m2=1)))
     t, _, elements = temporal_rule(basis.mesh, basis.mesh.degrees + 2)
     first = 1 if constrained else 0
-    tables = basis_matrix(basis, t, elements, (0, 1))
+    tables = basis_matrix(basis, t, elements)
     assert len(tables) == 2
-    assert np.array_equal(basis_matrix(basis, t, elements, (derivative,))[0], tables[derivative])
     B = tables[derivative][:, first:]
     rows = [eval_all(basis, ti, derivative=derivative)[first:] for ti in t]
     assert np.array_equal(B, np.array(rows))
