@@ -12,9 +12,10 @@ Every float is written in hex, so two records compare bit for bit. A level
 that fails is reported on stderr and the exit code is 2.
 
 The compare form reads two such directories and prints, per config and
-field, the largest relative move or `bit-identical`; a config with no level
-rows gets one line. Scalars move by |b - a| / |a|; a per-element field by
-max |b - a| over its elements, relative to its largest element in A. It
+field, the largest move or `bit-identical`; a config with no level rows gets
+one line. Scalars move by |b - a| / |a|, except the residual: it is relative
+already, so it moves by |b - a|. A per-element field moves by max |b - a|
+over its elements, relative to its largest element in A. It
 exits 1 when the two records do not describe the same runs: a config is in
 one directory only, a config has a different number of levels, or MN, M or
 N differ at some level. Float moves alone leave the exit code 0.
@@ -69,15 +70,16 @@ def _read(path):
     return [dict(zip(lines[0].split("\t"), line.split("\t"))) for line in lines[1:]]
 
 
-def _move(a, b):
-    """Largest relative move from field value a to b (both as written)."""
+def _move(a, b, absolute):
+    """Largest move from field value a to b (both as written): absolute, or
+    relative to the largest value of a."""
     if "." not in a and "x" not in a:  # integer fields
         return 0.0 if a == b else float("inf")
     x = [float.fromhex(v) for v in a.split(",")]
     y = [float.fromhex(v) for v in b.split(",")]
     if len(x) != len(y):
         return float("inf")
-    scale = max(abs(v) for v in x)
+    scale = 1.0 if absolute else max(abs(v) for v in x)
     if scale == 0.0:
         return 0.0 if x == y else float("inf")
     return max(abs(v - w) for v, w in zip(x, y)) / scale
@@ -102,7 +104,9 @@ def compare(dir_a, dir_b):
         if not (rows_a and rows_b):
             continue
         for field in FIELDS[1:]:
-            moves = [(_move(ra[field], rb[field]), ra["level"]) for ra, rb in zip(rows_a, rows_b)]
+            moves = [
+                (_move(ra[field], rb[field], field == "residual"), ra["level"]) for ra, rb in zip(rows_a, rows_b)
+            ]
             worst, level = max(moves)
             text = "bit-identical" if worst == 0.0 else f"{worst:.1e} (level {level})"
             print(f"{stem:24s} {field:9s} {text}")

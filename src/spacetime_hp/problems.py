@@ -35,6 +35,11 @@ class Evaluator:
     factor a_k(t) and the spatial factor f_k at the points, plus a remainder
     g_rest(t), or None where the terms are all of g:
     g(t) = g_rest(t) + sum_k a_k(t) f_k.
+
+    g_rest must be analytic in t on the closed interval [0, T]: the load
+    interpolates its spatial moments from a few Chebyshev times, and refuses
+    a remainder whose moments at the first temporal node do not match. A part
+    of g that is singular at t = 0 goes into a separable term.
     """
 
     exact: Callable

@@ -232,7 +232,8 @@ def project_rhs_full_forcing(prob, basis, tm, sx):
 def custom_problem(dimension, T, g, u_exact, du_dt_exact):
     """A problem from plain callables (t, x) -> values: its evaluator calls
     each with the time column and broadcasts the result to (nt, npts), and
-    states the whole forcing as its remainder."""
+    states the whole forcing as its remainder. So g must be analytic in t on
+    [0, T], as Evaluator.g_rest requires, or the load refuses it."""
 
     def at(x):
         def broadcast(field):

@@ -16,7 +16,7 @@ import numpy as np
 import pytest
 import scipy.linalg as la
 
-from spacetime_hp.cli import TAIL_ELEMENTS, StudyConfig, parse_config, run_study, write_outputs
+from spacetime_hp.cli import TAIL_ELEMENTS, parse_config, run_study, write_outputs
 from spacetime_hp.hilbert import assemble
 from spacetime_hp.metrics import eoc, functional_from_parts
 from spacetime_hp.quadrature import gauss_legendre, log_weighted_rule, triangle_rule
@@ -55,6 +55,7 @@ from oracles import (
     solve_parametric_ivp,
     temporal_error_functional,
 )
+from pinned import STUDIES, TOLERANCE, largest_move, read
 
 REFERENCE_ERRORS = [7.330e-02, 3.423e-02, 1.355e-02, 5.396e-03, 2.267e-03, 9.531e-04]
 REFERENCE_EOC = [None, 0.99, 1.27, 1.30, 1.24, 1.24]
@@ -70,23 +71,36 @@ def _below(x):
     return f"< 1e{floor(log10(x)) + 1}" if x > 0 else "0"
 
 
-@pytest.fixture(scope="module")
-def u1_uniform_records():
-    cfg = StudyConfig(problem="u1", levels=7, temporal_scheme="uniform",
-                      spatial_scheme="uniform", initial_elements=4)
-    records, failures = run_study(cfg, log=lambda *a, **k: None)
+def _study(name):
+    records, failures = run_study(STUDIES[name], log=lambda *a, **k: None)
     assert failures == []
     return records
+
+
+def _rate(records):
+    """Least-squares slope of the error in MN."""
+    rate, _ = power_fit([r.MN for r in records], [r.error for r in records])
+    return rate
+
+
+@pytest.fixture(scope="module")
+def u1_uniform_records():
+    return _study("u1_uniform")
 
 
 @pytest.fixture(scope="module")
 def u1_hp_records():
-    cfg = StudyConfig(problem="u1", levels=6, temporal_scheme="hp",
-                      sigma=0.31, mu_hp=2.0, m1_factor=1.4,
-                      spatial_scheme="uniform", initial_elements=16)
-    records, failures = run_study(cfg, log=lambda *a, **k: None)
-    assert failures == []
-    return records
+    return _study("u1_hp")
+
+
+@pytest.fixture(scope="module")
+def u2_records():
+    return {name: _study(name) for name in ("u2_graded_p", "u2_uniform")}
+
+
+@pytest.fixture(scope="module")
+def u3_records():
+    return {name: _study(name) for name in ("u3_hp_graded", "u3_uniform_graded")}
 
 
 def test_criterion_1_table_reproduction(u1_uniform_records):
@@ -237,24 +251,9 @@ def test_criterion_5_parametric_ivp_p_convergence():
     assert all(r < 0.75 for r in ratios)
 
 
-def _study_rate(problem, temporal_scheme, spatial_scheme, **kw):
-    cfg = StudyConfig(
-        problem=problem,
-        levels=4,
-        temporal_scheme=temporal_scheme,
-        spatial_scheme=spatial_scheme,
-        **kw,
-    )
-    records, failures = run_study(cfg, log=lambda *a, **k: None)
-    assert failures == []
-    rate, _ = power_fit([r.MN for r in records], [r.error for r in records])
-    return rate, records
-
-
-def test_criterion_6_u2_graded_mesh_rates():
+def test_criterion_6_u2_graded_mesh_rates(u2_records):
     t0 = time.perf_counter()
-    rate_graded, _ = _study_rate("u2", "p", "graded")
-    rate_uniform, _ = _study_rate("u2", "uniform", "uniform")
+    rate_graded, rate_uniform = _rate(u2_records["u2_graded_p"]), _rate(u2_records["u2_uniform"])
     passed = rate_graded >= 0.60 and rate_uniform <= 0.55
     _report(
         6,
@@ -267,7 +266,7 @@ def test_criterion_6_u2_graded_mesh_rates():
     assert rate_uniform <= 0.55
 
 
-U3_HP = dict(sigma=0.17, mu_hp=1.0, m1_factor=2.2)
+U3_HP = STUDIES["u3_hp_graded"]
 
 
 def _criterion_7_checks(hp_records, uniform_records):
@@ -279,8 +278,8 @@ def _criterion_7_checks(hp_records, uniform_records):
     )
     n_rate_hp, _ = power_fit([r.N for r in hp_records], [r.error for r in hp_records])
     log_n = np.log([r.N for r in hp_records])
-    m1_max = U3_HP["m1_factor"] * log_n
-    m_bound = U3_HP["mu_hp"] * (m1_max * (m1_max + 1) / 2 + TAIL_ELEMENTS * m1_max)
+    m1_max = U3_HP.m1_factor * log_n
+    m_bound = U3_HP.mu_hp * (m1_max * (m1_max + 1) / 2 + TAIL_ELEMENTS * m1_max)
     m_hp = np.array([r.M for r in hp_records])
     first_slab = [
         functional_from_parts(r.val_sq_elements[0], r.der_sq_elements[0])
@@ -302,7 +301,7 @@ def _criterion_7_checks(hp_records, uniform_records):
     return checks, detail
 
 
-def test_criterion_7_u3_hp_rates():
+def test_criterion_7_u3_hp_rates(u3_records):
     # Both thresholds are asymptotic exponents. Over these windows
     # (N = 52..4012) the least-squares slope of the total error in MN is
     # biased for both arms, so each bound is asserted on an unbiased
@@ -332,13 +331,27 @@ def test_criterion_7_u3_hp_rates():
     #   below at every level. A lower bound decaying at <= 0.25 caps the
     #   asymptotic rate of the total error, which is the claim of this arm.
     t0 = time.perf_counter()
-    _, hp_records = _study_rate("u3", "hp", "graded", **U3_HP)
-    _, uniform_records = _study_rate("u3", "uniform", "graded")
-    checks, detail = _criterion_7_checks(hp_records, uniform_records)
+    checks, detail = _criterion_7_checks(u3_records["u3_hp_graded"], u3_records["u3_uniform_graded"])
     passed = all(checks.values())
     failing = [k for k, v in checks.items() if not v]
     _report(7, passed, f"{detail}; failing: {failing or 'none'} [{time.perf_counter() - t0:.0f}s]")
     assert passed, failing
+
+
+def test_study_records_match_the_pinned_file(u1_uniform_records, u1_hp_records, u2_records, u3_records):
+    # the records of criteria 1, 2, 6 and 7 against pinned_records.tsv: the
+    # sizes exactly, the floats to each study's measured rounding sensitivity
+    studies = {"u1_uniform": u1_uniform_records, "u1_hp": u1_hp_records, **u2_records, **u3_records}
+    pinned = read()
+    assert set(pinned) == set(studies) == set(STUDIES)
+    moved = []
+    for name, records in studies.items():
+        sizes, values = pinned[name]
+        assert [(r.MN, r.M, r.N) for r in records] == sizes, name
+        level, field, move = largest_move(records, values)
+        if move > TOLERANCE[name]:
+            moved.append(f"{name} level {level} {field} by {move:.1e}")
+    assert not moved, "; ".join(moved)
 
 
 def test_criterion_8_solver_cross_validation():

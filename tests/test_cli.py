@@ -467,10 +467,14 @@ def test_numbers_script_compares_records_from_its_own_checkout(tmp_path):
     # with no PYTHONPATH and from another directory, the script still finds
     # the package: it puts its checkout's src first on sys.path
     header = "level\tMN\tM\tN\terror\tresidual\tval_sq\tder_sq\n"
-    records = {"a": (0.5, "0x1.0p-1,0x1.0p-2"), "b": (0.5 * (1.0 + 2.0**-20), "0x1.0p-1,0x1.8p-2")}
-    for name, (error, der_sq) in records.items():
+    # the residual, relative already, moves by its absolute change: 5e-15, not 0.5
+    records = {
+        "a": (0.5, 1e-14, "0x1.0p-1,0x1.0p-2"),
+        "b": (0.5 * (1.0 + 2.0**-20), 1.5e-14, "0x1.0p-1,0x1.8p-2"),
+    }
+    for name, (error, residual, der_sq) in records.items():
         (tmp_path / name).mkdir()
-        row = ["0", "12", "3", "4", error.hex(), (1e-14).hex(), "0x1.0p-1,0x1.0p-2", der_sq]
+        row = ["0", "12", "3", "4", error.hex(), residual.hex(), "0x1.0p-1,0x1.0p-2", der_sq]
         (tmp_path / name / "u9.tsv").write_text(header + "\t".join(row) + "\n")
     env = {key: value for key, value in os.environ.items() if key != "PYTHONPATH"}
     run = subprocess.run(
@@ -483,7 +487,7 @@ def test_numbers_script_compares_records_from_its_own_checkout(tmp_path):
         ("u9", "M"): "bit-identical",
         ("u9", "N"): "bit-identical",
         ("u9", "error"): "9.5e-07 (level 0)",
-        ("u9", "residual"): "bit-identical",
+        ("u9", "residual"): "5.0e-15 (level 0)",
         ("u9", "val_sq"): "bit-identical",
         ("u9", "der_sq"): "2.5e-01 (level 0)",
     }

@@ -367,3 +367,64 @@ def test_load_of_a_problem_without_evaluator_is_the_full_loop():
     G = project_rhs(SpaceTimeQuadrature(prob, basis, sx), tm, sx)
     ref = project_rhs_full_forcing(prob, basis, tm, sx)
     assert np.abs(G - ref).max() <= 1e-13 * np.abs(ref).max()
+
+
+def _shipped_level(config, level):
+    """The level's space-time quadrature, Hilbert matrices and spatial system
+    of a shipped config."""
+    cfg = cli.parse_config((SHIPPED / config).read_text())
+    prob = get_problem(cfg.problem)
+    sx = assemble_spatial(cli._spatial_for_level(cfg, prob, level))
+    basis = make_basis(cli._temporal_for_level(cfg, prob, level, sx.N))
+    return SpaceTimeQuadrature(prob, basis, sx), assemble(basis), sx
+
+
+# relative to the largest moment, the interpolated remainder moments are off by
+# at most 7e-16 at K = 20 on u2 and u3, levels 0-2; K = 16 is off by 2e-13 to
+# 3e-12 and K = 12 by 4e-9 to 2e-8
+CHEBYSHEV_TOL = 1e-14
+REMAINDER_LEVELS = [(c, level) for c in ("u2_p_graded.cfg", "u3_hp_graded.cfg") for level in range(3)]
+
+
+@pytest.mark.parametrize("config,level", REMAINDER_LEVELS)
+def test_remainder_moments_interpolate_to_every_node(config, level):
+    # the contract of g_rest: analytic in t on [0, T], so its spatial moments
+    # at the Chebyshev times give those at every node of the load's rule
+    rule, _, sx = _shipped_level(config, level)
+    quad, t = rule.space, rule.t
+    c, B = solver._chebyshev_interpolation(t, rule.T)
+    assert len(c) == solver.CHEBYSHEV_TIMES
+    direct = np.empty((len(t), sx.N))
+    for chunk in quad.time_chunks(len(t)):
+        direct[chunk] = quad.moments(rule.data.g_rest(t[chunk, None]))
+    interpolated = B @ quad.moments(rule.data.g_rest(c[:, None]))
+    assert np.abs(interpolated - direct).max() <= CHEBYSHEV_TOL * np.abs(direct).max()
+
+
+@pytest.mark.parametrize("config,level", REMAINDER_LEVELS)
+def test_doubling_the_chebyshev_times_keeps_the_load(config, level, monkeypatch):
+    rule, tm, sx = _shipped_level(config, level)
+    G = project_rhs(rule, tm, sx)
+    monkeypatch.setattr(solver, "CHEBYSHEV_TIMES", 2 * solver.CHEBYSHEV_TIMES)
+    G2 = project_rhs(rule, tm, sx)
+    assert np.abs(G2 - G).max() <= CHEBYSHEV_TOL * np.abs(G).max()
+
+
+def test_a_remainder_singular_at_zero_is_refused(small_setup):
+    # t^0.6 is not analytic at t = 0: interpolated from the Chebyshev times,
+    # its moments at the rule's first node are off by about 1e-2
+    basis, tm, sx = small_setup
+    prob = _forcing(lambda t, x: t**0.6 * np.sin(np.pi * x))
+    with pytest.raises(ValueError, match="remainder g_rest is not analytic in t"):
+        project_rhs(SpaceTimeQuadrature(prob, basis, sx), tm, sx)
+
+
+def test_chebyshev_interpolation_is_exact_on_polynomials_and_at_its_points():
+    rng = np.random.default_rng(4)
+    c, _ = solver._chebyshev_interpolation(np.zeros(1), 2.0)
+    # a node on a Chebyshev point takes its value; the others interpolate
+    t = np.concatenate([c[[0, 7, 19]], rng.uniform(0.0, 2.0, 9), [0.0, 2.0]])
+    _, B = solver._chebyshev_interpolation(t, 2.0)
+    assert np.array_equal(B[:3], np.eye(len(c))[[0, 7, 19]])
+    p = np.polynomial.Polynomial(rng.standard_normal(len(c)))
+    assert np.abs(B @ p(c) - p(t)).max() <= 1e-12 * np.abs(p(t)).max()
