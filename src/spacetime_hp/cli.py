@@ -273,6 +273,8 @@ def main(argv=None):
             cfg = replace(cfg, levels=args.levels)
         if args.out is not None:
             cfg = replace(cfg, out=args.out)
+        if cfg.export_meshes and not cfg.out:  # out may come from --out, so not in StudyConfig
+            raise ConfigError("[spatial] export_meshes: needs an output directory ([study] out or --out)")
         if cfg.out:
             Path(cfg.out).mkdir(parents=True, exist_ok=True)
     except (ConfigError, OSError, UnicodeDecodeError) as exc:

@@ -16,17 +16,19 @@ a Gauss rule exact for polynomials against ln(x). Each integrand is a
 polynomial times ln or times an analytic log, so a rule built for a higher
 degree than a pair's own keeps that pair exact.
 
-Every other piece, including G with the constants on all m^2 pairs, uses
-tensor Gauss with orders driven by the distance of the singularity
-(Bernstein ellipse estimate). The pairs of each piece are grouped by their
-grid (nx, ny) and walked in chunks of about spatial_fem._CHUNK_ENTRIES grid
-values. For a chunk, the weighted kernel values F (pairs x nx x ny) give
-both element blocks by sum factorisation, (dN_x @ F) @ [N_y | dN_y], from 1D
-Lobatto tables for the largest degree; the shapes are hierarchical, so a
-degree-p element reads the first p+1 rows. All polynomial factors are
-integrated exactly; only analytic factors carry quadrature error, controlled
-by order doubling. The element blocks reach the global arrays in one
-index-array accumulation.
+What the Duffy rules leave on a pair, G with the constants and each
+logarithm whose singular point stays off the pair, is integrated on one
+tensor Gauss grid. Its order in each direction is the largest any of these
+pieces asks for: p_i + p_j + SMOOTH_EXTRA for G, and for a logarithm an
+order driven by the distance of its singularity (Bernstein ellipse
+estimate). The pairs are grouped by their grid (nx, ny) and walked in chunks
+of about spatial_fem._CHUNK_ENTRIES grid values. For a chunk, the weighted
+kernel values F (pairs x nx x ny) give both element blocks by sum
+factorisation, (dN_x @ F) @ [N_y | dN_y], from 1D Lobatto tables for the
+largest degree; the shapes are hierarchical, so a degree-p element reads the
+first p+1 rows. All polynomial factors are integrated exactly; only analytic
+factors carry quadrature error, controlled by order doubling. The element
+blocks reach the global arrays in one index-array accumulation.
 """
 
 from dataclasses import dataclass
@@ -87,15 +89,17 @@ class TemporalMatrices:
     M_cross: np.ndarray
 
 
-def _near_log_order(h, delta, pdeg, multiplier):
+def _near_log_order(h, delta, multiplier):
     # Gauss order for a log singularity at distance delta beyond an interval
     # of length h: error ~ rho^(-2n) with the Bernstein ellipse radius rho.
-    # Elementwise over arrays of (h, delta, pdeg).
+    # Elementwise over arrays of (h, delta). No term for the degree of the
+    # polynomial factor: the pair's grid also carries G, so each direction
+    # has at least p_i + p_j + SMOOTH_EXTRA points.
     r = 1.0 + 2.0 * np.maximum(delta, 1e-300) / h
     rho = r + np.sqrt(r * r - 1.0)
     with np.errstate(divide="ignore"):
         n_analytic = np.where(rho > 1.0, np.ceil(TARGET_EXPONENT / np.log(rho)), MAX_ORDER)
-    n = np.minimum(np.maximum(pdeg // 2 + 4, n_analytic), MAX_ORDER)
+    n = np.minimum(n_analytic, MAX_ORDER)
     return np.maximum(2, np.ceil(n * multiplier)).astype(int)
 
 
@@ -174,26 +178,27 @@ def assemble(basis: TemporalBasis, multiplier=1.0) -> TemporalMatrices:
     P = int(p.max()) + 1  # hierarchical shapes: degree p uses the first p+1 rows
     a, b, h = bp[:-1], bp[1:], mesh.element_lengths
     I, J = (v.ravel() for v in np.indices((m, m)))  # pair k is (I[k], J[k])
-    pp = p[I] + p[J]
     c0 = log(np.pi / (4.0 * T))
 
-    # tensor-Gauss pieces: (pairs on a grid, distance of the singularity or
-    # None for G, kernel for elements i, j (pairs x 1 x 1) at nodes x (column)
-    # and y (row) of the unit square)
-    def smooth(i, j, x, y):  # G plus the constants; ln|t-s| leaves ln(h) on the diagonal
-        const = c0 + np.where(i == j, np.log(h[i]), 0.0)
-        return smooth_remainder(a[i] + h[i] * x, a[j] + h[j] * y, T) + const
-
-    grid_pieces = (
-        (np.abs(I - J) > 1, np.where(J > I, a[J] - b[I], a[I] - b[J]),
-         lambda i, j, x, y: np.log(np.abs((a[j] + h[j] * y) - (a[i] + h[i] * x)))),
-        (I + J > 0, a[I] + a[J],
-         lambda i, j, x, y: np.log((a[i] + h[i] * x) + (a[j] + h[j] * y))),
-        (I + J < 2 * (m - 1), (T - b[I]) + (T - b[J]),
-         lambda i, j, x, y: -np.log((T - a[i] - h[i] * x) + (T - a[j] - h[j] * y))),
-        (np.full(m * m, True), None, smooth),
-    )
+    # the regular part of each pair on one tensor grid: G with the constants,
+    # plus each of ln|t-s|, ln(s+t), ln(2T-s-t) whose singular point stays off
+    # the pair, at distance delta[q] > 0; the Duffy rules below take the others
+    delta = (np.where(J > I, a[J] - b[I], a[I] - b[J]), a[I] + a[J], (T - b[I]) + (T - b[J]))
     smooth_order = np.array([_scaled(q + SMOOTH_EXTRA, multiplier) for q in range(2 * P - 1)])
+
+    def order(hk):  # per direction, the largest order that a piece on the pair asks for
+        near = [np.where(d > 0, _near_log_order(hk, d, multiplier), 0) for d in delta]
+        return np.max([smooth_order[p[I] + p[J]], *near], axis=0)
+
+    def kernel(k, x, y):  # pairs k (pairs x 1 x 1) at nodes x (column) and y (row)
+        i, j = I[k], J[k]
+        s, t = a[i] + h[i] * x, a[j] + h[j] * y
+        # G and the constants; ln|t-s| leaves ln(h) on the diagonal
+        F = smooth_remainder(s, t, T) + (c0 + np.where(i == j, np.log(h[i]), 0.0))
+        F += np.log(np.where(delta[0][k] > 0, np.abs(t - s), 1.0))
+        F += np.log(np.where(delta[1][k] > 0, s + t, 1.0))
+        F -= np.log(np.where(delta[2][k] > 0, 2.0 * T - s - t, 1.0))
+        return F
 
     @lru_cache(maxsize=None)
     def shapes(n):  # Lobatto values and xi-derivatives at the n Gauss nodes on (0,1)
@@ -203,22 +208,16 @@ def assemble(basis: TemporalBasis, multiplier=1.0) -> TemporalMatrices:
     # blk[k] = [M | A] block of pair k; a grid of weighted kernel values F
     # contributes (dN_x @ F) @ [N_y | dN_y] for a whole chunk of pairs
     blk = np.zeros((m * m, P, 2 * P))
-    for on_grid, delta, kern in grid_pieces:
-        k = np.flatnonzero(on_grid)
-        if delta is None:
-            nx = ny = smooth_order[pp[k]]
-        else:
-            nx = _near_log_order(h[I[k]], delta[k], pp[k], multiplier)
-            ny = _near_log_order(h[J[k]], delta[k], pp[k], multiplier)
-        for gx, gy in sorted(set(zip(nx.tolist(), ny.tolist()))):
-            kg = k[(nx == gx) & (ny == gy)]
-            X, Y, W = (v.reshape(gx, gy) for v in _tensor_grid(gx, gy))
-            dNx, NdNy = shapes(gx)[0], shapes(gy)[1]
-            step = max(1, spatial_fem._CHUNK_ENTRIES // (gx * gy))
-            for c in range(0, len(kg), step):
-                kc = kg[c : c + step]
-                F = W * kern(I[kc, None, None], J[kc, None, None], X[:, :1], Y[:1])
-                blk[kc] += (dNx @ F) @ NdNy
+    nx, ny = order(h[I]), order(h[J])
+    for gx, gy in sorted(set(zip(nx.tolist(), ny.tolist()))):
+        kg = np.flatnonzero((nx == gx) & (ny == gy))
+        X, Y, W = (v.reshape(gx, gy) for v in _tensor_grid(gx, gy))
+        dNx, NdNy = shapes(gx)[0], shapes(gy)[1]
+        step = max(1, spatial_fem._CHUNK_ENTRIES // (gx * gy))
+        for c in range(0, len(kg), step):
+            kc = kg[c : c + step]
+            F = W * kernel(kc[:, None, None], X[:, :1], Y[:1])
+            blk[kc] += (dNx @ F) @ NdNy
     # the singular kinds, one rule each for all of its pairs: the diagonal
     # (one block for all), and the Duffy corners at (0,0), mirrored to (1,1)
     # with the sign of -ln(2T-s-t), to (1,0) for (i,i+1) and to (0,1) for (i+1,i)

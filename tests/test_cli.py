@@ -440,6 +440,19 @@ def test_mesh_export_option_1d(tmp_path):
     assert rows[:5, 1].tolist() == [1, 0, 0, 0, 1]
 
 
+def test_main_rejects_mesh_export_without_output_directory(tmp_path, capsys):
+    # with neither out nor --out the meshes would go nowhere: a config error,
+    # not a silent no-op; --out supplies the directory the config leaves out
+    cfg_path = tmp_path / "study.cfg"
+    cfg_path.write_text(MESH_EXPORT_STUDY.replace("out = {out}\n", ""))
+    assert main([str(cfg_path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("config error: [spatial] export_meshes: ")
+    assert captured.out == ""  # no level ran
+    assert main([str(cfg_path), "--out", str(tmp_path / "out")]) == 0
+    assert (tmp_path / "out" / "mesh_level0.txt").exists()
+
+
 def test_failed_mesh_export_fails_the_level(tmp_path):
     # the output path is a file, so the export fails: the level counts as
     # failed and not also as completed

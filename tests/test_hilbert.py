@@ -92,13 +92,23 @@ def test_matrix_invariants(mesh):
         assert x @ sym_m @ x > 0.0
 
 
+DOUBLING_MESHES = [
+    TemporalMesh.from_arrays([0.0, 0.3, 0.8, 1.4, 2.0], [2, 4, 3, 6]),
+    # u1_hp level 6 (degrees up to 18) and u3_hp_graded level 3 (up to 18,
+    # first element 0.17^17 long): high-degree pairs near a log singularity
+    build_mesh(TemporalMeshSpec(T=2, sigma=0.31, mu_hp=2.0, m1=9, m2=1)),
+    build_mesh(TemporalMeshSpec(T=2, sigma=0.17, mu_hp=1.0, m1=18, m2=1)),
+]
+
+
 def test_order_doubling_stability():
-    mesh = TemporalMesh.from_arrays([0.0, 0.3, 0.8, 1.4, 2.0], [2, 4, 3, 6])
-    basis = make_basis(mesh)
-    tm = assemble(basis)
-    tm2 = assemble(basis, multiplier=2.0)
-    assert np.abs(tm.M_ht - tm2.M_ht).max() < 1e-10
-    assert np.abs(tm.A_ht - tm2.A_ht).max() < 1e-10
+    for mesh in DOUBLING_MESHES:
+        basis = make_basis(mesh)
+        tm = assemble(basis)
+        tm2 = assemble(basis, multiplier=2.0)
+        for got, ref in ((tm.M_ht, tm2.M_ht), (tm.A_ht, tm2.A_ht)):
+            assert np.abs(got - ref).max() < 1e-10
+            assert np.abs(got - ref).max() <= 1e-11 * np.abs(ref).max(), mesh.m
 
 
 def test_single_mode_elliptic_pairing():
@@ -243,24 +253,14 @@ def test_corner_duffy_rule_is_exact_on_monomials(c1, c2):
 
 
 def _pair_loop_assembly(basis):
-    # reference: every element pair on its own, all pieces concatenated into
-    # one point set, shapes of the exact degrees, scalar scatter
+    # reference: every element pair on its own, its Duffy pieces and one
+    # tensor grid (at the largest order that any of its other pieces asks
+    # for) concatenated into one point set, shapes of the exact degrees,
+    # scalar scatter
     mesh = basis.mesh
     T, m, bp, p = mesh.T, mesh.m, mesh.breakpoints, mesh.degrees
     M = basis.num_dofs
     Mc, Ac = np.zeros((M, M + 1)), np.zeros((M, M + 1))
-
-    def tensor(i, j, delta, g):  # delta None: the analytic remainder's order
-        q = int(p[i] + p[j])
-        if delta is None:
-            nx = ny = q + SMOOTH_EXTRA
-        else:
-            nx = _near_log_order(bp[i + 1] - bp[i], delta, q, 1.0)
-            ny = _near_log_order(bp[j + 1] - bp[j], delta, q, 1.0)
-        X, Y, W = _tensor_grid(nx, ny)
-        s = bp[i] + (bp[i + 1] - bp[i]) * X
-        t = bp[j] + (bp[j + 1] - bp[j]) * Y
-        return [(X, Y, W * g(s, t))]
 
     for i in range(m):
         for j in range(m):
@@ -268,7 +268,8 @@ def _pair_loop_assembly(basis):
             pdeg = int(p[i] + p[j]) + 1
             u, y, w = _corner_duffy_rule([hi], [hj], pdeg, 1.0)
             corner = [(u, y, w[0])]
-            const = np.log(np.pi / (4.0 * T)) + (np.log(hi) if i == j else 0.0)
+            # (distance of the singular point, kernel) of each logarithm off the pair
+            logs = []
             if i == j:
                 pieces = [_diagonal_duffy_rule(pdeg, 1.0)]
             elif j == i + 1:
@@ -277,17 +278,24 @@ def _pair_loop_assembly(basis):
                 pieces = [(u, 1.0 - y, w) for u, y, w in corner]
             else:
                 delta = bp[j] - bp[i + 1] if j > i else bp[i] - bp[j + 1]
-                pieces = tensor(i, j, delta, lambda s, t: np.log(np.abs(t - s)))
+                pieces, logs = [], [(delta, lambda s, t: np.log(np.abs(t - s)))]
             if i == j == 0:
                 pieces = pieces + corner
             else:
-                pieces = pieces + tensor(i, j, bp[i] + bp[j], lambda s, t: np.log(s + t))
+                logs.append((bp[i] + bp[j], lambda s, t: np.log(s + t)))
             if i == j == m - 1:
                 pieces = pieces + [(1.0 - u, 1.0 - y, -w) for u, y, w in corner]
             else:
-                delta = (T - bp[i + 1]) + (T - bp[j + 1])
-                pieces = pieces + tensor(i, j, delta, lambda s, t: -np.log(2 * T - s - t))
-            pieces = pieces + tensor(i, j, None, lambda s, t: smooth_remainder(s, t, T) + const)
+                logs.append(((T - bp[i + 1]) + (T - bp[j + 1]), lambda s, t: -np.log(2 * T - s - t)))
+            nx, ny = (
+                max([int(p[i] + p[j]) + SMOOTH_EXTRA] + [int(_near_log_order(hk, d, 1.0)) for d, _ in logs])
+                for hk in (hi, hj)
+            )
+            X, Y, W = _tensor_grid(nx, ny)
+            s, t = bp[i] + hi * X, bp[j] + hj * Y
+            const = np.log(np.pi / (4.0 * T)) + (np.log(hi) if i == j else 0.0)
+            g = smooth_remainder(s, t, T) + const + sum(kern(s, t) for _, kern in logs)
+            pieces = pieces + [(X, Y, W * g)]
             x, y, w = (np.concatenate(v) for v in zip(*pieces))
             _, dNi = lobatto_shapes(p[i], 2.0 * x - 1.0)
             Nj, dNj = lobatto_shapes(p[j], 2.0 * y - 1.0)
