@@ -2,9 +2,14 @@
 
 The computable error surrogate is [v] = sqrt(||v||_L2(Q) * ||d_t v||_L2(Q)),
 which dominates the fractional-in-time, L2-in-space error norm. Both L2(Q)
-norms are taken on the load's rule, the level's solver.SpaceTimeQuadrature,
-with one call of the exact pair (u, d_t u) per bounded chunk of its temporal
-nodes; the first temporal element's rule absorbs the non-smoothness at t = 0.
+norms are taken on the level's solver.SpaceTimeQuadrature: the load's temporal
+rule, whose first element absorbs the non-smoothness at t = 0, and the
+error's own spatial rule of solver.ERROR_DEGREE, 16 points per triangle and 4
+per interval. The load keeps 49 (6) for the forcing's rough corner factors;
+the squared error is smoother in x. Against a 144-point reference, at a
+fixed solution, the coarser rule moves the surrogate by 2.6e-4 of itself at
+u3 hp+graded level 0 and by 6.1e-6 at level 1. One call of the exact pair
+(u, d_t u) is made per bounded chunk of the temporal nodes.
 """
 
 from dataclasses import dataclass

@@ -10,8 +10,14 @@ Pi, so only the temporal projection is computed. Coefficients are stored
 temporal-major: row l of the coefficient array holds the spatial nodal vector
 of temporal basis function l.
 
-The load and metrics' error surrogate are integrals over the same (0, T) x D,
-taken on one SpaceTimeQuadrature per level. The load evaluates the forcing's
+The load and metrics' error surrogate are integrals over the same (0, T) x D.
+They share one SpaceTimeQuadrature per level: its temporal rule and its table
+of basis values. In space each takes its own rule. The load integrates the
+forcing's rough corner factors (r^(2/3) at the re-entrant corner, the
+cutoff's kinks) and keeps LOAD_DEGREE; it builds that rule and the problem
+data on it itself and drops them before the solve. The error integrates the
+smooth-in-x squares of u - u_MN and runs on the coarser ERROR_DEGREE rule,
+which the level's SpaceTimeQuadrature holds. The load evaluates the forcing's
 remainder, analytic in t, at CHEBYSHEV_TIMES Chebyshev points of [0, T] only
 and interpolates its spatial moments to the rule's nodes (Trefethen,
 Approximation Theory and Approximation Practice, 2013, ch. 8).
@@ -36,6 +42,13 @@ from .temporal_hp import TemporalBasis, basis_matrix, temporal_rule
 
 # Gauss points per temporal element beyond its degree, before order_mult
 TEMPORAL_EXTRA = 12
+# exactness degrees of the spatial rules (SpatialQuadrature): the load's 49
+# points per triangle (6 per interval) take the moments of the forcing's rough
+# corner factors; at a fixed solution, the error's 16 (4) put the surrogate
+# within 2.6e-4 (u3 hp+graded level 0), 6.1e-6 (level 1) and 5.4e-6 (u1
+# uniform level 0) of a 144-point (16 per interval) reference
+LOAD_DEGREE = 11
+ERROR_DEGREE = 6
 # first-kind Chebyshev points of [0, T] at which the load takes the spatial
 # moments of the forcing's remainder; against direct evaluation at every node,
 # u2 and u3 (levels 0-2) are off by 7e-16 of the largest moment at 20 points,
@@ -54,15 +67,18 @@ class SpaceTimeSolution:
 
 
 class SpaceTimeQuadrature:
-    """One level's quadrature of (0, T) x D, shared by the load and the error:
-    the spatial rule `space` with the problem data `data` on its points, the
-    temporal rule (t, w, elements) with (p_j + TEMPORAL_EXTRA) * order_mult
-    Gauss points on element j, at least 2, and the values phi and
-    t-derivatives dphi of the unconstrained basis at its nodes."""
+    """One level's quadrature of (0, T) x D: the temporal rule (t, w,
+    elements) with (p_j + TEMPORAL_EXTRA) * order_mult Gauss points on
+    element j, at least 2, and the values phi and t-derivatives dphi of the
+    unconstrained basis at its nodes, shared by the load and the error; the
+    error's spatial rule `space` (ERROR_DEGREE) with the problem data `data`
+    on its points; and the problem `prob`, from which the load takes its own
+    spatial rule's data."""
 
     def __init__(self, prob, basis: TemporalBasis, sx: SpatialSystem, order_mult=1.0):
         self.T = basis.mesh.T
-        self.space = SpatialQuadrature(sx)
+        self.prob = prob
+        self.space = SpatialQuadrature(sx, ERROR_DEGREE)
         self.data = prob.at(self.space.points)
         orders = np.maximum(2, ((basis.mesh.degrees + TEMPORAL_EXTRA) * order_mult).astype(int))
         self.t, self.w, self.elements = temporal_rule(basis.mesh, orders)
@@ -101,7 +117,9 @@ def project_rhs(rule: SpaceTimeQuadrature, tm: TemporalMatrices, sx: SpatialSyst
 
     Testing with the interior P1 functions psi_i cancels the spatial half of
     Pi, so the load is M_cross applied to the temporal projection of the
-    moments int g phi_l psi_i. Its mass matrix is the Gram matrix of the
+    moments int g phi_l psi_i, taken on the rule's temporal nodes and on a
+    spatial rule of LOAD_DEGREE, built here with the problem data on its
+    points and released on return. The mass matrix is the Gram matrix of the
     rule's value table: with TEMPORAL_EXTRA >= 1 the rule is exact for it.
 
     A separable term a(t) f(x) of g contributes the outer product of its
@@ -110,7 +128,8 @@ def project_rhs(rule: SpaceTimeQuadrature, tm: TemporalMatrices, sx: SpatialSyst
     only, in chunks, and its moments there are interpolated to the rule's
     nodes. The same call evaluates it at the rule's first node, whose direct
     moments gate the contract: a gap above REMAINDER_GAP raises ValueError."""
-    quad, ev, t, phi = rule.space, rule.data, rule.t, rule.phi
+    quad = SpatialQuadrature(sx, LOAD_DEGREE)
+    ev, t, phi = rule.prob.at(quad.points), rule.t, rule.phi
     phi_w = phi * rule.w[:, None]
     R = np.zeros((phi.shape[1], sx.N))
     for a, f in ev.terms:

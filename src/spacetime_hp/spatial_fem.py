@@ -267,19 +267,21 @@ class SpatialQuadrature:
     helpers for L2 integrals, P1 nodal moments, and FE evaluation at the
     points, all on the interior vertices (the unknowns).
 
-    One reference-simplex rule is mapped onto every cell through the shape
-    functions [1 - sum(xi), xi]: 6 Gauss points on intervals, and on
-    triangles the collapsed tensor rule triangle_rule(7), 49 points exact to
-    total degree 12. Point e*q + i is point i of the rule in cell e, so the
+    One reference-simplex rule, exact for polynomials of total degree
+    `degree`, is mapped onto every cell through the shape functions
+    [1 - sum(xi), xi]: degree // 2 + 1 Gauss points on intervals, and on
+    triangles the collapsed tensor rule triangle_rule((degree + 3) // 2).
+    Degree 11 gives 6 and 49 points (the load's rule), degree 6 gives 4 and
+    16 (the error's). Point e*q + i is point i of the rule in cell e, so the
     helpers work on the cell grid: a row of point values is a (cells, q)
     block, and the (q, d + 1) table `shape` maps between the q points and
     the d + 1 vertices of a cell. They act on the last axis, so a stack of
     fields (one per row) is handled at once.
     """
 
-    def __init__(self, sx: SpatialSystem):
+    def __init__(self, sx: SpatialSystem, degree):
         mesh, d = sx.mesh, sx.mesh.dim
-        xi, w = gauss_legendre_01(6) if d == 1 else triangle_rule(7)
+        xi, w = gauss_legendre_01(degree // 2 + 1) if d == 1 else triangle_rule((degree + 3) // 2)
         xi = xi.reshape(len(w), d)
         self.shape = np.column_stack([1.0 - xi.sum(axis=1), xi])  # (q, d + 1)
         # its transpose, stored C-contiguous: a matmul with the transposed

@@ -24,7 +24,7 @@ from spacetime_hp.problems import (
     corner_singular,
     cutoff,
 )
-from spacetime_hp.solver import TEMPORAL_EXTRA, SpaceTimeQuadrature, _temporal_projection
+from spacetime_hp.solver import LOAD_DEGREE, TEMPORAL_EXTRA, SpaceTimeQuadrature, _temporal_projection
 from spacetime_hp.spatial_fem import SpatialQuadrature, refine_edges
 from spacetime_hp.temporal_hp import TemporalBasis, basis_matrix, lobatto_shapes, temporal_rule
 
@@ -218,7 +218,7 @@ def project_rhs_full_forcing(prob, basis, tm, sx):
     """The load of solver.project_rhs on the same rule, with the whole
     forcing evaluated at every (node, point) pair, the nodes in chunks."""
     mesh = basis.mesh
-    quad = SpatialQuadrature(sx)
+    quad = SpatialQuadrature(sx, LOAD_DEGREE)
     t, w, elements = temporal_rule(mesh, mesh.degrees + TEMPORAL_EXTRA)
     phi, _ = basis_matrix(basis, t, elements)
     phi_w = phi * w[:, None]

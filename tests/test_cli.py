@@ -377,9 +377,9 @@ def test_records_tsv_carries_the_solver_residual(tmp_path, monkeypatch):
 
 
 def test_each_level_builds_one_space_time_quadrature(monkeypatch):
-    # the load and the error share one rule per level: one spatial point set,
-    # one evaluation of the problem data on it, one temporal rule and one
-    # table of the basis values and t-derivatives
+    # the load and the error share one temporal rule and one table of the
+    # basis values and t-derivatives per level; each takes its own spatial
+    # point set with one evaluation of the problem data on it
     import spacetime_hp.cli as cli_mod
     from dataclasses import replace
     from spacetime_hp import metrics, solver, spatial_fem
@@ -404,7 +404,7 @@ def test_each_level_builds_one_space_time_quadrature(monkeypatch):
     monkeypatch.setattr(cli_mod, "get_problem", lambda name: replace(u3, at=counted("at", u3.at)))
     records, failures = run_study(cfg, log=lambda *a, **k: None)
     assert failures == [] and len(records) == 2
-    assert calls == {"SpatialQuadrature": 2, "at": 2, "temporal_rule": 2, "basis_matrix": 2}
+    assert calls == {"SpatialQuadrature": 4, "at": 4, "temporal_rule": 2, "basis_matrix": 2}
 
 
 MESH_EXPORT_STUDY = """

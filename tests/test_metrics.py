@@ -1,5 +1,6 @@
 from collections import Counter
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -10,12 +11,13 @@ from spacetime_hp.metrics import (
     StudyRecord,
     emit_records,
     eoc,
+    functional_from_parts,
     l2q_error_element_parts,
     rates,
 )
-from spacetime_hp import spatial_fem
-from spacetime_hp.problems import _Regular, problem_u1, problem_u3
-from spacetime_hp.solver import TEMPORAL_EXTRA, SpaceTimeQuadrature, solve, solve_heat
+from spacetime_hp import cli, solver, spatial_fem
+from spacetime_hp.problems import _Regular, get_problem, problem_u1, problem_u3
+from spacetime_hp.solver import ERROR_DEGREE, TEMPORAL_EXTRA, SpaceTimeQuadrature, solve, solve_heat
 from spacetime_hp.spatial_fem import (
     SpatialQuadrature,
     assemble_spatial,
@@ -293,7 +295,7 @@ def _element_rule(mesh, j, n):
 
 def _error_parts_node_by_node(sol, prob, basis, sx):
     mesh = basis.mesh
-    quad = SpatialQuadrature(sx)
+    quad = SpatialQuadrature(sx, ERROR_DEGREE)
     val, der = np.zeros(mesh.m), np.zeros(mesh.m)
     for j in range(mesh.m):
         for t, wt in zip(*_element_rule(mesh, j, int(mesh.degrees[j]) + TEMPORAL_EXTRA)):
@@ -362,3 +364,36 @@ def test_error_pass_takes_one_exact_pair_per_chunk(monkeypatch):
     l2q_error_element_parts(sol, SpaceTimeQuadrature(replace(prob, at=at), basis, sx))
     assert calls["chunks"] > 1, calls
     assert calls == {"chunks": calls["chunks"], "exact": calls["chunks"], "decay": calls["chunks"]}
+
+
+# the error's spatial rule against a fine reference at a fixed solution: 144
+# points per triangle (triangle_rule(12)) or 16 per interval. Each bound is ten
+# times the measured relative gap, rounded up to a power of ten; the gaps of
+# (||e||^2, ||d_t e||^2, surrogate) were u3 hp+graded level 0 (7.7e-4, 2.5e-4,
+# 2.6e-4), level 1 (2.1e-5, 3.7e-6, 6.1e-6) and u1 uniform level 0 (3.0e-9,
+# 2.2e-5, 5.4e-6)
+REFERENCE_DEGREE = {1: 30, 2: 22}
+ERROR_RULE_GAPS = {
+    ("u3_hp_graded.cfg", 0): (1e-2, 1e-2, 1e-2),
+    ("u3_hp_graded.cfg", 1): (1e-3, 1e-4, 1e-4),
+    ("u1_uniform.cfg", 0): (1e-7, 1e-3, 1e-4),
+}
+
+
+@pytest.mark.parametrize("config,level", sorted(ERROR_RULE_GAPS))
+def test_error_rule_against_a_fine_spatial_reference(config, level, monkeypatch):
+    cfg = cli.parse_config((Path(__file__).parents[1] / "scripts" / config).read_text())
+    prob = get_problem(cfg.problem)
+    sx = assemble_spatial(cli._spatial_for_level(cfg, prob, level))
+    basis = make_basis(cli._temporal_for_level(cfg, prob, level, sx.N))
+    rule = SpaceTimeQuadrature(prob, basis, sx)
+    assert len(rule.space.shape) == (4 if sx.mesh.dim == 1 else 16)
+    sol = solve_heat(rule, assemble(basis), sx)
+    val, der = (p.sum() for p in l2q_error_element_parts(sol, rule))
+    monkeypatch.setattr(solver, "ERROR_DEGREE", REFERENCE_DEGREE[sx.mesh.dim])
+    ref_rule = SpaceTimeQuadrature(prob, basis, sx)
+    assert len(ref_rule.space.shape) == (16 if sx.mesh.dim == 1 else 144)
+    ref_val, ref_der = (p.sum() for p in l2q_error_element_parts(sol, ref_rule))
+    pairs = [(val, ref_val), (der, ref_der), (functional_from_parts(val, der), functional_from_parts(ref_val, ref_der))]
+    gaps = [abs(a / b - 1) for a, b in pairs]
+    assert all(g <= bound for g, bound in zip(gaps, ERROR_RULE_GAPS[config, level])), gaps

@@ -284,7 +284,8 @@ def _moments_node_by_node(prob, basis, mesh_x):
     time, against every P1 function psi_i of mesh_x, boundary included: the
     quadrature of a system that counts every vertex as interior."""
     mesh = basis.mesh
-    quad = SpatialQuadrature(SpatialSystem(mesh_x, *p1_matrices(mesh_x), np.arange(mesh_x.num_vertices)))
+    sx = SpatialSystem(mesh_x, *p1_matrices(mesh_x), np.arange(mesh_x.num_vertices))
+    quad = SpatialQuadrature(sx, solver.LOAD_DEGREE)
     R = np.zeros((basis.num_dofs_full, mesh_x.num_vertices))
     for j in range(mesh.m):
         n = int(mesh.degrees[j]) + solver.TEMPORAL_EXTRA
@@ -391,13 +392,14 @@ def test_remainder_moments_interpolate_to_every_node(config, level):
     # the contract of g_rest: analytic in t on [0, T], so its spatial moments
     # at the Chebyshev times give those at every node of the load's rule
     rule, _, sx = _shipped_level(config, level)
-    quad, t = rule.space, rule.t
+    quad, t = SpatialQuadrature(sx, solver.LOAD_DEGREE), rule.t
+    g_rest = rule.prob.at(quad.points).g_rest
     c, B = solver._chebyshev_interpolation(t, rule.T)
     assert len(c) == solver.CHEBYSHEV_TIMES
     direct = np.empty((len(t), sx.N))
     for chunk in quad.time_chunks(len(t)):
-        direct[chunk] = quad.moments(rule.data.g_rest(t[chunk, None]))
-    interpolated = B @ quad.moments(rule.data.g_rest(c[:, None]))
+        direct[chunk] = quad.moments(g_rest(t[chunk, None]))
+    interpolated = B @ quad.moments(g_rest(c[:, None]))
     assert np.abs(interpolated - direct).max() <= CHEBYSHEV_TOL * np.abs(direct).max()
 
 

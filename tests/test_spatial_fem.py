@@ -5,6 +5,7 @@ from hypothesis import given, settings, strategies as st
 
 from spacetime_hp.problems import _laplacian_cutoff_times_singular, corner_singular, cutoff
 from spacetime_hp.quadrature import gauss_legendre_01, triangle_rule
+from spacetime_hp.solver import ERROR_DEGREE, LOAD_DEGREE
 from spacetime_hp.spatial_fem import (
     SpatialMesh,
     SpatialQuadrature,
@@ -244,7 +245,7 @@ def test_random_marking_keeps_conformity_and_angles(seed):
 
 def _poisson_l2_error(mesh):
     sys = assemble_spatial(mesh)
-    quad = SpatialQuadrature(sys)
+    quad = SpatialQuadrature(sys, LOAD_DEGREE)
     f_vals = -_laplacian_cutoff_times_singular(quad.points)
     u = spla.spsolve(sys.A_x.tocsc(), quad.moments(f_vals))
     r = np.hypot(quad.points[:, 0], quad.points[:, 1])
@@ -276,35 +277,42 @@ def test_graded_mesh_rate_recovery():
     assert rate_g == pytest.approx(1.0, abs=0.1)
 
 
+# exactness degree -> (Gauss points per interval, triangle_rule order): the
+# load's rule, 6 and 49 points, and the error's, 4 and 16
+REFERENCE_RULES = {LOAD_DEGREE: (6, 7), ERROR_DEGREE: (4, 4)}
+
+
 @pytest.mark.parametrize("mesh", [uniform_interval_mesh((0, 1), 7), refine_uniform(lshape_mesh())], ids=["1d", "2d"])
 def test_quadrature_interpolation_matrix(mesh):
     sx = assemble_spatial(mesh)
-    quad = SpatialQuadrature(sx)
-    # the full P1 interpolation matrix from the cells and the shape values
-    # [1 - sum(xi), xi] of the reference rule: 6 Gauss points or triangle_rule(7)
-    xi = (gauss_legendre_01(6) if mesh.dim == 1 else triangle_rule(7))[0].reshape(-1, mesh.dim)
-    shape = np.column_stack([1.0 - xi.sum(axis=1), xi])
-    assert len(quad.weights) == mesh.num_cells * len(shape)
-    full = np.zeros((len(quad.weights), mesh.num_vertices))
-    for e, cell in enumerate(mesh.cells):
-        full[e * len(shape) : (e + 1) * len(shape), cell] = shape
-    # the cell-grid kernels apply its interior columns and their transpose
-    P = full[:, sx.interior]
-    assert quad.fe_values(np.eye(sx.N)) == pytest.approx(P.T, abs=1e-15)
-    v = np.random.default_rng(4).standard_normal(len(quad.weights))
-    assert quad.moments(v) == pytest.approx(P.T @ (quad.weights * v), rel=1e-14)
-    # the full matrix reproduces linear functions at the points, so they are
-    # the mapped rule; its rows sum to one
-    coef = np.array([2.0, -1.0])[: mesh.dim]
-    lin = 1.0 + mesh.vertices @ coef
-    at_points = 1.0 + quad.points.reshape(len(quad.weights), mesh.dim) @ coef
-    assert full @ lin == pytest.approx(at_points, abs=1e-13)
-    assert (full.T @ quad.weights).sum() == pytest.approx(quad.weights.sum(), rel=1e-14)
-    assert quad.moments(np.ones(len(quad.weights))) == pytest.approx(full[:, sx.interior].T @ quad.weights, rel=1e-14)
-    # a stack of fields is handled row by row
-    rng = np.random.default_rng(5)
-    nodal = rng.standard_normal((3, sx.N))
-    values = rng.standard_normal((3, len(quad.weights)))
-    assert quad.fe_values(nodal) == pytest.approx(np.array([quad.fe_values(v) for v in nodal]), abs=1e-14)
-    assert quad.moments(values) == pytest.approx(np.array([quad.moments(v) for v in values]), abs=1e-14)
-    assert quad.l2_norm_sq(values) == pytest.approx([quad.l2_norm_sq(v) for v in values], rel=1e-14)
+    for degree, (n_gauss, n_triangle) in REFERENCE_RULES.items():
+        quad = SpatialQuadrature(sx, degree)
+        # the full P1 interpolation matrix from the cells and the shape values
+        # [1 - sum(xi), xi] of the reference rule: Gauss points or triangle_rule
+        xi = (gauss_legendre_01(n_gauss) if mesh.dim == 1 else triangle_rule(n_triangle))[0].reshape(-1, mesh.dim)
+        shape = np.column_stack([1.0 - xi.sum(axis=1), xi])
+        assert len(quad.weights) == mesh.num_cells * len(shape)
+        full = np.zeros((len(quad.weights), mesh.num_vertices))
+        for e, cell in enumerate(mesh.cells):
+            full[e * len(shape) : (e + 1) * len(shape), cell] = shape
+        # the cell-grid kernels apply its interior columns and their transpose
+        P = full[:, sx.interior]
+        assert quad.fe_values(np.eye(sx.N)) == pytest.approx(P.T, abs=1e-15)
+        v = np.random.default_rng(4).standard_normal(len(quad.weights))
+        assert quad.moments(v) == pytest.approx(P.T @ (quad.weights * v), rel=1e-14)
+        # the full matrix reproduces linear functions at the points, so they are
+        # the mapped rule; its rows sum to one
+        coef = np.array([2.0, -1.0])[: mesh.dim]
+        lin = 1.0 + mesh.vertices @ coef
+        at_points = 1.0 + quad.points.reshape(len(quad.weights), mesh.dim) @ coef
+        assert full @ lin == pytest.approx(at_points, abs=1e-13)
+        assert (full.T @ quad.weights).sum() == pytest.approx(quad.weights.sum(), rel=1e-14)
+        ones = np.ones(len(quad.weights))
+        assert quad.moments(ones) == pytest.approx(full[:, sx.interior].T @ quad.weights, rel=1e-14)
+        # a stack of fields is handled row by row
+        rng = np.random.default_rng(5)
+        nodal = rng.standard_normal((3, sx.N))
+        values = rng.standard_normal((3, len(quad.weights)))
+        assert quad.fe_values(nodal) == pytest.approx(np.array([quad.fe_values(v) for v in nodal]), abs=1e-14)
+        assert quad.moments(values) == pytest.approx(np.array([quad.moments(v) for v in values]), abs=1e-14)
+        assert quad.l2_norm_sq(values) == pytest.approx([quad.l2_norm_sq(v) for v in values], rel=1e-14)
