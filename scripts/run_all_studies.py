@@ -1,8 +1,8 @@
 #!/usr/bin/env python3
 """Run every shipped study config; writes tables and plot data under
-results/. The full set at the default levels takes one to two minutes with
-1 BLAS thread on a 2-core x86-64 host: 85 s measured, of which the two u1
-studies take under 0.5 s each."""
+results/. The full set at the default levels takes 15-18 s with 1 BLAS
+thread on a 2-core x86-64 host (two runs), of which the two u1 studies take
+0.2-0.3 s each and u3_hp_graded.cfg 4-5 s."""
 
 import sys
 import time
@@ -23,6 +23,6 @@ if __name__ == "__main__":
         print(f"=== {cfg.name} ===")
         t0 = time.time()
         rc = main([str(cfg)])
-        print(f"--- {cfg.name}: exit {rc} ({time.time() - t0:.0f}s)\n")
+        print(f"--- {cfg.name}: exit {rc} ({time.time() - t0:.1f}s)\n")
         failures += rc != 0
     sys.exit(2 if failures else 0)

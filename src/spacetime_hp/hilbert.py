@@ -14,7 +14,8 @@ in five kinds: the diagonal pairs (ln|t-s| along s=t), the (0,0) and
 largest degree and shared by all of its pairs, whose radial direction meets
 a Gauss rule exact for polynomials against ln(x). Each integrand is a
 polynomial times ln or times an analytic log, so a rule built for a higher
-degree than a pair's own keeps that pair exact.
+degree than a pair's own keeps that pair exact. A corner rule's angular
+order adds the Bernstein estimate for its kind's nearest singular point.
 
 What the Duffy rules leave on a pair, G with the constants and each
 logarithm whose singular point stays off the pair, is integrated on one
@@ -33,7 +34,7 @@ blocks reach the global arrays in one index-array accumulation.
 
 from dataclasses import dataclass
 from functools import lru_cache
-from math import ceil, log
+from math import log
 
 import numpy as np
 
@@ -45,13 +46,12 @@ from .temporal_hp import TemporalBasis, lobatto_shapes
 # Gauss orders per direction; assemble's multiplier scales every one of them
 SMOOTH_EXTRA = 6  # analytic remainder G on pair (i, j): p_i + p_j + SMOOTH_EXTRA
 LOG_EXTRA = 3  # log-weighted Duffy rules: pdeg // 2 + LOG_EXTRA, pdeg = 2 p_max + 1
-ANGULAR_SMOOTH_MIN = 20  # floor of the angular order in the corner Duffy rules
 TARGET_EXPONENT = 16.1  # near-singular tensor Gauss: error ~ rho^(-2n) ~ e^(-2 TARGET_EXPONENT)
 MAX_ORDER = 48
 
 
-def _scaled(n, multiplier):
-    return max(2, ceil(n * multiplier))
+def _scaled(n, multiplier):  # the one place that scales a Gauss order; elementwise
+    return np.maximum(2, np.ceil(n * multiplier)).astype(int)
 
 
 def _log_ratio(f, x, series):
@@ -89,18 +89,15 @@ class TemporalMatrices:
     M_cross: np.ndarray
 
 
-def _near_log_order(h, delta, multiplier):
-    # Gauss order for a log singularity at distance delta beyond an interval
-    # of length h: error ~ rho^(-2n) with the Bernstein ellipse radius rho.
-    # Elementwise over arrays of (h, delta). No term for the degree of the
-    # polynomial factor: the pair's grid also carries G, so each direction
-    # has at least p_i + p_j + SMOOTH_EXTRA points.
+def _near_log_order(h, delta):
+    # Gauss order, before scaling, for a log singularity at distance delta
+    # beyond an interval of length h: error ~ rho^(-2n) with the Bernstein
+    # ellipse radius rho, at most MAX_ORDER. Elementwise. No term for the
+    # polynomial factor: the tensor grid also carries G (p_i + p_j +
+    # SMOOTH_EXTRA points), and the corner Duffy rule adds its own.
     r = 1.0 + 2.0 * np.maximum(delta, 1e-300) / h
-    rho = r + np.sqrt(r * r - 1.0)
     with np.errstate(divide="ignore"):
-        n_analytic = np.where(rho > 1.0, np.ceil(TARGET_EXPONENT / np.log(rho)), MAX_ORDER)
-    n = np.minimum(n_analytic, MAX_ORDER)
-    return np.maximum(2, np.ceil(n * multiplier)).astype(int)
+        return np.minimum(np.ceil(TARGET_EXPONENT / np.log(r + np.sqrt(r * r - 1.0))), MAX_ORDER)
 
 
 @lru_cache(maxsize=64)
@@ -122,9 +119,12 @@ def _corner_duffy_rule(c1, c2, pdeg, multiplier):
     of the arrays c1, c2, on one node set: returns (u, y, w) with w of shape
     (pairs x nodes). Exact for polynomial F of total degree <= pdeg up to the
     analytic factor ln(c1 + c2 v), which only the Gauss radii's weights carry;
-    the log-weighted radii's weights are the same for every pair."""
+    the log-weighted radii's weights are the same for every pair. The angular
+    order adds the Bernstein estimate for that factor's nearest singular point,
+    v = -min(c1/c2, c2/c1) over the pairs of the call and both halves."""
     n_log = _scaled(pdeg // 2 + LOG_EXTRA, multiplier)
-    n_ang = _scaled(max(pdeg // 2 + LOG_EXTRA, ANGULAR_SMOOTH_MIN), multiplier)
+    ratio = np.minimum(np.divide(c1, c2), np.divide(c2, c1)).min(initial=1.0)
+    n_ang = _scaled(pdeg // 2 + LOG_EXTRA + _near_log_order(1.0, ratio), multiplier)
     lr_x, lr_w = log_weighted_rule(n_log)
     g_rad, w_rad = gauss_legendre_01(n_rad := n_log + 2)
     v, w_ang = gauss_legendre_01(n_ang)
@@ -153,7 +153,7 @@ def _diagonal_duffy_rule(pdeg, multiplier):
     ln u alone, and x, y are of degree 1 in u and in v, so F (1 - u) has
     degree <= pdeg + 1 in u and <= pdeg in v. The log-weighted rule in u and
     Gauss in v, both with n = pdeg // 2 + LOG_EXTRA points, are exact to
-    degree 2n - 1 >= pdeg + 5.
+    degree 2n - 1 = pdeg + 4 for the odd pdeg that assemble passes.
     """
     n = _scaled(pdeg // 2 + LOG_EXTRA, multiplier)
     u, wu = log_weighted_rule(n)
@@ -184,11 +184,10 @@ def assemble(basis: TemporalBasis, multiplier=1.0) -> TemporalMatrices:
     # plus each of ln|t-s|, ln(s+t), ln(2T-s-t) whose singular point stays off
     # the pair, at distance delta[q] > 0; the Duffy rules below take the others
     delta = (np.where(J > I, a[J] - b[I], a[I] - b[J]), a[I] + a[J], (T - b[I]) + (T - b[J]))
-    smooth_order = np.array([_scaled(q + SMOOTH_EXTRA, multiplier) for q in range(2 * P - 1)])
 
     def order(hk):  # per direction, the largest order that a piece on the pair asks for
-        near = [np.where(d > 0, _near_log_order(hk, d, multiplier), 0) for d in delta]
-        return np.max([smooth_order[p[I] + p[J]], *near], axis=0)
+        near = [np.where(d > 0, _near_log_order(hk, d), 0) for d in delta]
+        return _scaled(np.max([p[I] + p[J] + SMOOTH_EXTRA, *near], axis=0), multiplier)
 
     def kernel(k, x, y):  # pairs k (pairs x 1 x 1) at nodes x (column) and y (row)
         i, j = I[k], J[k]
