@@ -22,14 +22,18 @@ logarithm whose singular point stays off the pair, is integrated on one
 tensor Gauss grid. Its order in each direction is the largest any of these
 pieces asks for: p_i + p_j + SMOOTH_EXTRA for G, and for a logarithm an
 order driven by the distance of its singularity (Bernstein ellipse
-estimate). The pairs are grouped by their grid (nx, ny) and walked in chunks
-of about spatial_fem._CHUNK_ENTRIES grid values. For a chunk, the weighted
-kernel values F (pairs x nx x ny) give both element blocks by sum
-factorisation, (dN_x @ F) @ [N_y | dN_y], from 1D Lobatto tables for the
-largest degree; the shapes are hierarchical, so a degree-p element reads the
-first p+1 rows. All polynomial factors are integrated exactly; only analytic
-factors carry quadrature error, controlled by order doubling. The element
-blocks reach the global arrays in one index-array accumulation.
+estimate). On a far pair, where no singular point touches, that sum is the
+kernel itself, so the grid evaluates ln[tan tan] directly; only the O(m)
+touching pairs evaluate the split. The pairs are grouped by their grid
+(nx, ny) and by being far, and walked in chunks of about
+spatial_fem._CHUNK_ENTRIES grid values. For a chunk, the weighted kernel
+values F (pairs x nx x ny) give both element blocks by sum factorisation,
+(dN_x @ F) @ [N_y | dN_y], from 1D Lobatto tables for the largest degree;
+the shapes are hierarchical, so a degree-p element reads the first p+1 rows.
+The Duffy kinds contract their pairs in chunks of the same size. All
+polynomial factors are integrated exactly; only analytic factors carry
+quadrature error, controlled by order doubling. The element blocks reach
+the global arrays in one index-array accumulation.
 """
 
 from dataclasses import dataclass
@@ -178,22 +182,31 @@ def assemble(basis: TemporalBasis, multiplier=1.0) -> TemporalMatrices:
     P = int(p.max()) + 1  # hierarchical shapes: degree p uses the first p+1 rows
     a, b, h = bp[:-1], bp[1:], mesh.element_lengths
     I, J = (v.ravel() for v in np.indices((m, m)))  # pair k is (I[k], J[k])
-    c0 = log(np.pi / (4.0 * T))
+    kappa = np.pi / (4.0 * T)
 
     # the regular part of each pair on one tensor grid: G with the constants,
     # plus each of ln|t-s|, ln(s+t), ln(2T-s-t) whose singular point stays off
-    # the pair, at distance delta[q] > 0; the Duffy rules below take the others
+    # the pair, at distance delta[q] > 0; the Duffy rules below take the others.
+    # On a far pair all three stay off, and the exact split sums to the kernel
     delta = (np.where(J > I, a[J] - b[I], a[I] - b[J]), a[I] + a[J], (T - b[I]) + (T - b[J]))
+    far = (delta[0] > 0) & (delta[1] > 0) & (delta[2] > 0)
 
     def order(hk):  # per direction, the largest order that a piece on the pair asks for
         near = [np.where(d > 0, _near_log_order(hk, d), 0) for d in delta]
         return _scaled(np.max([p[I] + p[J] + SMOOTH_EXTRA, *near], axis=0), multiplier)
 
-    def kernel(k, x, y):  # pairs k (pairs x 1 x 1) at nodes x (column) and y (row)
+    def kernel(k, x, y, is_far):  # pairs k (pairs x 1 x 1) at nodes x (column) and y (row)
         i, j = I[k], J[k]
+        if is_far:  # the kernel itself, ln[tan(kappa|t-s|) tan(kappa(s+t))], in place
+            s, t = kappa * (a[i] + h[i] * x), kappa * (a[j] + h[j] * y)
+            F = np.abs(t - s)
+            np.tan(F, out=F)
+            w = s + t
+            F *= np.tan(w, out=w)
+            return np.log(F, out=F)
         s, t = a[i] + h[i] * x, a[j] + h[j] * y
         # G and the constants; ln|t-s| leaves ln(h) on the diagonal
-        F = smooth_remainder(s, t, T) + (c0 + np.where(i == j, np.log(h[i]), 0.0))
+        F = smooth_remainder(s, t, T) + (log(kappa) + np.where(i == j, np.log(h[i]), 0.0))
         F += np.log(np.where(delta[0][k] > 0, np.abs(t - s), 1.0))
         F += np.log(np.where(delta[1][k] > 0, s + t, 1.0))
         F -= np.log(np.where(delta[2][k] > 0, 2.0 * T - s - t, 1.0))
@@ -208,14 +221,15 @@ def assemble(basis: TemporalBasis, multiplier=1.0) -> TemporalMatrices:
     # contributes (dN_x @ F) @ [N_y | dN_y] for a whole chunk of pairs
     blk = np.zeros((m * m, P, 2 * P))
     nx, ny = order(h[I]), order(h[J])
-    for gx, gy in sorted(set(zip(nx.tolist(), ny.tolist()))):
-        kg = np.flatnonzero((nx == gx) & (ny == gy))
+    for gx, gy, gf in sorted(set(zip(nx.tolist(), ny.tolist(), far.tolist()))):
+        kg = np.flatnonzero((nx == gx) & (ny == gy) & (far == gf))
         X, Y, W = (v.reshape(gx, gy) for v in _tensor_grid(gx, gy))
         dNx, NdNy = shapes(gx)[0], shapes(gy)[1]
         step = max(1, spatial_fem._CHUNK_ENTRIES // (gx * gy))
         for c in range(0, len(kg), step):
             kc = kg[c : c + step]
-            F = W * kernel(kc[:, None, None], X[:, :1], Y[:1])
+            F = kernel(kc[:, None, None], X[:, :1], Y[:1], gf)
+            F *= W
             blk[kc] += (dNx @ F) @ NdNy
     # the singular kinds, one rule each for all of its pairs: the diagonal
     # (one block for all), and the Duffy corners at (0,0), mirrored to (1,1)
@@ -232,9 +246,12 @@ def assemble(basis: TemporalBasis, multiplier=1.0) -> TemporalMatrices:
     ):
         u, y, W = _corner_duffy_rule(c1, c2, pdeg, multiplier)
         kinds.append((k, 1.0 - u if flip_x else u, 1.0 - y if flip_y else y, sign * W))
-    for k, x, y, W in kinds:  # W: (pairs x nodes)
+    for k, x, y, W in kinds:  # W: (pairs x nodes), or the diagonal's one row for all
         dNx = lobatto_shapes(P - 1, 2.0 * x - 1.0)[1]
-        blk[k] += (W[:, None, :] * dNx) @ np.vstack(lobatto_shapes(P - 1, 2.0 * y - 1.0)).T
+        NdNy = np.vstack(lobatto_shapes(P - 1, 2.0 * y - 1.0)).T
+        step = max(1, spatial_fem._CHUNK_ENTRIES // W.shape[1])  # weights per chunk, as on the grids
+        for c in range(0, len(W), step):
+            blk[k[c : c + step] if len(W) > 1 else k] += (W[c : c + step, None, :] * dNx) @ NdNy
 
     # one accumulation into the global arrays: rows in the constrained space
     # (dofs - 1), columns in the unconstrained one; negative indices mark the

@@ -316,6 +316,9 @@ PAIR_LOOP_MESHES = {
     # u1_hp level 6, degrees 1, 4, 6, ..., 18, 18: neighbouring degrees differ
     # most where every singular kind shares the rule of the largest degree
     "u1-hp-level-6": build_mesh(TemporalMeshSpec(T=2, sigma=0.31, mu_hp=2.0, m1=9, m2=1)),
+    # u3_hp_graded level 3: far pairs among elements down to 8.3e-14 long,
+    # and Duffy kinds of more pairs than one small chunk holds
+    "u3-hp-level-3": build_mesh(TemporalMeshSpec(T=2, sigma=0.17, mu_hp=1.0, m1=18, m2=1)),
 }
 
 
