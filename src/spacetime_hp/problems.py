@@ -14,7 +14,8 @@ Each problem evaluates through `ManufacturedProblem.at(points)`, which
 computes the time-independent spatial factors once per point set and gives
 the exact solution and its time derivative together, as the pair that the
 error surrogate needs; the pointwise fields u_exact, du_dt_exact and g are
-built from it.
+built from it. u1's exact pair, a series in either of its two forms,
+evaluates only its terms of at least _TERM_MIN = 2e-20 (see problem_u1).
 """
 
 from dataclasses import dataclass
@@ -90,13 +91,13 @@ def _fields(at):
     )
 
 
-# u1 takes its image form below this time (the first image pair left out starts at
-# erfc(15.8) ~ 1e-110), its mode form from it on (the first mode left out, m = 65, adds < 2e-20)
+# u1 takes its image form below this time, its mode form from it on
 _IMAGE_TIME = 1e-3
-_MODES = 32  # odd modes m = 1, 3, ..., 63
-# e^(-z^2) and erfc(z) underflow to 0 beyond z ~ 27.3: capping the image
-# argument there changes no value and keeps it finite at t = 0
-_Z_MAX = 28.0
+_MODES = 32  # odd modes m = 1, 3, ..., 63; at _IMAGE_TIME, m = 65 would add < _TERM_MIN
+# u1 drops every term below this: a mode whose 4 / (pi m) e^(-(pi m)^2 t) falls below it
+# at the call's earliest mode-form time, and an image term at z > 6.6 (erfc(6.6) = 1.0e-20;
+# 4 i^2erfc(z) <= erfc(z), and the first image pair left out starts at erfc(15.8) ~ 1e-110)
+_TERM_MIN = 2e-20
 
 
 def problem_u1() -> ManufacturedProblem:
@@ -105,13 +106,16 @@ def problem_u1() -> ManufacturedProblem:
     _IMAGE_TIME one image pair (Carslaw & Jaeger, Conduction of Heat in Solids,
     1959, ch. 3): u = t - W(x) - W(1 - x), W(y) = 4t i^2erfc(z(y)) with
     z(y) = y / (2 sqrt t), and d_t u = 1 - erfc(z(x)) - erfc(z(1 - x)). From
-    there on u = x(1 - x)/2 - sum_j 4 / (pi m_j)^3 e^(-(pi m_j)^2 t) sin(m_j pi x)."""
+    there on u = x(1 - x)/2 - sum_j 4 / (pi m_j)^3 e^(-(pi m_j)^2 t) sin(m_j pi x).
+    Only terms of at least _TERM_MIN are evaluated: the image terms within
+    z <= 6.6 of a wall, each through erfc(z) = e^(-z^2) erfcx(z), and the first
+    modes, as many as reach _TERM_MIN at the call's earliest mode-form time."""
     m = np.arange(1, 2 * _MODES, 2, dtype=float)
     lam = (np.pi * m) ** 2
 
     def at(x):
         x = np.asarray(x, dtype=float)
-        walls = np.stack([x, 1.0 - x])[:, None]  # distances to both ends
+        steady = x * (1.0 - x) / 2.0
 
         @cache  # built on the first call of exact
         def sines():
@@ -120,21 +124,30 @@ def problem_u1() -> ManufacturedProblem:
         def exact(t):
             # imported here: only u1's exact solution needs it, and at module level every study
             # would pay its 40-60 ms; the load reads only the forcing's term and pays nothing
-            from scipy.special import erfc, erfcx
+            from scipy.special import erfcx
 
             # the image form on the rows below _IMAGE_TIME, the mode form on the others
             col = np.reshape(t, (-1, 1))
             early = col[:, 0] < _IMAGE_TIME
-            te = col[early]
-            with np.errstate(divide="ignore", invalid="ignore"):  # z = 0 on an end, also at t = 0
-                z = np.minimum(np.where(walls > 0.0, walls / (2.0 * np.sqrt(te)), 0.0), _Z_MAX)
-            # W = t e^(-z^2) ((1 + 2 z^2) erfcx(z) - 2 z / sqrt(pi))
-            w = np.exp(-(z**2)) * ((1.0 + 2.0 * z**2) * erfcx(z) - 2.0 / np.sqrt(np.pi) * z)
-            decay = np.exp(-lam * col[~early])
             u, du = np.empty((2, len(col), len(x)))
-            u[early], du[early] = te - te * w.sum(0), 1.0 - erfc(z).sum(0)
-            u[~early] = x * (1.0 - x) / 2.0 - (4.0 / (np.pi * m) ** 3 * decay) @ sines()
-            du[~early] = (4.0 / (np.pi * m) * decay) @ sines()
+            te = col[early]
+            scale = 2.0 * np.sqrt(te)  # z = y / scale
+            w_sum, erfc_sum = np.zeros((2, len(te), len(x)))
+            for y in (x, 1.0 - x):  # the distances to both ends
+                near = y <= 6.6 * scale
+                rows, cols = np.nonzero(near)
+                # z = 0 on an end, also at t = 0
+                z = np.divide(y[cols], scale[rows, 0], out=np.zeros(len(rows)), where=y[cols] > 0.0)
+                e, ex = np.exp(-(z**2)), erfcx(z)
+                # W = t e^(-z^2) ((1 + 2 z^2) erfcx(z) - 2 z / sqrt(pi))
+                w_sum[near] += e * ((1.0 + 2.0 * z**2) * ex - 2.0 / np.sqrt(np.pi) * z)
+                erfc_sum[near] += e * ex
+            u[early], du[early] = te - te * w_sum, 1.0 - erfc_sum
+            late = col[~early]
+            k = np.count_nonzero(4.0 / (np.pi * m) * np.exp(-lam * late.min(initial=np.inf)) >= _TERM_MIN)
+            decay, s = np.exp(-lam[:k] * late), sines()[:k]
+            u[~early] = steady - (4.0 / (np.pi * m[:k]) ** 3 * decay) @ s
+            du[~early] = (4.0 / (np.pi * m[:k]) * decay) @ s
             shape = np.shape(t)[:-1] + x.shape
             return u.reshape(shape), du.reshape(shape)
 

@@ -25,6 +25,8 @@ Approximation Theory and Approximation Practice, 2013, ch. 8).
 The solver is a Bartels-Stewart sweep (Bartels & Stewart, CACM 1972) over
 the real Schur form Z T Z^T of A_t^{-1} M_t: one real sparse factorisation
 of M_x + t A_x per 1x1 diagonal block t of T, one complex one per 2x2 block.
+Every shift shares the pattern of M_x, so all of them are factored in the
+one COLAMD column order that SuperLU finds for M_x, once per level.
 Full diagonalisation is avoided because the eigenvector matrix of the
 temporal pencil is badly conditioned on geometric hp meshes.
 """
@@ -164,6 +166,11 @@ def solve(tm: TemporalMatrices, sx: SpatialSystem, G) -> SpaceTimeSolution:
     M_x, A_x = sx.M_x.tocsc(), sx.A_x.tocsc()
     if not (np.array_equal(M_x.indptr, A_x.indptr) and np.array_equal(M_x.indices, A_x.indices)):
         raise ValueError("M_x and A_x must share one sparsity pattern")
+    # COLAMD reads the pattern alone, so its column order for M_x serves every shift:
+    # M_x + s A_x is factored with its columns in that order, and y = z[perm] undoes it
+    perm = spla.splu(M_x).perm_c
+    order = np.argsort(perm)
+    M_p, A_p = M_x[:, order], A_x[:, order]
     cho = la.cho_factor(0.5 * (tm.A_ht + tm.A_ht.T))
     T, Z = la.schur(la.cho_solve(cho, tm.M_ht), output="real")
     V = Z.T @ la.cho_solve(cho, G)  # overwritten block by block with the solution
@@ -177,8 +184,8 @@ def solve(tm: TemporalMatrices, sx: SpatialSystem, G) -> SpaceTimeSolution:
             (a, b), (c, d) = T[k:end, k:end]
             s = 0.5 * (a + d) + 1j * np.sqrt(-0.25 * (a - d) ** 2 - b * c)
             x, l = np.array([b, s - a]), np.array([c, s - a])
-        shifted = (M_x.data + s * A_x.data, M_x.indices, M_x.indptr)
-        y = spla.splu(sp.csc_matrix(shifted, shape=M_x.shape)).solve(l @ rhs)
+        shifted = sp.csc_matrix((M_p.data + s * A_p.data, M_p.indices, M_p.indptr), shape=M_x.shape)
+        y = spla.splu(shifted, permc_spec="NATURAL").solve(l @ rhs)[perm]
         V[k:end] = (end - k) * np.outer(x / (l @ x), y).real  # a pair: 2 Re(x y) / (l^T x)
         W[k:end] = (A_x @ V[k:end].T).T
     U = Z @ V

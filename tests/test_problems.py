@@ -261,6 +261,49 @@ def test_u1_truncation_is_adequate():
         assert prob.du_dt_exact(t, x) == pytest.approx(_u1_du_dt_partial_sum(2000, t, x), rel=1e-12, abs=1e-15)
 
 
+def _u1_all_terms(t, x):
+    """u1's exact pair from every term: both image terms through erfc and erfcx
+    on the rows below the switch, z capped where e^(-z^2) is 0 already; all
+    32 modes on the rows from it on, as one product with the sine table."""
+    from scipy.special import erfc, erfcx
+
+    col = t[:, None]
+    early = t < _IMAGE_TIME
+    u, du = np.empty((2, len(t), len(x)))
+    y = np.stack([x, 1.0 - x])[:, None]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        z = np.minimum(np.where(y > 0.0, y / (2.0 * np.sqrt(col[early])), 0.0), 28.0)
+    w = np.exp(-(z**2)) * ((1.0 + 2.0 * z**2) * erfcx(z) - 2.0 / np.sqrt(np.pi) * z)
+    u[early], du[early] = col[early] - col[early] * w.sum(0), 1.0 - erfc(z).sum(0)
+    m = np.arange(1, 2 * problems._MODES, 2, dtype=float)
+    decay, sines = np.exp(-((np.pi * m) ** 2) * col[~early]), np.sin(np.pi * np.outer(m, x))
+    u[~early] = x * (1.0 - x) / 2.0 - (4.0 / (np.pi * m) ** 3 * decay) @ sines
+    du[~early] = (4.0 / (np.pi * m) * decay) @ sines
+    return u, du
+
+
+def test_u1_dropped_terms_stay_below_the_bound():
+    # one unsorted column: t = 0, image rows from 1e-14 to the switch, and mode
+    # rows from 0.01, where 10 of the 32 modes reach the bound, up to 2; points
+    # on the ends, 1e-9 from them, and at z = 3.3 and 5.3 and just either side of
+    # every image row's cut y = 2 * 6.6 * sqrt(t) (z = 6.6), from both ends
+    image = np.geomspace(1e-14, _IMAGE_TIME * (1 - 1e-9), 12)
+    t = np.concatenate([[0.0], image, np.geomspace(0.01, 2.0, 12)])
+    t = np.random.default_rng(3).permutation(t)
+    cuts = 2.0 * 6.6 * np.sqrt(image)
+    y = np.concatenate([[0.0, 1e-9], np.outer(cuts, [0.5, 0.8, 1 - 1e-9, 1 + 1e-9]).ravel()])
+    x = np.concatenate([y, 1.0 - y])
+    u, du = problem_u1().at(x).exact(t[:, None])
+    u_all, du_all = _u1_all_terms(t, x)
+    # the image rows drop terms below 1e-20 of t, which is at most 1e-3
+    early = t < _IMAGE_TIME
+    assert np.abs(u - u_all)[early].max() <= 1e-18
+    # a mode row's u = x(1 - x)/2 - sum is rounded near 1/8: 10 modes and 32 round
+    # apart by a few units in the last place there, far above the dropped terms
+    assert np.abs(u - u_all)[~early].max() <= 4 * np.spacing(0.125)
+    assert np.abs(du - du_all).max() <= 2e-15
+
+
 def test_u1_repeated_point_sets_are_not_confused():
     # two point sets with the same size, endpoints, sum and first 8 entries:
     # each must get its own values, whatever was evaluated before

@@ -113,9 +113,17 @@ def test_reported_residual_is_that_of_the_returned_coefficients(small_setup, mon
         def solve(self, rhs):
             return (1.0 + 1e-3) * self.lu.solve(rhs)
 
-    monkeypatch.setattr(solver.spla, "splu", lambda A: Scaled(splu(A)))
+    orders = []
+
+    def scaled_shifts(A, **kw):  # the column-order factorisation of M_x is left as it is
+        shift = kw.get("permc_spec") == "NATURAL"
+        orders.append(not shift)
+        return Scaled(splu(A, **kw)) if shift else splu(A, **kw)
+
+    monkeypatch.setattr(solver.spla, "splu", scaled_shifts)
     G = np.random.default_rng(2).standard_normal((basis.num_dofs, sx.N))
     sol = solve(tm, sx, G)
+    assert sum(orders) == 1
     expected = np.linalg.norm(materialize(tm, sx) @ sol.coefficients.ravel() - G.ravel()) / np.linalg.norm(G)
     assert sol.residual == pytest.approx(expected, rel=1e-10)
     assert sol.residual > cli.RESIDUAL_GATE
@@ -235,19 +243,23 @@ def test_discrete_stability_under_refinement():
 
 def test_bartels_stewart_handles_complex_schur_blocks():
     # mixed-degree meshes give the transform pencil complex eigenvalue pairs;
-    # cross-check against dense LU
+    # cross-check against dense LU, on an interval, where the column order of
+    # M_x is its own inverse, and on u3's level-0 L-shape mesh, where it is not
     basis = make_basis(uniform_mesh(2.0, 4, 3))
     tm = assemble(basis)
     C = np.linalg.solve(tm.A_ht, tm.M_ht)
     eig = np.linalg.eigvals(C)
     assert np.abs(eig.imag).max() > 1e-8  # complex pairs genuinely occur
     assert eig.real.min() > 0
-    sx = assemble_spatial(uniform_interval_mesh((0, 1), 12))
+    cfg = cli.parse_config((SHIPPED / "u3_hp_graded.cfg").read_text())
+    lshape = cli._spatial_for_level(cfg, get_problem(cfg.problem), 0)
     rng = np.random.default_rng(9)
-    G = rng.standard_normal((basis.num_dofs, sx.N))
-    a = _dense_solve(tm, sx, G)
-    b = solve(tm, sx, G)
-    assert np.abs(a - b.coefficients).max() < 1e-8 * np.abs(a).max()
+    for mesh_x in (uniform_interval_mesh((0, 1), 12), lshape):
+        sx = assemble_spatial(mesh_x)
+        G = rng.standard_normal((basis.num_dofs, sx.N))
+        a = _dense_solve(tm, sx, G)
+        b = solve(tm, sx, G)
+        assert np.abs(a - b.coefficients).max() < 1e-8 * np.abs(a).max()
 
 
 @pytest.mark.parametrize("temporal", ["u3-hp-graded-level-1", "one-element"])
@@ -268,10 +280,20 @@ def test_block_sweep_matches_dense_solve(temporal, monkeypatch):
     assert (ones, pairs) == ((1, 0) if temporal == "one-element" else (6, 42))
     sx = assemble_spatial(uniform_interval_mesh((0, 1), 12))
     G = np.random.default_rng(5).standard_normal((basis.num_dofs, sx.N))
-    dtypes, splu = [], solver.spla.splu
-    monkeypatch.setattr(solver.spla, "splu", lambda A: dtypes.append(A.dtype) or splu(A))
+    dtypes, orders, splu = [], [], solver.spla.splu
+
+    def counted(A, **kw):  # counts the shift factorisations, and apart the column-order one
+        if kw.get("permc_spec") == "NATURAL":
+            dtypes.append(A.dtype)
+        else:
+            orders.append(A.dtype)
+        return splu(A, **kw)
+
+    monkeypatch.setattr(solver.spla, "splu", counted)
     b = solve(tm, sx, G)
-    # one factorisation per diagonal block: real for a 1x1 block, complex for a 2x2 one
+    # one column order per solve, and one factorisation per diagonal block: real
+    # for a 1x1 block, complex for a 2x2 one
+    assert len(orders) == 1
     assert len(dtypes) == ones + pairs
     assert dtypes.count(np.float64) == ones and dtypes.count(np.complex128) == pairs
     a = _dense_solve(tm, sx, G)
