@@ -2,30 +2,28 @@
 M[k,l] = <phi_l, H phi_k> and A[k,l] = <d_t phi_l, H phi_k>, from the weakly
 singular integral representation of the modified Hilbert transform.
 
-The kernel ln[tan(pi(s+t)/4T) tan(pi|t-s|/4T)] is split exactly into
+The kernel ln[tan(pi(s+t)/4T) tan(pi|t-s|/4T)] is the sum of three
+logarithms, ln|t-s| + ln(s+t) - ln(2T-s-t), and a part analytic on the
+square. The O(m) element pairs where a logarithm's singular point touches
+the pair come in five kinds: the diagonal pairs (ln|t-s| along s=t), the
+(0,0) and (m-1,m-1) corners (ln(s+t), ln(2T-s-t)) and the (i,i+1) and
+(i+1,i) pairs (ln|t-s| in a corner). Each kind has one Duffy rule, built at
+the mesh's largest degree and shared by all of its pairs, whose radial
+direction meets a Gauss rule exact for polynomials against ln(x). Each
+integrand is a polynomial times ln or times an analytic log, so a rule built
+for a higher degree than a pair's own keeps that pair exact. A corner rule's
+angular order adds the Bernstein estimate for its kind's nearest singular
+point.
 
-    ln|t-s| + ln(s+t) - ln(2T-s-t) + ln(pi/4T) + G(s,t),
-
-where G collects the analytic remainders ln(tan(x)/x) and ln(sin(x)/x). The
-O(m) element pairs where a logarithm's singular point touches the pair come
-in five kinds: the diagonal pairs (ln|t-s| along s=t), the (0,0) and
-(m-1,m-1) corners (ln(s+t), ln(2T-s-t)) and the (i,i+1) and (i+1,i) pairs
-(ln|t-s| in a corner). Each kind has one Duffy rule, built at the mesh's
-largest degree and shared by all of its pairs, whose radial direction meets
-a Gauss rule exact for polynomials against ln(x). Each integrand is a
-polynomial times ln or times an analytic log, so a rule built for a higher
-degree than a pair's own keeps that pair exact. A corner rule's angular
-order adds the Bernstein estimate for its kind's nearest singular point.
-
-What the Duffy rules leave on a pair, G with the constants and each
-logarithm whose singular point stays off the pair, is integrated on one
-tensor Gauss grid. Its order in each direction is the largest any of these
-pieces asks for: p_i + p_j + SMOOTH_EXTRA for G, and for a logarithm an
-order driven by the distance of its singularity (Bernstein ellipse
-estimate). On a far pair, where no singular point touches, that sum is the
-kernel itself, so the grid evaluates ln[tan tan] directly; only the O(m)
-touching pairs evaluate the split. The pairs are grouped by their grid
-(nx, ny) and by being far, and walked in chunks of about
+What the Duffy rules leave on a pair is integrated on one tensor Gauss
+grid: the grid takes the kernel less the touching logarithms, each divided
+out of the kernel's argument (on the diagonal, ln|x-y| on the reference
+square), and on a far pair, where no singular point touches, the kernel
+itself. Its order in each direction is the largest any piece of it asks
+for: p_i + p_j + SMOOTH_EXTRA for the analytic part, and for a logarithm
+whose singular point stays off the pair an order driven by the distance of
+its singularity (Bernstein ellipse estimate). The pairs are grouped by
+their grid (nx, ny) and by being far, and walked in chunks of about
 spatial_fem._CHUNK_ENTRIES grid values. For a chunk, the weighted kernel
 values F (pairs x nx x ny) give both element blocks by sum factorisation,
 (dN_x @ F) @ [N_y | dN_y], from 1D Lobatto tables for the largest degree;
@@ -38,7 +36,6 @@ the global arrays in one index-array accumulation.
 
 from dataclasses import dataclass
 from functools import lru_cache
-from math import log
 
 import numpy as np
 
@@ -48,7 +45,7 @@ from .temporal_hp import TemporalBasis, lobatto_shapes
 
 
 # Gauss orders per direction; assemble's multiplier scales every one of them
-SMOOTH_EXTRA = 6  # analytic remainder G on pair (i, j): p_i + p_j + SMOOTH_EXTRA
+SMOOTH_EXTRA = 6  # the kernel's analytic part on pair (i, j): p_i + p_j + SMOOTH_EXTRA
 LOG_EXTRA = 3  # log-weighted Duffy rules: pdeg // 2 + LOG_EXTRA, pdeg = 2 p_max + 1
 TARGET_EXPONENT = 16.1  # near-singular tensor Gauss: error ~ rho^(-2n) ~ e^(-2 TARGET_EXPONENT)
 MAX_ORDER = 48
@@ -56,31 +53,6 @@ MAX_ORDER = 48
 
 def _scaled(n, multiplier):  # the one place that scales a Gauss order; elementwise
     return np.maximum(2, np.ceil(n * multiplier)).astype(int)
-
-
-def _log_ratio(f, x, series):
-    # ln(f(x)/x) for f = tan (analytic for |x| < pi/2) or f = sin (|x| < pi),
-    # by its even series near 0. Computed in place: the assembly passes whole
-    # chunks of quadrature grids.
-    x = np.asarray(x, dtype=float)
-    small = np.abs(x) < 1e-3
-    out = f(x, out=np.empty_like(x))
-    np.divide(out, x, out=out, where=~small)
-    np.log(out, out=out, where=~small)
-    out[small] = series(x[small])
-    return out
-
-
-def smooth_remainder(s, t, T):
-    """Analytic part G of the kernel split (plus nothing else)."""
-    c = np.pi / (4.0 * T)
-    w = s + t
-    tan_series = lambda x: x**2 / 3.0 + 7.0 * x**4 / 90.0
-    sin_series = lambda x: -(x**2) / 6.0 - x**4 / 180.0
-    G = _log_ratio(np.tan, c * np.abs(t - s), tan_series)
-    G += _log_ratio(np.sin, c * w, sin_series)
-    G -= _log_ratio(np.sin, c * (2.0 * T - w), sin_series)
-    return G
 
 
 @dataclass(frozen=True)
@@ -97,8 +69,9 @@ def _near_log_order(h, delta):
     # Gauss order, before scaling, for a log singularity at distance delta
     # beyond an interval of length h: error ~ rho^(-2n) with the Bernstein
     # ellipse radius rho, at most MAX_ORDER. Elementwise. No term for the
-    # polynomial factor: the tensor grid also carries G (p_i + p_j +
-    # SMOOTH_EXTRA points), and the corner Duffy rule adds its own.
+    # polynomial factor: the tensor grid's order also covers the kernel's
+    # analytic part (p_i + p_j + SMOOTH_EXTRA points), and the corner Duffy
+    # rule adds its own.
     r = 1.0 + 2.0 * np.maximum(delta, 1e-300) / h
     with np.errstate(divide="ignore"):
         return np.minimum(np.ceil(TARGET_EXPONENT / np.log(r + np.sqrt(r * r - 1.0))), MAX_ORDER)
@@ -184,10 +157,10 @@ def assemble(basis: TemporalBasis, multiplier=1.0) -> TemporalMatrices:
     I, J = (v.ravel() for v in np.indices((m, m)))  # pair k is (I[k], J[k])
     kappa = np.pi / (4.0 * T)
 
-    # the regular part of each pair on one tensor grid: G with the constants,
-    # plus each of ln|t-s|, ln(s+t), ln(2T-s-t) whose singular point stays off
-    # the pair, at distance delta[q] > 0; the Duffy rules below take the others.
-    # On a far pair all three stay off, and the exact split sums to the kernel
+    # each pair on one tensor grid: the kernel less each of ln|t-s|, ln(s+t),
+    # -ln(2T-s-t) whose singular point touches the pair (delta[q] = 0), which
+    # the Duffy rules below take; the others stay off at distance delta[q] > 0.
+    # A far pair touches none, and every other pair touches t = s
     delta = (np.where(J > I, a[J] - b[I], a[I] - b[J]), a[I] + a[J], (T - b[I]) + (T - b[J]))
     far = (delta[0] > 0) & (delta[1] > 0) & (delta[2] > 0)
 
@@ -196,21 +169,20 @@ def assemble(basis: TemporalBasis, multiplier=1.0) -> TemporalMatrices:
         return _scaled(np.max([p[I] + p[J] + SMOOTH_EXTRA, *near], axis=0), multiplier)
 
     def kernel(k, x, y, is_far):  # pairs k (pairs x 1 x 1) at nodes x (column) and y (row)
+        # ln[tan(kappa|t-s|) tan(kappa(s+t))], in place, with |t-s|, s+t and
+        # 1/(2T-s-t) divided out of the argument where they touch the pair;
+        # on the diagonal, |t-s| = h|x-y| and the rule takes ln|x-y|, so h stays
         i, j = I[k], J[k]
-        if is_far:  # the kernel itself, ln[tan(kappa|t-s|) tan(kappa(s+t))], in place
-            s, t = kappa * (a[i] + h[i] * x), kappa * (a[j] + h[j] * y)
-            F = np.abs(t - s)
+        s, t = kappa * (a[i] + h[i] * x), kappa * (a[j] + h[j] * y)
+        F, w = np.abs(t - s), s + t
+        if is_far:
             np.tan(F, out=F)
-            w = s + t
-            F *= np.tan(w, out=w)
-            return np.log(F, out=F)
-        s, t = a[i] + h[i] * x, a[j] + h[j] * y
-        # G and the constants; ln|t-s| leaves ln(h) on the diagonal
-        F = smooth_remainder(s, t, T) + (log(kappa) + np.where(i == j, np.log(h[i]), 0.0))
-        F += np.log(np.where(delta[0][k] > 0, np.abs(t - s), 1.0))
-        F += np.log(np.where(delta[1][k] > 0, s + t, 1.0))
-        F -= np.log(np.where(delta[2][k] > 0, 2.0 * T - s - t, 1.0))
-        return F
+        else:  # tan(d)/d, with its limit 1 on the diagonal's nodes x = y
+            F = np.sinc(F / np.pi) / np.cos(F) * (kappa * np.where(i == j, h[i], 1.0))
+            F /= np.where(delta[1][k] > 0, 1.0, w / kappa)
+            F *= np.where(delta[2][k] > 0, 1.0, (np.pi / 2 - w) / kappa)
+        F *= np.tan(w, out=w)
+        return np.log(F, out=F)
 
     @lru_cache(maxsize=None)
     def shapes(n):  # Lobatto values and xi-derivatives at the n Gauss nodes on (0,1)

@@ -4,7 +4,8 @@ Most evaluate one quantity the direct way: one point, one basis function or
 one time at a time, where the package works on whole batches. The others are
 paths the study pipeline does not take: the dense system matrix, the scalar
 model IVP, the error surrogate of one solution, uniform refinement, the
-temporal mass matrix on its own minimal rule, the forcings in one closed
+temporal mass matrix on its own minimal rule, the transform kernel split
+into three logarithms and an analytic remainder, the forcings in one closed
 form each, the load with the whole forcing at every (node, point) pair and
 problems built from plain (t, x) callables.
 """
@@ -94,6 +95,31 @@ def kernel(s, t, T):
     return np.log(
         np.tan(np.pi * (s + t) / (4.0 * T)) * np.tan(np.pi * np.abs(t - s) / (4.0 * T))
     )
+
+
+def _log_ratio(f, x, series):
+    # ln(f(x)/x) for f = tan (analytic for |x| < pi/2) or f = sin (|x| < pi),
+    # by its even series near 0. Computed in place: the assembly passes whole
+    # chunks of quadrature grids.
+    x = np.asarray(x, dtype=float)
+    small = np.abs(x) < 1e-3
+    out = f(x, out=np.empty_like(x))
+    np.divide(out, x, out=out, where=~small)
+    np.log(out, out=out, where=~small)
+    out[small] = series(x[small])
+    return out
+
+
+def smooth_remainder(s, t, T):
+    """Analytic part G of the kernel split (plus nothing else)."""
+    c = np.pi / (4.0 * T)
+    w = s + t
+    tan_series = lambda x: x**2 / 3.0 + 7.0 * x**4 / 90.0
+    sin_series = lambda x: -(x**2) / 6.0 - x**4 / 180.0
+    G = _log_ratio(np.tan, c * np.abs(t - s), tan_series)
+    G += _log_ratio(np.sin, c * w, sin_series)
+    G -= _log_ratio(np.sin, c * (2.0 * T - w), sin_series)
+    return G
 
 
 def min_angle(mesh) -> float:

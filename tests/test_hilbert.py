@@ -10,7 +10,6 @@ from spacetime_hp.hilbert import (
     _near_log_order,
     _tensor_grid,
     assemble,
-    smooth_remainder,
 )
 from spacetime_hp.temporal_hp import (
     TemporalMesh,
@@ -23,7 +22,7 @@ from spacetime_hp.temporal_hp import (
 )
 
 from fractional_norms import discrete_h12_norm_sq, ht_matrix_oracle
-from oracles import eval_basis, kernel
+from oracles import eval_basis, kernel, smooth_remainder
 
 
 def test_kernel_symmetry_and_spot_value():
@@ -319,6 +318,9 @@ PAIR_LOOP_MESHES = {
     # u3_hp_graded level 3: far pairs among elements down to 8.3e-14 long,
     # and Duffy kinds of more pairs than one small chunk holds
     "u3-hp-level-3": build_mesh(TemporalMeshSpec(T=2, sigma=0.17, mu_hp=1.0, m1=18, m2=1)),
+    # u1_uniform level 4: an end element 1/32 long, where pi/2 - pi(s+t)/4T of
+    # the end corner comes closest to rounding
+    "u1-uniform-level-4": uniform_mesh(2.0, 64, 1),
 }
 
 

@@ -5,7 +5,8 @@ read inside the package, as an attribute. Every function parameter with a
 default (a knob a caller may turn or leave alone) is listed with its reason.
 Every config key is set by a shipped study, to more than one value across them.
 Building the problems, u1's space-time quadrature and its load import no
-scipy.special; only u1's exact solution does."""
+scipy.special; only u1's exact solution does. Every name a module imports is
+read in that module."""
 
 import ast
 import configparser
@@ -102,6 +103,25 @@ def test_every_definition_has_a_caller():
 
 def test_allowlist_is_current():
     assert set(ALLOWED) <= {qualified for qualified, _ in _definitions()}
+
+
+def _imported(tree):
+    """Names the import statements below tree bind."""
+    for sub in ast.walk(tree):
+        if isinstance(sub, (ast.Import, ast.ImportFrom)):
+            for alias in sub.names:
+                yield alias.asname or alias.name.split(".")[0]
+
+
+def test_every_import_is_read():
+    # an imported name counts as read if it is loaded as a name, which the
+    # base of an attribute also is
+    unread = []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        loaded = {sub.id for sub in ast.walk(tree) if isinstance(sub, ast.Name) and isinstance(sub.ctx, ast.Load)}
+        unread += [f"{path.stem}.{name}" for name in _imported(tree) if name not in loaded]
+    assert unread == []
 
 
 def _dataclass_fields():
